@@ -1,7 +1,7 @@
 // Command benchcmp diffs two benchjson reports and fails on hot-path
 // regressions, so CI can gate a PR's perf against the checked-in baseline:
 //
-//	benchcmp BENCH_PR4.json BENCH_NEW.json
+//	benchcmp BENCH_PR10.json BENCH_NEW.json
 //
 // Every benchmark present in both files is printed with its ns/op delta.
 // Benchmarks matching -gate (default: the sync hot path) fail the run when

@@ -11,30 +11,21 @@
 // generator (internal/trafficgen) needs to replay a recorded session's load
 // shape against a live relayd, the capture→replay loop CGReplay argues for.
 //
-// The container follows the same conventions as the RKFB flight bundle
-// (internal/flight): magic + version, tagged length-prefixed sections, an
-// FNV-1a/32 trailer over every preceding byte, unknown tags skipped on
-// decode, and a Decode that is total — corrupt or truncated input yields an
-// error, never a panic (FuzzDecodeCapture enforces this).
+// RKCP is a schema over internal/container, which owns the framing, the
+// section walk and the totality contract.
 package capture
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"time"
 
+	"retrolock/internal/container"
 	"retrolock/internal/netem"
 )
 
-// Capture container format (little endian):
-//
-//	magic    "RKCP" (4)
-//	version  u16
-//	sections until the CRC trailer, each:
-//	    tag u8, length u32, payload
-//	crc      u32 — FNV-1a/32 of every preceding byte
+// RKCP is a container frame whose body is tagged sections.
 const (
 	captureMagic = "RKCP"
 	// Version is the current RKCP container version.
@@ -132,12 +123,6 @@ func (c *Capture) Span() time.Duration {
 	return c.Records[len(c.Records)-1].At - c.Records[0].At
 }
 
-func appendSection(buf []byte, tag byte, payload []byte) []byte {
-	buf = append(buf, tag)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
-}
-
 // Encode serializes the capture.
 func (c *Capture) Encode() []byte {
 	meta, err := json.Marshal(c.Meta)
@@ -149,9 +134,8 @@ func (c *Capture) Encode() []byte {
 		size += len(c.Records[i].Payload)
 	}
 	buf := make([]byte, 0, size+64)
-	buf = append(buf, captureMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = appendSection(buf, secMeta, meta)
+	buf = container.Begin(buf, captureMagic, Version)
+	buf = container.AppendSection(buf, secMeta, meta)
 	if len(c.Records) > 0 {
 		p := make([]byte, 0, 4+len(c.Records)*(recHeaderSize+64))
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(c.Records)))
@@ -162,61 +146,37 @@ func (c *Capture) Encode() []byte {
 			p = binary.LittleEndian.AppendUint32(p, uint32(len(r.Payload)))
 			p = append(p, r.Payload...)
 		}
-		buf = appendSection(buf, secRecords, p)
+		buf = container.AppendSection(buf, secRecords, p)
 	}
-	h := fnv.New32a()
-	h.Write(buf)
-	return binary.LittleEndian.AppendUint32(buf, h.Sum32())
+	return container.Seal(buf)
 }
 
 // Decode parses a serialized capture. It is total: corrupt or truncated
 // input yields an error, never a panic.
 func Decode(data []byte) (*Capture, error) {
-	if len(data) < 6+4 {
-		return nil, fmt.Errorf("capture: %d bytes too short for an RKCP container", len(data))
-	}
-	if string(data[:4]) != captureMagic {
-		return nil, fmt.Errorf("capture: bad magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return nil, fmt.Errorf("capture: unsupported version %d", v)
-	}
-	body, crc := data[:len(data)-4], data[len(data)-4:]
-	h := fnv.New32a()
-	h.Write(body)
-	if h.Sum32() != binary.LittleEndian.Uint32(crc) {
-		return nil, fmt.Errorf("capture: checksum mismatch (capture corrupt)")
+	body, err := container.Open(data, captureMagic, Version)
+	if err != nil {
+		return nil, fmt.Errorf("capture: %w", err)
 	}
 	c := &Capture{}
 	sawMeta := false
-	off := 6
-	for off < len(body) {
-		if off+5 > len(body) {
-			return nil, fmt.Errorf("capture: truncated section header at %d", off)
-		}
-		tag := body[off]
-		n := int(binary.LittleEndian.Uint32(body[off+1:]))
-		off += 5
-		if n < 0 || off+n > len(body) {
-			return nil, fmt.Errorf("capture: section %d declares %d bytes, %d available", tag, n, len(body)-off)
-		}
-		p := body[off : off+n]
-		off += n
+	err = container.Sections(body, func(tag byte, p []byte) (err error) {
 		switch tag {
 		case secMeta:
-			if err := json.Unmarshal(p, &c.Meta); err != nil {
-				return nil, fmt.Errorf("capture: meta: %w", err)
-			}
+			err = json.Unmarshal(p, &c.Meta)
 			sawMeta = true
 		case secRecords:
-			recs, err := decodeRecords(p)
-			if err != nil {
-				return nil, err
-			}
-			c.Records = recs
+			c.Records, err = decodeRecords(container.NewReader(p))
 		default:
 			// Unknown section from a newer recorder: skip.
 		}
+		if err != nil {
+			return fmt.Errorf("section %d: %w", tag, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("capture: %w", err)
 	}
 	if !sawMeta {
 		return nil, fmt.Errorf("capture: no meta section")
@@ -224,39 +184,20 @@ func Decode(data []byte) (*Capture, error) {
 	return c, nil
 }
 
-func decodeRecords(p []byte) ([]Record, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("capture: truncated record section")
+func decodeRecords(r *container.Reader) ([]Record, error) {
+	out := make([]Record, r.Count(recHeaderSize))
+	for i := range out {
+		out[i] = Record{At: time.Duration(r.U64()), Dir: Dir(r.U8()), Site: r.U8()}
+		out[i].Payload = append([]byte(nil), r.Bytes(int(r.U32()))...)
+		if d := out[i].Dir; d != DirSend && d != DirRecv {
+			return nil, fmt.Errorf("record %d: bad direction %d", i, d)
+		}
 	}
-	n := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if n < 0 || n > len(p)/recHeaderSize {
-		return nil, fmt.Errorf("capture: record section declares %d records, %d bytes available", n, len(p))
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	out := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		if len(p) < recHeaderSize {
-			return nil, fmt.Errorf("capture: truncated record %d header", i)
-		}
-		r := Record{
-			At:   time.Duration(binary.LittleEndian.Uint64(p)),
-			Dir:  Dir(p[8]),
-			Site: p[9],
-		}
-		if r.Dir != DirSend && r.Dir != DirRecv {
-			return nil, fmt.Errorf("capture: record %d: bad direction %d", i, r.Dir)
-		}
-		sz := int(binary.LittleEndian.Uint32(p[10:]))
-		p = p[recHeaderSize:]
-		if sz < 0 || sz > len(p) {
-			return nil, fmt.Errorf("capture: record %d declares %d payload bytes, %d available", i, sz, len(p))
-		}
-		r.Payload = append([]byte(nil), p[:sz]...)
-		p = p[sz:]
-		out = append(out, r)
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("capture: %d trailing bytes after records", len(p))
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after records", r.Len())
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"retrolock/internal/container"
 	"retrolock/internal/netem"
 )
 
@@ -89,7 +90,7 @@ func TestDecodeSkipsUnknownSections(t *testing.T) {
 	enc := c.Encode()
 	// Splice an unknown section (tag 0xEE) before the trailer and re-CRC.
 	body := enc[:len(enc)-4]
-	body = appendSection(append([]byte(nil), body...), 0xEE, []byte("from the future"))
+	body = container.AppendSection(append([]byte(nil), body...), 0xEE, []byte("from the future"))
 	h := fnvSum32(body)
 	withCRC := append(body, byte(h), byte(h>>8), byte(h>>16), byte(h>>24))
 	dec, err := Decode(withCRC)

@@ -97,8 +97,6 @@ type Scenario struct {
 	// ARQ routes the session traffic through the reliable in-order
 	// transport (transport.ARQConn) instead of raw datagrams.
 	ARQ bool
-	// ARQRto overrides the ARQ retransmission timeout (0 = default).
-	ARQRto time.Duration
 	// TraceEvents, when positive, attaches a fixed-capacity frame-event
 	// tracer of that many slots to each site (plus the ARQ layer in ARQ
 	// mode). The freshest events survive in Report.Traces; zero disables
@@ -442,7 +440,7 @@ func Run(sc Scenario) (*Report, error) {
 	var arqs [2]*transport.ARQConn
 	if sc.ARQ {
 		for i := range arqs {
-			arqs[i] = transport.NewARQ(cks[i], clocks[i], sc.ARQRto)
+			arqs[i] = transport.NewARQ(cks[i], clocks[i], transport.DefaultRTO)
 			conns[i] = arqs[i]
 		}
 	}

@@ -30,6 +30,9 @@ func FuzzDecodeSync(f *testing.F) {
 	f.Add(overflow)
 	f.Add([]byte{msgSync})
 	f.Add([]byte{})
+	// An exec time without an exec frame: the encoder writes the field either
+	// way, so the decoder must keep it for the re-encode to match.
+	f.Add(encodeSync(nil, syncMsg{Sender: 1, From: 1, To: 0, ExecTime: 0x30303030}))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := decodeSync(raw)

@@ -144,6 +144,7 @@ func decodeSyncInto(p []byte, scratch []uint16) (syncMsg, error) {
 		To:       int32(binary.LittleEndian.Uint32(p[10:])),
 		SendTime: binary.LittleEndian.Uint32(p[14:]),
 		EchoTime: binary.LittleEndian.Uint32(p[18:]),
+		ExecTime: binary.LittleEndian.Uint32(p[30:]),
 	}
 	if delay := binary.LittleEndian.Uint32(p[22:]); delay != 0 {
 		m.HasEcho = true
@@ -152,7 +153,6 @@ func decodeSyncInto(p []byte, scratch []uint16) (syncMsg, error) {
 	if exec := binary.LittleEndian.Uint32(p[26:]); exec != 0 {
 		m.HasExec = true
 		m.ExecFrame = int32(exec - 1)
-		m.ExecTime = binary.LittleEndian.Uint32(p[30:])
 	}
 	// 64-bit arithmetic: a hostile from/to pair must not wrap int32 into a
 	// small "valid" payload length.

@@ -22,20 +22,13 @@ import (
 	"hash/fnv"
 	"time"
 
+	"retrolock/internal/container"
 	"retrolock/internal/span"
 )
 
-// Bundle container format (little endian):
-//
-//	magic    "RKFB" (4)
-//	version  u16
-//	sections until the CRC trailer, each:
-//	    tag u8, length u32, payload
-//	crc      u32 — FNV-1a/32 of every preceding byte
-//
-// Unknown tags are skipped on decode, so newer recorders stay readable by
-// older triage builds. Decode never panics on corrupt input; every length is
-// bounds-checked before use (FuzzDecodeBundle enforces this).
+// RKFB is a container frame (see internal/container) whose body is tagged
+// sections. Unknown tags are skipped on decode, so newer recorders stay
+// readable by older triage builds.
 const (
 	bundleMagic   = "RKFB"
 	BundleVersion = 1
@@ -61,6 +54,10 @@ const frameRecSize = 8 + 2 + 8 + 8
 // remoteRecSize is the encoded size of one RemoteHash: site u32, frame u64,
 // hash u64.
 const remoteRecSize = 4 + 8 + 8
+
+// snapHeaderSize is the fixed prefix of one encoded StateSnapshot: frame u64,
+// state length u32.
+const snapHeaderSize = 8 + 4
 
 // FrameRecord is one executed frame as the recorder saw it.
 type FrameRecord struct {
@@ -137,12 +134,6 @@ type Bundle struct {
 	Spans []span.Span
 }
 
-func appendSection(buf []byte, tag byte, payload []byte) []byte {
-	buf = append(buf, tag)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
-}
-
 // Encode serializes the bundle.
 func (b *Bundle) Encode() []byte {
 	manifest, err := json.Marshal(b.Manifest)
@@ -159,11 +150,10 @@ func (b *Bundle) Encode() []byte {
 		size += 12 + len(b.Final.State)
 	}
 	buf := make([]byte, 0, size+64)
-	buf = append(buf, bundleMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, BundleVersion)
-	buf = appendSection(buf, secManifest, manifest)
+	buf = container.Begin(buf, bundleMagic, BundleVersion)
+	buf = container.AppendSection(buf, secManifest, manifest)
 	if len(b.ROM) > 0 {
-		buf = appendSection(buf, secROM, b.ROM)
+		buf = container.AppendSection(buf, secROM, b.ROM)
 	}
 	if len(b.Frames) > 0 {
 		p := make([]byte, 0, 4+len(b.Frames)*frameRecSize)
@@ -174,7 +164,7 @@ func (b *Bundle) Encode() []byte {
 			p = binary.LittleEndian.AppendUint64(p, uint64(f.Wait))
 			p = binary.LittleEndian.AppendUint64(p, f.Hash)
 		}
-		buf = appendSection(buf, secFrames, p)
+		buf = container.AppendSection(buf, secFrames, p)
 	}
 	if len(b.Snapshots) > 0 {
 		var p []byte
@@ -182,10 +172,10 @@ func (b *Bundle) Encode() []byte {
 		for _, s := range b.Snapshots {
 			p = appendSnapshot(p, s)
 		}
-		buf = appendSection(buf, secSnapshots, p)
+		buf = container.AppendSection(buf, secSnapshots, p)
 	}
 	if b.Final != nil {
-		buf = appendSection(buf, secFinal, appendSnapshot(nil, *b.Final))
+		buf = container.AppendSection(buf, secFinal, appendSnapshot(nil, *b.Final))
 	}
 	if len(b.RemoteHashes) > 0 {
 		p := make([]byte, 0, 4+len(b.RemoteHashes)*remoteRecSize)
@@ -195,20 +185,18 @@ func (b *Bundle) Encode() []byte {
 			p = binary.LittleEndian.AppendUint64(p, uint64(r.Frame))
 			p = binary.LittleEndian.AppendUint64(p, r.Hash)
 		}
-		buf = appendSection(buf, secRemote, p)
+		buf = container.AppendSection(buf, secRemote, p)
 	}
 	if len(b.Trace) > 0 {
-		buf = appendSection(buf, secTrace, b.Trace)
+		buf = container.AppendSection(buf, secTrace, b.Trace)
 	}
 	if len(b.Metrics) > 0 {
-		buf = appendSection(buf, secMetrics, b.Metrics)
+		buf = container.AppendSection(buf, secMetrics, b.Metrics)
 	}
 	if len(b.Spans) > 0 {
-		buf = appendSection(buf, secSpans, span.AppendSpans(nil, b.Spans))
+		buf = container.AppendSection(buf, secSpans, span.AppendSpans(nil, b.Spans))
 	}
-	h := fnv.New32a()
-	h.Write(buf)
-	return binary.LittleEndian.AppendUint32(buf, h.Sum32())
+	return container.Seal(buf)
 }
 
 func appendSnapshot(p []byte, s StateSnapshot) []byte {
@@ -217,170 +205,81 @@ func appendSnapshot(p []byte, s StateSnapshot) []byte {
 	return append(p, s.State...)
 }
 
-func decodeSnapshot(p []byte) (StateSnapshot, []byte, error) {
-	if len(p) < 12 {
-		return StateSnapshot{}, nil, fmt.Errorf("flight: truncated snapshot header")
-	}
-	s := StateSnapshot{Frame: int64(binary.LittleEndian.Uint64(p))}
-	n := int(binary.LittleEndian.Uint32(p[8:]))
-	p = p[12:]
-	if n < 0 || n > len(p) {
-		return StateSnapshot{}, nil, fmt.Errorf("flight: snapshot declares %d bytes, %d available", n, len(p))
-	}
-	s.State = append([]byte(nil), p[:n]...)
-	return s, p[n:], nil
+func decodeSnapshot(r *container.Reader) StateSnapshot {
+	return StateSnapshot{Frame: int64(r.U64()), State: append([]byte(nil), r.Bytes(int(r.U32()))...)}
 }
 
 // Decode parses a serialized bundle. It is total: corrupt or truncated input
 // yields an error, never a panic, so triage survives damaged black boxes.
 func Decode(data []byte) (*Bundle, error) {
-	if len(data) < 6+4 {
-		return nil, fmt.Errorf("flight: bundle of %d bytes too short", len(data))
-	}
-	if string(data[:4]) != bundleMagic {
-		return nil, fmt.Errorf("flight: bad magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != BundleVersion {
-		return nil, fmt.Errorf("flight: unsupported bundle version %d", v)
-	}
-	body, crc := data[:len(data)-4], data[len(data)-4:]
-	h := fnv.New32a()
-	h.Write(body)
-	if h.Sum32() != binary.LittleEndian.Uint32(crc) {
-		return nil, fmt.Errorf("flight: checksum mismatch (bundle corrupt)")
+	body, err := container.Open(data, bundleMagic, BundleVersion)
+	if err != nil {
+		return nil, fmt.Errorf("flight: %w", err)
 	}
 	b := &Bundle{}
 	sawManifest := false
-	off := 6
-	for off < len(body) {
-		if off+5 > len(body) {
-			return nil, fmt.Errorf("flight: truncated section header at %d", off)
-		}
-		tag := body[off]
-		n := int(binary.LittleEndian.Uint32(body[off+1:]))
-		off += 5
-		if n < 0 || off+n > len(body) {
-			return nil, fmt.Errorf("flight: section %d declares %d bytes, %d available", tag, n, len(body)-off)
-		}
-		p := body[off : off+n]
-		off += n
+	err = container.Sections(body, func(tag byte, p []byte) (err error) {
+		r := container.NewReader(p)
 		switch tag {
 		case secManifest:
-			if err := json.Unmarshal(p, &b.Manifest); err != nil {
-				return nil, fmt.Errorf("flight: manifest: %w", err)
-			}
+			err = json.Unmarshal(p, &b.Manifest)
 			sawManifest = true
 		case secROM:
 			b.ROM = append([]byte(nil), p...)
 		case secFrames:
-			recs, err := decodeFrames(p)
-			if err != nil {
-				return nil, err
+			b.Frames = make([]FrameRecord, r.Count(frameRecSize))
+			for i := range b.Frames {
+				b.Frames[i] = FrameRecord{
+					Frame: int64(r.U64()),
+					Input: r.U16(),
+					Wait:  time.Duration(r.U64()),
+					Hash:  r.U64(),
+				}
 			}
-			b.Frames = recs
 		case secSnapshots:
-			snaps, err := decodeSnapshots(p)
-			if err != nil {
-				return nil, err
+			b.Snapshots = make([]StateSnapshot, r.Count(snapHeaderSize))
+			for i := range b.Snapshots {
+				b.Snapshots[i] = decodeSnapshot(r)
 			}
-			b.Snapshots = snaps
 		case secFinal:
-			s, rest, err := decodeSnapshot(p)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("flight: %d trailing bytes after final snapshot", len(rest))
+			s := decodeSnapshot(r)
+			if r.Len() != 0 {
+				err = fmt.Errorf("%d trailing bytes after final snapshot", r.Len())
 			}
 			b.Final = &s
 		case secRemote:
-			recs, err := decodeRemote(p)
-			if err != nil {
-				return nil, err
+			b.RemoteHashes = make([]RemoteHash, r.Count(remoteRecSize))
+			for i := range b.RemoteHashes {
+				b.RemoteHashes[i] = RemoteHash{
+					Site:  int(int32(r.U32())),
+					Frame: int64(r.U64()),
+					Hash:  r.U64(),
+				}
 			}
-			b.RemoteHashes = recs
 		case secTrace:
 			b.Trace = append([]byte(nil), p...)
 		case secMetrics:
 			b.Metrics = append([]byte(nil), p...)
 		case secSpans:
-			spans, err := span.DecodeSpans(p)
-			if err != nil {
-				return nil, fmt.Errorf("flight: spans: %w", err)
-			}
-			b.Spans = spans
+			b.Spans, err = span.DecodeSpans(p)
 		default:
 			// Unknown section from a newer recorder: skip.
 		}
+		if err == nil {
+			err = r.Err()
+		}
+		if err != nil {
+			return fmt.Errorf("section %d: %w", tag, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("flight: %w", err)
 	}
 	if !sawManifest {
 		return nil, fmt.Errorf("flight: bundle has no manifest")
 	}
 	return b, nil
-}
-
-func decodeFrames(p []byte) ([]FrameRecord, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("flight: truncated frame section")
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if n < 0 || n > len(p)/frameRecSize {
-		return nil, fmt.Errorf("flight: frame section declares %d records, %d bytes available", n, len(p))
-	}
-	out := make([]FrameRecord, n)
-	for i := range out {
-		out[i] = FrameRecord{
-			Frame: int64(binary.LittleEndian.Uint64(p)),
-			Input: binary.LittleEndian.Uint16(p[8:]),
-			Wait:  time.Duration(binary.LittleEndian.Uint64(p[10:])),
-			Hash:  binary.LittleEndian.Uint64(p[18:]),
-		}
-		p = p[frameRecSize:]
-	}
-	return out, nil
-}
-
-func decodeSnapshots(p []byte) ([]StateSnapshot, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("flight: truncated snapshot section")
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if n < 0 || n > len(p)/12 {
-		return nil, fmt.Errorf("flight: snapshot section declares %d snapshots, %d bytes available", n, len(p))
-	}
-	out := make([]StateSnapshot, 0, n)
-	for i := 0; i < n; i++ {
-		s, rest, err := decodeSnapshot(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-		p = rest
-	}
-	return out, nil
-}
-
-func decodeRemote(p []byte) ([]RemoteHash, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("flight: truncated remote-hash section")
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if n < 0 || n > len(p)/remoteRecSize {
-		return nil, fmt.Errorf("flight: remote section declares %d records, %d bytes available", n, len(p))
-	}
-	out := make([]RemoteHash, n)
-	for i := range out {
-		out[i] = RemoteHash{
-			Site:  int(int32(binary.LittleEndian.Uint32(p))),
-			Frame: int64(binary.LittleEndian.Uint64(p[4:])),
-			Hash:  binary.LittleEndian.Uint64(p[12:]),
-		}
-		p = p[remoteRecSize:]
-	}
-	return out, nil
 }
 
 // ROMHash is the FNV-1a/64 digest used for Manifest.ROMHash.

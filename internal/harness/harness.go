@@ -52,9 +52,6 @@ type Config struct {
 	// ProcDelay models the sender-thread scheduling quantum (§4.2,
 	// default 10 ms => ~5 ms average submit-to-wire delay).
 	ProcDelay time.Duration
-	// NoProcDelay disables ProcDelay (for ablations); otherwise a zero
-	// ProcDelay means the default.
-	NoProcDelay bool
 
 	// Frames is the experiment length (default 3600, as in §4.1).
 	Frames int
@@ -102,8 +99,6 @@ type Config struct {
 	// savestate rollback on misprediction. Handshake is skipped (timesync
 	// absorbs startup skew) and observers are unsupported in this mode.
 	Rollback bool
-	// PredictionWindow bounds rollback speculation (default 8 frames).
-	PredictionWindow int
 
 	// ARQ routes the lockstep traffic through the reliable in-order
 	// transport baseline ("TCP-like", §3.1) instead of raw datagrams.
@@ -150,11 +145,8 @@ func (c Config) withDefaults() Config {
 	if c.Game == "" {
 		c.Game = "pong"
 	}
-	if c.ProcDelay == 0 && !c.NoProcDelay {
+	if c.ProcDelay == 0 {
 		c.ProcDelay = DefaultProcDelay
-	}
-	if c.NoProcDelay {
-		c.ProcDelay = 0
 	}
 	if c.EmulationTime == 0 {
 		c.EmulationTime = DefaultEmulation
@@ -459,7 +451,7 @@ func Run(cfg Config) (*Result, error) {
 			so0 = so
 		}
 		if cfg.Rollback {
-			rs, err := core.NewRollbackSession(sc, v, v.Now(), m, peers, cfg.PredictionWindow)
+			rs, err := core.NewRollbackSession(sc, v, v.Now(), m, peers, core.DefaultPredictionWindow)
 			if err != nil {
 				return nil, err
 			}

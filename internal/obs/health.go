@@ -74,7 +74,7 @@ type HealthConfig struct {
 	RTTInfeasible time.Duration
 	RTTDegraded   time.Duration
 
-	// SkewInfeasible grades the windowed SkewQuantile of the skew
+	// SkewInfeasible grades the windowed skewQuantile of the skew
 	// histogram (default 35 ms — just above the 33.6 ms bucket bound, so
 	// a quantile in the (16.8, 33.6] bucket reads as a warning, not a
 	// verdict; infeasible starts at the 67.1 ms bucket). SkewDegraded is
@@ -82,8 +82,6 @@ type HealthConfig struct {
 	// with bucket quantization, healthy requires p-quantile <= 8.4 ms).
 	SkewInfeasible time.Duration
 	SkewDegraded   time.Duration
-	// SkewQuantile is which quantile to grade (default 0.9).
-	SkewQuantile float64
 
 	// FrameTarget is the nominal frame duration (default 16.67 ms);
 	// the windowed mean frame time grades degraded/infeasible at
@@ -98,14 +96,18 @@ type HealthConfig struct {
 	RetransDegraded   float64
 	RetransInfeasible float64
 
-	// MinSamples is the least observations a histogram window needs before
-	// its signal is graded (default 8); smaller windows abstain.
-	MinSamples int64
-
 	// RecoverAfter is how many consecutive windows must grade strictly
 	// better than the current state before it improves (default 3).
 	RecoverAfter int
 }
+
+const (
+	// skewQuantile is which quantile of the skew histogram is graded.
+	skewQuantile = 0.9
+	// minSamples is the least observations a histogram window needs before
+	// its signal is graded; smaller windows abstain.
+	minSamples = 8
+)
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.RTTInfeasible <= 0 {
@@ -119,9 +121,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.SkewDegraded <= 0 {
 		c.SkewDegraded = 10 * time.Millisecond
-	}
-	if c.SkewQuantile <= 0 || c.SkewQuantile > 1 {
-		c.SkewQuantile = 0.9
 	}
 	if c.FrameTarget <= 0 {
 		c.FrameTarget = 16670 * time.Microsecond
@@ -137,9 +136,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.RetransInfeasible <= 0 {
 		c.RetransInfeasible = 1.0
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
 	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 3
@@ -294,15 +290,15 @@ func (h *Health) Evaluate(at time.Time) HealthState {
 	sig := HealthSignals{Window: h.windows}
 	verdict := Healthy
 
-	if rttC >= h.cfg.MinSamples {
+	if rttC >= minSamples {
 		sig.RTTp50 = int64(QuantileOfBuckets(rttB, rttC, 0.5))
 		verdict = grade(verdict, sig.RTTp50, int64(h.cfg.RTTDegraded), int64(h.cfg.RTTInfeasible))
 	}
-	if skewC >= h.cfg.MinSamples {
-		sig.SkewQ = int64(QuantileOfBuckets(skewB, skewC, h.cfg.SkewQuantile))
+	if skewC >= minSamples {
+		sig.SkewQ = int64(QuantileOfBuckets(skewB, skewC, skewQuantile))
 		verdict = grade(verdict, sig.SkewQ, int64(h.cfg.SkewDegraded), int64(h.cfg.SkewInfeasible))
 	}
-	if frameC >= h.cfg.MinSamples {
+	if frameC >= minSamples {
 		sig.FrameMean = frameS / frameC
 		verdict = grade(verdict, sig.FrameMean,
 			int64(h.cfg.FrameTarget+h.cfg.FrameDegradedMargin),

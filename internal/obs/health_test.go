@@ -133,7 +133,7 @@ func TestHealthRetransmitRateSignal(t *testing.T) {
 func TestHealthSmallWindowAbstains(t *testing.T) {
 	h, _, _, rtt := testHealth()
 	now := time.Unix(0, 0)
-	// Below MinSamples (8): the terrible RTT must not grade.
+	// Below minSamples (8): the terrible RTT must not grade.
 	fillWindow(rtt, 3, int64(500*time.Millisecond))
 	if got := h.Evaluate(now); got != Healthy {
 		t.Fatalf("state = %v: a %d-sample window should abstain", got, 3)

@@ -16,7 +16,7 @@ import (
 // (fast window only) and a long-ago incident still draining the slow
 // window (slow window only) both stay quiet. Firing is immediate once both
 // windows agree; clearing is hysteretic (ClearAfter consecutive calm
-// evaluations below ClearFraction of the threshold), so an alert does not
+// evaluations below clearFraction of the threshold), so an alert does not
 // flap while a signal bounces around its budget.
 
 // Source selects how a rule's series reduce over a window.
@@ -54,15 +54,16 @@ type Rule struct {
 	// Threshold is the burn-rate multiple at which both windows must burn
 	// to fire (default 4): burn = (bad/total)/Budget.
 	Threshold float64
-	// ClearFraction scales Threshold for the clearing bound (default 0.9);
 	// ClearAfter is how many consecutive evaluations both burns must hold
-	// below it before the alert resolves (default 3).
-	ClearFraction float64
-	ClearAfter    int
+	// below clearFraction × Threshold before the alert resolves (default 3).
+	ClearAfter int
 	// MinCoverage abstains (no transition either way) until the store has
 	// covered this fraction of the fast window (default 0.5).
 	MinCoverage float64
 }
+
+// clearFraction scales a rule's Threshold for its clearing bound.
+const clearFraction = 0.9
 
 func (r Rule) withDefaults() Rule {
 	if r.Budget <= 0 {
@@ -76,9 +77,6 @@ func (r Rule) withDefaults() Rule {
 	}
 	if r.Threshold <= 0 {
 		r.Threshold = 4
-	}
-	if r.ClearFraction <= 0 || r.ClearFraction > 1 {
-		r.ClearFraction = 0.9
 	}
 	if r.ClearAfter <= 0 {
 		r.ClearAfter = 3
@@ -261,7 +259,7 @@ func (e *Engine) Evaluate(now time.Time) {
 			events = append(events, Event{Rule: i, Name: st.rule.Name, Firing: true,
 				AtNs: nowNs, BurnFast: v.burnFast, BurnSlow: v.burnSlow})
 		case st.firing:
-			calm := t * st.rule.ClearFraction
+			calm := t * clearFraction
 			if v.burnFast < calm && v.burnSlow < calm {
 				st.clearStreak++
 				if st.clearStreak >= st.rule.ClearAfter {

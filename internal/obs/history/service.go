@@ -17,14 +17,12 @@ type Service struct {
 }
 
 // Options configures Wire. The zero value retains with default rings, no
-// alert rules, and a default-bounded incident log.
+// alert rules.
 type Options struct {
 	// Store sizes the retention rings (zero value = defaults).
 	Store Config
 	// Rules are the burn-rate alerts to evaluate each Sample.
 	Rules []Rule
-	// IncidentBound caps the incident log (default 64).
-	IncidentBound int
 	// Tracer, when set, receives EvAlert events attributed to TracerSite.
 	Tracer     *obs.Tracer
 	TracerSite int
@@ -40,7 +38,7 @@ type Options struct {
 func Wire(reg *obs.Registry, opts Options) *Service {
 	store := NewStore(opts.Store)
 	engine := NewEngine(store, opts.Rules)
-	log := NewLog(opts.IncidentBound)
+	log := NewLog(0) // default bound
 
 	engine.SetTracer(opts.TracerSite, opts.Tracer)
 	onTrans := opts.OnTransition

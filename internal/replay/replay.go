@@ -12,7 +12,8 @@ package replay
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+
+	"retrolock/internal/container"
 )
 
 // Machine is the minimal game VM surface replay needs (satisfied by
@@ -94,8 +95,9 @@ func (l *Log) Verify(fresh Machine) error {
 	return nil
 }
 
-// Binary container: magic, version, game name, checkpoint interval, inputs,
-// checkpoints, final hash, CRC.
+// RKRP is a container frame (see internal/container) whose body is fixed
+// fields: game name (u16 length), checkpoint interval u32, inputs (u32 count
+// of u16), checkpoints (u32 count of u64), final hash u64.
 const (
 	logMagic   = "RKRP"
 	logVersion = 1
@@ -104,8 +106,7 @@ const (
 // Encode serializes the log.
 func (l *Log) Encode() []byte {
 	buf := make([]byte, 0, 32+len(l.Game)+2*len(l.Inputs)+8*len(l.Checkpoints))
-	buf = append(buf, logMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, logVersion)
+	buf = container.Begin(buf, logMagic, logVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(l.Game)))
 	buf = append(buf, l.Game...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(l.CheckpointEvery))
@@ -118,62 +119,28 @@ func (l *Log) Encode() []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, h)
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, l.Final)
-	h := fnv.New32a()
-	h.Write(buf)
-	return binary.LittleEndian.AppendUint32(buf, h.Sum32())
+	return container.Seal(buf)
 }
 
 // Decode parses a serialized log.
 func Decode(data []byte) (*Log, error) {
-	if len(data) < 8+4 {
-		return nil, fmt.Errorf("replay: log of %d bytes too short", len(data))
+	body, err := container.Open(data, logMagic, logVersion)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
-	if string(data[:4]) != logMagic {
-		return nil, fmt.Errorf("replay: bad magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != logVersion {
-		return nil, fmt.Errorf("replay: unsupported version %d", v)
-	}
-	body, crc := data[:len(data)-4], data[len(data)-4:]
-	h := fnv.New32a()
-	h.Write(body)
-	if h.Sum32() != binary.LittleEndian.Uint32(crc) {
-		return nil, fmt.Errorf("replay: checksum mismatch (log corrupt)")
-	}
-	l := &Log{}
-	off := 6
-	nameLen := int(binary.LittleEndian.Uint16(data[off:]))
-	off += 2
-	if off+nameLen > len(body) {
-		return nil, fmt.Errorf("replay: truncated name")
-	}
-	l.Game = string(data[off : off+nameLen])
-	off += nameLen
-	if off+8 > len(body) {
-		return nil, fmt.Errorf("replay: truncated header")
-	}
-	l.CheckpointEvery = int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	nIn := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if off+2*nIn+4 > len(body) {
-		return nil, fmt.Errorf("replay: truncated inputs")
-	}
-	l.Inputs = make([]uint16, nIn)
+	f := container.NewReader(body)
+	l := &Log{Game: string(f.Bytes(int(f.U16()))), CheckpointEvery: int(f.U32())}
+	l.Inputs = make([]uint16, f.Count(2))
 	for i := range l.Inputs {
-		l.Inputs[i] = binary.LittleEndian.Uint16(data[off:])
-		off += 2
+		l.Inputs[i] = f.U16()
 	}
-	nCp := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if off+8*nCp+8 > len(body) {
-		return nil, fmt.Errorf("replay: truncated checkpoints")
-	}
-	l.Checkpoints = make([]uint64, nCp)
+	l.Checkpoints = make([]uint64, f.Count(8))
 	for i := range l.Checkpoints {
-		l.Checkpoints[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
+		l.Checkpoints[i] = f.U64()
 	}
-	l.Final = binary.LittleEndian.Uint64(data[off:])
+	l.Final = f.U64()
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("replay: truncated log: %w", err)
+	}
 	return l, nil
 }

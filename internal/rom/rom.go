@@ -11,26 +11,27 @@ package rom
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
+	"retrolock/internal/container"
 	"retrolock/internal/vm"
 )
 
-// Container format (little endian):
+// RK32 is a container frame (see internal/container) whose body is fixed
+// fields:
 //
-//	magic    "RK32" (4 bytes)
-//	version  u16
 //	flags    u16 (reserved, zero)
 //	entry    u16
 //	loadAddr u16
 //	seed     u32
 //	titleLen u8, title bytes (UTF-8)
 //	codeLen  u32, code bytes
-//	crc      u32 — FNV-1a/32 of every preceding byte
 const (
 	Magic   = "RK32"
 	Version = 1
 )
+
+// maxTitle is the longest title the u8 length prefix can describe.
+const maxTitle = 255
 
 // ROM is a decoded cartridge.
 type ROM struct {
@@ -41,60 +42,37 @@ type ROM struct {
 	Code     []byte
 }
 
-// Encode serializes the ROM into its container format.
+// Encode serializes the ROM into its container format. A title longer than
+// maxTitle bytes is cut there, length byte and bytes alike.
 func (r *ROM) Encode() []byte {
-	buf := make([]byte, 0, 19+len(r.Title)+len(r.Code)+4)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	title := r.Title[:min(len(r.Title), maxTitle)]
+	buf := make([]byte, 0, 21+len(title)+len(r.Code)+4)
+	buf = container.Begin(buf, Magic, Version)
 	buf = binary.LittleEndian.AppendUint16(buf, 0) // flags
 	buf = binary.LittleEndian.AppendUint16(buf, r.Entry)
 	buf = binary.LittleEndian.AppendUint16(buf, r.LoadAddr)
 	buf = binary.LittleEndian.AppendUint32(buf, r.Seed)
-	buf = append(buf, byte(len(r.Title)))
-	buf = append(buf, r.Title[:min(len(r.Title), 255)]...)
+	buf = append(buf, byte(len(title)))
+	buf = append(buf, title...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Code)))
 	buf = append(buf, r.Code...)
-	h := fnv.New32a()
-	h.Write(buf)
-	return binary.LittleEndian.AppendUint32(buf, h.Sum32())
+	return container.Seal(buf)
 }
 
 // Decode parses a container image.
 func Decode(data []byte) (*ROM, error) {
-	if len(data) < 19+4 {
-		return nil, fmt.Errorf("rom: image of %d bytes too short", len(data))
+	body, err := container.Open(data, Magic, Version)
+	if err != nil {
+		return nil, fmt.Errorf("rom: %w", err)
 	}
-	if string(data[:4]) != Magic {
-		return nil, fmt.Errorf("rom: bad magic %q", data[:4])
+	f := container.NewReader(body)
+	f.U16() // flags
+	r := &ROM{Entry: f.U16(), LoadAddr: f.U16(), Seed: f.U32()}
+	r.Title = string(f.Bytes(int(f.U8())))
+	r.Code = append([]byte{}, f.Bytes(int(f.U32()))...)
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("rom: truncated image: %w", err)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return nil, fmt.Errorf("rom: unsupported version %d", v)
-	}
-	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
-	h := fnv.New32a()
-	h.Write(body)
-	if got, want := h.Sum32(), binary.LittleEndian.Uint32(crcBytes); got != want {
-		return nil, fmt.Errorf("rom: checksum mismatch (image corrupt): %#x != %#x", got, want)
-	}
-	r := &ROM{
-		Entry:    binary.LittleEndian.Uint16(data[8:10]),
-		LoadAddr: binary.LittleEndian.Uint16(data[10:12]),
-		Seed:     binary.LittleEndian.Uint32(data[12:16]),
-	}
-	titleLen := int(data[16])
-	off := 17
-	if off+titleLen+4 > len(body) {
-		return nil, fmt.Errorf("rom: truncated title")
-	}
-	r.Title = string(data[off : off+titleLen])
-	off += titleLen
-	codeLen := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if off+codeLen > len(body) {
-		return nil, fmt.Errorf("rom: truncated code (%d bytes declared, %d available)", codeLen, len(body)-off)
-	}
-	r.Code = make([]byte, codeLen)
-	copy(r.Code, data[off:off+codeLen])
 	return r, nil
 }
 
@@ -106,11 +84,4 @@ func (r *ROM) Boot() (*vm.Console, error) {
 		Entry:    r.Entry,
 		Seed:     r.Seed,
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -87,3 +87,18 @@ start:
 		t.Fatalf("listing unexpected:\n%s", listing)
 	}
 }
+
+// TestEncodeClampsLongTitle: the title's length prefix is one byte, so a
+// longer title (romtool build -title accepts any) is cut at 255 bytes — the
+// length byte and the bytes together. Cutting only the bytes wrote an image
+// whose own Decode read the code length from inside the title.
+func TestEncodeClampsLongTitle(t *testing.T) {
+	in := &ROM{Title: strings.Repeat("x", 300), Entry: 4, Seed: 9, Code: []byte{1, 2, 3, 4}}
+	out, err := Decode(in.Encode())
+	if err != nil {
+		t.Fatalf("Decode of an image with a 300-byte title: %v", err)
+	}
+	if out.Title != in.Title[:255] || string(out.Code) != string(in.Code) {
+		t.Fatalf("got %d-byte title and code %v, want the first 255 bytes and %v", len(out.Title), out.Code, in.Code)
+	}
+}

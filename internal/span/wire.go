@@ -3,6 +3,8 @@ package span
 import (
 	"encoding/binary"
 	"fmt"
+
+	"retrolock/internal/container"
 )
 
 // Span export encoding ("RKSP"): the serialized form a journal snapshot takes
@@ -31,8 +33,7 @@ const (
 // AppendSpans appends the RKSP encoding of spans to dst and returns the
 // extended slice.
 func AppendSpans(dst []byte, spans []Span) []byte {
-	dst = append(dst, spanMagic...)
-	dst = binary.LittleEndian.AppendUint16(dst, WireVersion)
+	dst = container.Begin(dst, spanMagic, WireVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(spans)))
 	for i := range spans {
 		s := &spans[i]
@@ -60,19 +61,13 @@ func DecodeSpans(b []byte) ([]Span, error) {
 	if v := binary.LittleEndian.Uint16(b[4:6]); v != WireVersion {
 		return nil, fmt.Errorf("span: unsupported version %d", v)
 	}
-	n := binary.LittleEndian.Uint32(b[6:10])
-	want := uint64(headerSize) + uint64(n)*RecordSize
-	if uint64(len(b)) != want {
-		return nil, fmt.Errorf("span: length %d does not match %d records (want %d)", len(b), n, want)
+	r := container.NewReader(b[6:])
+	out := make([]Span, r.Count(RecordSize))
+	if r.Err() != nil || r.Len() != len(out)*RecordSize {
+		return nil, fmt.Errorf("span: length %d does not match the declared record count", len(b))
 	}
-	out := make([]Span, n)
-	off := headerSize
+	f := func() int64 { return int64(r.U64()) }
 	for i := range out {
-		f := func() int64 {
-			v := int64(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-			return v
-		}
 		s := &out[i]
 		s.Frame = f()
 		s.Pressed, s.Encoded, s.Sent, s.Executed, s.Rendered = f(), f(), f(), f(), f()

@@ -42,8 +42,11 @@ var Epoch = time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
 //	[0:8)   send instant, ns since the run epoch (big endian)
 //	[8:16)  token echo (big endian) — integrity check at the receiver
 //	[16]    sender site — cross-checked against the relay prefix
-//	[17:)   deterministic filler up to Model.PayloadBytes
-const genHeaderLen = 17
+//	[17:)   deterministic filler up to payloadBytes
+const (
+	genHeaderLen = 17
+	payloadBytes = 24 // generator payload size beyond the relay prefix
+)
 
 // QoE grading thresholds. The latency bounds sit just above the histogram's
 // power-of-two bucket bounds (67.1 ms, 134.2 ms), so a graded quantile lands
@@ -91,9 +94,6 @@ type Model struct {
 	// CadenceJitter widens each inter-input gap uniformly by ± this fraction
 	// of the period (default 0.2) — human button timing is not a metronome.
 	CadenceJitter float64
-	// PayloadBytes sizes the generator payload beyond the relay prefix
-	// (default 24; min genHeaderLen).
-	PayloadBytes int
 	// JoinSpread staggers session starts uniformly across this window from
 	// the run start (default 250 ms), modeling a lobby filling up.
 	JoinSpread time.Duration
@@ -119,9 +119,6 @@ func (m Model) withDefaults() Model {
 	}
 	if m.CadenceJitter < 0 {
 		m.CadenceJitter = 0
-	}
-	if m.PayloadBytes < genHeaderLen {
-		m.PayloadBytes = 24
 	}
 	if m.JoinSpread <= 0 {
 		m.JoinSpread = 250 * time.Millisecond
@@ -342,7 +339,7 @@ func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler,
 		e.drivers[j] = &driver{
 			idx: j, epA: epA, epB: epB,
 			byToken: make(map[relay.Token]*session),
-			buf:     newSendBuf(m.PayloadBytes),
+			buf:     newSendBuf(),
 		}
 	}
 	if err := e.shapeLinks(frontAddrs, nil); err != nil {
@@ -458,7 +455,7 @@ func (e *engine) shapeStorm(frontAddrs []string, st *Storm) error {
 	return nil
 }
 
-func newSendBuf(payloadBytes int) []byte {
+func newSendBuf() []byte {
 	buf := make([]byte, relay.HeaderLen+payloadBytes)
 	for i := relay.HeaderLen + genHeaderLen; i < len(buf); i++ {
 		buf[i] = 0x5a
