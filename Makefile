@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race chaos relay-soak fuzz bench bench-all bench-hotpath bench-gate bench-check qoe lint
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench bench-all bench-hotpath bench-gate bench-check qoe lint
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -13,6 +13,20 @@ verify: verify-race chaos
 verify-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# The scheduler contract: vclock.Virtual runs one actor at a time in a
+# defined order, so every virtual-time result is the same at any GOMAXPROCS
+# and on every repetition. The whole suite at 1, 2 and 4 procs, then the
+# four packages built on the clock 20 times over and under the race
+# detector (which checks that the baton hand-off orders the actors' shared
+# state).
+SCHED_PKGS = ./internal/vclock/ ./internal/harness/ ./internal/chaos/ ./internal/trafficgen/
+verify-sched:
+	GOMAXPROCS=1 $(GO) test -count=1 ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
+	GOMAXPROCS=4 $(GO) test -count=1 ./...
+	$(GO) test -count=20 $(SCHED_PKGS)
+	$(GO) test -race -count=1 $(SCHED_PKGS)
 
 # The long chaos soak: every scenario across CHAOS_SEEDS seeds, each run
 # twice to prove per-phase stats are bit-identical, 10k frames per run,

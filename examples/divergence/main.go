@@ -44,37 +44,41 @@ func main() {
 	game := games.MustLoad("tanks")
 	errs := make([]error, 2)
 	done := make([]<-chan struct{}, 2)
-	for s := 0; s < 2; s++ {
-		s := s
-		console, err := game.Boot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		ses, err := core.NewSession(
-			core.Config{SiteNo: s, WaitTimeout: 10 * time.Second, HashInterval: 30},
-			clock, clock.Now(), console,
-			[]core.Peer{{Site: 1 - s, Conn: conns[s]}},
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		done[s] = clock.Go(func() {
-			if err := ses.Handshake(5 * time.Second); err != nil {
-				errs[s] = err
-				return
+	// One root actor starts the others: none runs, and the clock stands
+	// still, until all are registered.
+	<-clock.Go(func() {
+		for s := 0; s < 2; s++ {
+			s := s
+			console, err := game.Boot()
+			if err != nil {
+				log.Fatal(err)
 			}
-			errs[s] = ses.RunFrames(totalFrames, func(f int) uint16 {
-				if s == 1 && f == corruptAtFrame {
-					// The §5 hazard, simulated: one replica's state
-					// silently changes outside the input stream.
-					console.Poke(0x8200, console.Peek(0x8200)^0x01)
-					fmt.Printf("site 1: corrupted one byte of RAM before frame %d\n", f)
+			ses, err := core.NewSession(
+				core.Config{SiteNo: s, WaitTimeout: 10 * time.Second, HashInterval: 30},
+				clock, clock.Now(), console,
+				[]core.Peer{{Site: 1 - s, Conn: conns[s]}},
+			)
+			if err != nil {
+				log.Fatal(err)
+			}
+			done[s] = clock.Go(func() {
+				if err := ses.Handshake(5 * time.Second); err != nil {
+					errs[s] = err
+					return
 				}
-				return uint16(vm.BtnRight) << (8 * s)
-			}, nil)
-			ses.Drain(time.Second)
-		})
-	}
+				errs[s] = ses.RunFrames(totalFrames, func(f int) uint16 {
+					if s == 1 && f == corruptAtFrame {
+						// The §5 hazard, simulated: one replica's state
+						// silently changes outside the input stream.
+						console.Poke(0x8200, console.Peek(0x8200)^0x01)
+						fmt.Printf("site 1: corrupted one byte of RAM before frame %d\n", f)
+					}
+					return uint16(vm.BtnRight) << (8 * s)
+				}, nil)
+				ses.Drain(time.Second)
+			})
+		}
+	})
 	<-done[0]
 	<-done[1]
 

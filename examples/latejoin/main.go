@@ -76,43 +76,48 @@ func main() {
 		log.Fatal(err)
 	}
 
-	d0 := clock.Go(func() {
-		if errs["p0"] = s0.RunFrames(phase1, input(0), nil); errs["p0"] != nil {
-			return
-		}
-		// Admit the spectator mid-game: snapshot + forwarded inputs.
-		joinFrame, err := s0.AddJoiner(core.Peer{Site: 2, Conn: cSrv})
-		if err != nil {
-			errs["p0"] = err
-			return
-		}
-		fmt.Printf("player 0 serving a savestate at frame %d\n", joinFrame)
-		errs["p0"] = s0.RunFrames(phase2, input(0), nil)
-		s0.Drain(4 * time.Second)
-		hashes["p0"] = consoles["p0"].StateHash()
-	})
-	d1 := clock.Go(func() {
-		if errs["p1"] = s1.RunFrames(phase1+phase2, input(1), nil); errs["p1"] != nil {
-			return
-		}
-		s1.Drain(4 * time.Second)
-		hashes["p1"] = consoles["p1"].StateHash()
-	})
-	dObs := clock.Go(func() {
-		// Turn up twenty seconds into the match.
-		clock.Sleep(phase1 * 16667 * time.Microsecond)
-		console := boot()
-		ses, err := core.JoinSession(core.Config{SiteNo: 2, WaitTimeout: 10 * time.Second},
-			clock, clock.Now(), console, core.Peer{Site: 0, Conn: cObs}, 10*time.Second)
-		if err != nil {
-			errs["spectator"] = err
-			return
-		}
-		fmt.Printf("spectator joined at frame %d (skipped the first %v of play)\n",
-			ses.Frame(), time.Duration(ses.Frame())*16667*time.Microsecond)
-		remaining := phase1 + phase2 - ses.Frame()
-		errs["spectator"] = ses.RunFrames(remaining, nil, nil)
-		hashes["spectator"] = console.StateHash()
+	// One root actor starts the others: none runs, and the clock stands
+	// still, until all are registered.
+	var d0, d1, dObs <-chan struct{}
+	<-clock.Go(func() {
+		d0 = clock.Go(func() {
+			if errs["p0"] = s0.RunFrames(phase1, input(0), nil); errs["p0"] != nil {
+				return
+			}
+			// Admit the spectator mid-game: snapshot + forwarded inputs.
+			joinFrame, err := s0.AddJoiner(core.Peer{Site: 2, Conn: cSrv})
+			if err != nil {
+				errs["p0"] = err
+				return
+			}
+			fmt.Printf("player 0 serving a savestate at frame %d\n", joinFrame)
+			errs["p0"] = s0.RunFrames(phase2, input(0), nil)
+			s0.Drain(4 * time.Second)
+			hashes["p0"] = consoles["p0"].StateHash()
+		})
+		d1 = clock.Go(func() {
+			if errs["p1"] = s1.RunFrames(phase1+phase2, input(1), nil); errs["p1"] != nil {
+				return
+			}
+			s1.Drain(4 * time.Second)
+			hashes["p1"] = consoles["p1"].StateHash()
+		})
+		dObs = clock.Go(func() {
+			// Turn up twenty seconds into the match.
+			clock.Sleep(phase1 * 16667 * time.Microsecond)
+			console := boot()
+			ses, err := core.JoinSession(core.Config{SiteNo: 2, WaitTimeout: 10 * time.Second},
+				clock, clock.Now(), console, core.Peer{Site: 0, Conn: cObs}, 10*time.Second)
+			if err != nil {
+				errs["spectator"] = err
+				return
+			}
+			fmt.Printf("spectator joined at frame %d (skipped the first %v of play)\n",
+				ses.Frame(), time.Duration(ses.Frame())*16667*time.Microsecond)
+			remaining := phase1 + phase2 - ses.Frame()
+			errs["spectator"] = ses.RunFrames(remaining, nil, nil)
+			hashes["spectator"] = console.StateHash()
+		})
 	})
 	<-d0
 	<-d1

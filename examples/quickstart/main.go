@@ -46,43 +46,47 @@ func main() {
 	}
 	results := make([]site, 2)
 	done := make([]<-chan struct{}, 2)
-	for s := 0; s < 2; s++ {
-		s := s
-		console, err := game.Boot()
-		if err != nil {
-			log.Fatal(err)
-		}
-		ses, err := core.NewSession(
-			core.Config{SiteNo: s, WaitTimeout: 10 * time.Second},
-			clock, clock.Now(), console,
-			[]core.Peer{{Site: 1 - s, Conn: conns[s]}},
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		done[s] = clock.Go(func() {
-			if err := ses.Handshake(5 * time.Second); err != nil {
-				results[s].err = err
-				return
+	// One root actor starts the others: none runs, and the clock stands
+	// still, until all are registered.
+	<-clock.Go(func() {
+		for s := 0; s < 2; s++ {
+			s := s
+			console, err := game.Boot()
+			if err != nil {
+				log.Fatal(err)
 			}
-			// Each player wiggles its own paddle; the sync module
-			// merges the two input bytes.
-			input := func(frame int) uint16 {
-				var pad byte = 1 // up
-				if frame/45%2 == 1 {
-					pad = 2 // down
+			ses, err := core.NewSession(
+				core.Config{SiteNo: s, WaitTimeout: 10 * time.Second},
+				clock, clock.Now(), console,
+				[]core.Peer{{Site: 1 - s, Conn: conns[s]}},
+			)
+			if err != nil {
+				log.Fatal(err)
+			}
+			done[s] = clock.Go(func() {
+				if err := ses.Handshake(5 * time.Second); err != nil {
+					results[s].err = err
+					return
 				}
-				return uint16(pad) << (8 * s)
-			}
-			results[s].err = ses.RunFrames(frames, input, nil)
-			ses.Drain(2 * time.Second)
-			results[s].hash = console.StateHash()
+				// Each player wiggles its own paddle; the sync module
+				// merges the two input bytes.
+				input := func(frame int) uint16 {
+					var pad byte = 1 // up
+					if frame/45%2 == 1 {
+						pad = 2 // down
+					}
+					return uint16(pad) << (8 * s)
+				}
+				results[s].err = ses.RunFrames(frames, input, nil)
+				ses.Drain(2 * time.Second)
+				results[s].hash = console.StateHash()
 
-			if s == 0 {
-				fmt.Println(console.RenderASCII(2))
-			}
-		})
-	}
+				if s == 0 {
+					fmt.Println(console.RenderASCII(2))
+				}
+			})
+		}
+	})
 	<-done[0]
 	<-done[1]
 

@@ -575,27 +575,31 @@ func Run(sc Scenario) (*Report, error) {
 	var hashes [2][]uint64
 	var errs [2]error
 	var done [2]<-chan struct{}
-	for site := 0; site < 2; site++ {
-		site := site
-		hashes[site] = make([]uint64, 0, sc.Frames)
-		done[site] = v.Go(func() {
-			if err := sessions[site].Handshake(10 * time.Second); err != nil {
-				errs[site] = err
-				return
-			}
-			errs[site] = sessions[site].RunFrames(sc.Frames,
-				func(f int) uint16 { return harness.PlayerInput(sc.Seed, site, f) },
-				func(fi core.FrameInfo) {
-					hashes[site] = append(hashes[site], fi.Hash)
-					rec.frame(site, v.Now())
-					if site == 0 && health != nil && fi.Frame > 0 && fi.Frame%sc.HealthEvery == 0 {
-						healthFrame = fi.Frame
-						health.Evaluate(v.Now())
-					}
-				})
-			sessions[site].Drain(5 * time.Second)
-		})
-	}
+	// Both sites start from one root actor: neither runs before both are
+	// registered.
+	<-v.Go(func() {
+		for site := 0; site < 2; site++ {
+			site := site
+			hashes[site] = make([]uint64, 0, sc.Frames)
+			done[site] = v.Go(func() {
+				if err := sessions[site].Handshake(10 * time.Second); err != nil {
+					errs[site] = err
+					return
+				}
+				errs[site] = sessions[site].RunFrames(sc.Frames,
+					func(f int) uint16 { return harness.PlayerInput(sc.Seed, site, f) },
+					func(fi core.FrameInfo) {
+						hashes[site] = append(hashes[site], fi.Hash)
+						rec.frame(site, v.Now())
+						if site == 0 && health != nil && fi.Frame > 0 && fi.Frame%sc.HealthEvery == 0 {
+							healthFrame = fi.Frame
+							health.Evaluate(v.Now())
+						}
+					})
+				sessions[site].Drain(5 * time.Second)
+			})
+		}
+	})
 	<-done[0]
 	<-done[1]
 	snaps[nph] = take()

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"sync"
 	"time"
 
 	"retrolock/internal/vclock"
@@ -16,11 +15,12 @@ import (
 // time backwards.
 //
 // All arithmetic is deterministic, so a virtual-time run with a skewed site
-// stays bit-reproducible.
+// stays bit-reproducible. It has no lock of its own: its one user wraps a
+// vclock.Virtual, whose baton already orders the skewed site's reads against
+// the phase callbacks that call SetRate.
 type SkewClock struct {
 	inner vclock.Clock
 
-	mu          sync.Mutex
 	rate        float64
 	anchor      time.Time // skewed time at the last re-anchor
 	anchorInner time.Time // inner time at the last re-anchor
@@ -37,34 +37,21 @@ func NewSkew(inner vclock.Clock, rate float64) *SkewClock {
 
 // Now implements vclock.Clock.
 func (s *SkewClock) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nowLocked(s.inner.Now())
-}
-
-func (s *SkewClock) nowLocked(inner time.Time) time.Time {
-	return s.anchor.Add(time.Duration(float64(inner.Sub(s.anchorInner)) * s.rate))
+	return s.anchor.Add(time.Duration(float64(s.inner.Now().Sub(s.anchorInner)) * s.rate))
 }
 
 // Sleep implements vclock.Clock: d of skewed time costs d/rate of inner
 // time. A rate change during the sleep does not shorten or lengthen it; the
 // new slope applies from the caller's next observation.
 func (s *SkewClock) Sleep(d time.Duration) {
-	s.mu.Lock()
-	rate := s.rate
-	s.mu.Unlock()
 	if d > 0 {
-		d = time.Duration(float64(d) / rate)
+		d = time.Duration(float64(d) / s.rate)
 	}
 	s.inner.Sleep(d)
 }
 
 // Rate reports the current rate.
-func (s *SkewClock) Rate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rate
-}
+func (s *SkewClock) Rate() float64 { return s.rate }
 
 // SetRate changes the clock's slope, re-anchoring so the current skewed
 // instant is preserved. Values <= 0 mean 1.0.
@@ -72,11 +59,7 @@ func (s *SkewClock) SetRate(rate float64) {
 	if rate <= 0 {
 		rate = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.inner.Now()
-	s.anchor = s.nowLocked(now)
-	s.anchorInner = now
+	s.anchor, s.anchorInner = s.Now(), s.inner.Now()
 	s.rate = rate
 }
 

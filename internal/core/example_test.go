@@ -28,34 +28,41 @@ func Example() {
 
 	game := games.MustLoad("pong")
 	hashes := make([]uint64, 2)
-	done := make([]<-chan struct{}, 2)
-	for site := 0; site < 2; site++ {
-		site := site
+	site := make([]func(), 2)
+	for i := range site {
+		i := i
 		console, err := game.Boot()
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
 		ses, err := core.NewSession(
-			core.Config{SiteNo: site, WaitTimeout: 10 * time.Second},
+			core.Config{SiteNo: i, WaitTimeout: 10 * time.Second},
 			clock, clock.Now(), console,
-			[]core.Peer{{Site: 1 - site, Conn: conns[site]}},
+			[]core.Peer{{Site: 1 - i, Conn: conns[i]}},
 		)
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		done[site] = clock.Go(func() {
+		site[i] = func() {
 			if err := ses.Handshake(5 * time.Second); err != nil {
 				return
 			}
 			_ = ses.RunFrames(120, func(frame int) uint16 {
-				return uint16(1) << (8 * site) // both hold "up"
+				return uint16(1) << (8 * i) // both hold "up"
 			}, nil)
 			ses.Drain(time.Second)
-			hashes[site] = console.StateHash()
-		})
+			hashes[i] = console.StateHash()
+		}
 	}
+	// Both sites start from one root actor: neither runs (and the clock
+	// stands still) until both are registered.
+	done := make([]<-chan struct{}, 2)
+	<-clock.Go(func() {
+		done[0] = clock.Go(site[0])
+		done[1] = clock.Go(site[1])
+	})
 	<-done[0]
 	<-done[1]
 	fmt.Println("converged:", hashes[0] == hashes[1])

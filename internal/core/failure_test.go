@@ -38,7 +38,7 @@ func TestPartitionFreezesThenHeals(t *testing.T) {
 	var maxGap [2]time.Duration
 	machines := [2]*fakeMachine{{}, {}}
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		s, err := NewSession(Config{SiteNo: site, WaitTimeout: 30 * time.Second}, env.v, epoch,
@@ -46,7 +46,7 @@ func TestPartitionFreezesThenHeals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			var prev time.Time
 			errs[site] = s.RunFrames(frames, func(f int) uint16 {
 				return uint16(f) & 0xFF << (8 * site)
@@ -59,10 +59,9 @@ func TestPartitionFreezesThenHeals(t *testing.T) {
 				prev = fi.Start
 			})
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d did not survive the partition: %v", site, err)
@@ -95,7 +94,7 @@ func TestPartitionFreezesThenHeals(t *testing.T) {
 func TestPeerDeathSurfacesTimeout(t *testing.T) {
 	env := newTwoSiteEnv(t, 30*time.Millisecond, 0)
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		m := &fakeMachine{}
@@ -108,15 +107,14 @@ func TestPeerDeathSurfacesTimeout(t *testing.T) {
 		if site == 1 {
 			frames = 100 // site 1 dies early, without draining
 		}
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			errs[site] = s.RunFrames(frames, func(int) uint16 { return 0 }, nil)
 			if site == 1 {
 				_ = env.conns[1].Close()
 			}
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	if errs[1] != nil {
 		t.Fatalf("site 1 failed before dying: %v", errs[1])
 	}

@@ -99,7 +99,7 @@ func (m *nonDeterministicMachine) StepFrame(in uint16) {
 func TestSessionDetectsDivergence(t *testing.T) {
 	env := newTwoSiteEnv(t, 30*time.Millisecond, 0)
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		m := &nonDeterministicMachine{site: site}
@@ -108,16 +108,15 @@ func TestSessionDetectsDivergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			if errs[site] = s.Handshake(5 * time.Second); errs[site] != nil {
 				return
 			}
 			errs[site] = s.RunFrames(400, func(int) uint16 { return 0 }, nil)
 			s.Drain(time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	detected := false
 	for site, err := range errs {
 		var de *DivergenceError
@@ -150,7 +149,7 @@ func TestHashCheckDisabled(t *testing.T) {
 	// HashInterval -1 disables the exchange; even diverging machines run
 	// to completion (convergence can still be checked externally).
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		m := &nonDeterministicMachine{site: site}
@@ -162,13 +161,12 @@ func TestHashCheckDisabled(t *testing.T) {
 		if s.Diverged() != nil {
 			t.Fatal("Diverged() non-nil with detection disabled")
 		}
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			errs[site] = s.RunFrames(200, func(int) uint16 { return 0 }, nil)
 			s.Drain(time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v (hash check should be off)", site, err)
@@ -202,15 +200,15 @@ func TestQueuedJoinerAdmittedAtFrameBoundary(t *testing.T) {
 	}
 	var e0, e1, eObs error
 	var obsHash uint64
-	d0 := v.v.Go(func() {
+	d0 := func() {
 		e0 = s0.RunFrames(frames, input(0), nil)
 		s0.Drain(3 * time.Second)
-	})
-	d1 := v.v.Go(func() {
+	}
+	d1 := func() {
 		e1 = s1.RunFrames(frames, input(1), nil)
 		s1.Drain(3 * time.Second)
-	})
-	dObs := v.v.Go(func() {
+	}
+	dObs := func() {
 		v.v.Sleep(500 * time.Millisecond) // join mid-game
 		s0.QueueJoiner(Peer{Site: 2, Conn: srvConn})
 		obs := &fakeMachine{}
@@ -222,10 +220,8 @@ func TestQueuedJoinerAdmittedAtFrameBoundary(t *testing.T) {
 		}
 		eObs = ses.RunFrames(frames-ses.Frame(), nil, nil)
 		obsHash = obs.hash
-	})
-	<-d0
-	<-d1
-	<-dObs
+	}
+	goAll(v.v, d0, d1, dObs)
 	if e0 != nil || e1 != nil || eObs != nil {
 		t.Fatalf("errors: %v / %v / %v", e0, e1, eObs)
 	}

@@ -36,7 +36,7 @@ func TestThreePlayersWithCustomMasks(t *testing.T) {
 	const frames = 250
 	var machines [3]*fakeMachine
 	var errs [3]error
-	var done [3]<-chan struct{}
+	var actors [3]func()
 	for site := 0; site < 3; site++ {
 		site := site
 		machines[site] = &fakeMachine{}
@@ -50,7 +50,7 @@ func TestThreePlayersWithCustomMasks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done[site] = v.Go(func() {
+		actors[site] = func() {
 			if errs[site] = s.Handshake(5 * time.Second); errs[site] != nil {
 				return
 			}
@@ -59,10 +59,10 @@ func TestThreePlayersWithCustomMasks(t *testing.T) {
 				return uint16(f+site*5) & 0xF << (4 * site)
 			}, nil)
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
+	goAll(v, actors[:]...)
 	for site := 0; site < 3; site++ {
-		<-done[site]
 		if errs[site] != nil {
 			t.Fatalf("site %d: %v", site, errs[site])
 		}
@@ -104,7 +104,7 @@ func TestThreePlayersToleratesLoss(t *testing.T) {
 	const frames = 200
 	var machines [3]*fakeMachine
 	var errs [3]error
-	var done [3]<-chan struct{}
+	var actors [3]func()
 	for site := 0; site < 3; site++ {
 		site := site
 		machines[site] = &fakeMachine{}
@@ -119,15 +119,15 @@ func TestThreePlayersToleratesLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done[site] = v.Go(func() {
+		actors[site] = func() {
 			errs[site] = s.RunFrames(frames, func(f int) uint16 {
 				return uint16(f) & 0x7 << (3 * site)
 			}, nil)
 			s.Drain(3 * time.Second)
-		})
+		}
 	}
+	goAll(v, actors[:]...)
 	for site := 0; site < 3; site++ {
-		<-done[site]
 		if errs[site] != nil {
 			t.Fatalf("site %d: %v", site, errs[site])
 		}

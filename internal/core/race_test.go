@@ -60,11 +60,11 @@ func TestStatsPollingDuringSessionIsRaceFree(t *testing.T) {
 	}()
 
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		s := sessions[site]
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			if errs[site] = s.Handshake(5 * time.Second); errs[site] != nil {
 				return
 			}
@@ -72,10 +72,9 @@ func TestStatsPollingDuringSessionIsRaceFree(t *testing.T) {
 				return uint16(f*3+site) & 0xFF << (8 * site)
 			}, nil)
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	close(stop)
 	wg.Wait()
 
@@ -134,21 +133,20 @@ func TestRollbackStatsPollingIsRaceFree(t *testing.T) {
 	}()
 
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		s := sessions[site]
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			errs[site] = s.RunFrames(frames, func(f int) uint16 {
 				return uint16(f*7+site) & 0xFF << (8 * site)
 			}, nil)
 			if errs[site] == nil {
 				errs[site] = s.Settle(5 * time.Second)
 			}
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	close(stop)
 	wg.Wait()
 

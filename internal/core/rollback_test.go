@@ -12,7 +12,7 @@ func runRollbackPair(t *testing.T, env *twoSiteEnv, frames, window int, input fu
 	var ses [2]*RollbackSession
 	var machines [2]*fakeMachine
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		machines[site] = &fakeMachine{}
@@ -22,15 +22,14 @@ func runRollbackPair(t *testing.T, env *twoSiteEnv, frames, window int, input fu
 			t.Fatal(err)
 		}
 		ses[site] = s
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			errs[site] = s.RunFrames(frames, func(f int) uint16 { return input(site, f) }, nil)
 			if errs[site] == nil {
 				errs[site] = s.Settle(5 * time.Second)
 			}
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)
@@ -129,7 +128,7 @@ func TestRollbackTimesyncAbsorbsStartupOffset(t *testing.T) {
 	var machines [2]*fakeMachine
 	var lastStart [2]time.Time
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		machines[site] = &fakeMachine{}
@@ -139,7 +138,7 @@ func TestRollbackTimesyncAbsorbsStartupOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		ses[site] = s
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			if site == 1 {
 				env.v.Sleep(150 * time.Millisecond)
 			}
@@ -149,10 +148,9 @@ func TestRollbackTimesyncAbsorbsStartupOffset(t *testing.T) {
 			if errs[site] == nil {
 				errs[site] = s.Settle(5 * time.Second)
 			}
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)

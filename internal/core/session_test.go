@@ -69,13 +69,27 @@ func newTwoSiteEnv(t *testing.T, rtt time.Duration, loss float64) *twoSiteEnv {
 	return &twoSiteEnv{v: v, net: n, conns: [2]transport.Conn{c0, c1}}
 }
 
+// goAll starts fns as actors from one root actor, so none runs before all
+// are registered (vclock.Virtual's spawn idiom), and waits for all of them.
+func goAll(v *vclock.Virtual, fns ...func()) {
+	dones := make([]<-chan struct{}, len(fns))
+	<-v.Go(func() {
+		for i, fn := range fns {
+			dones[i] = v.Go(fn)
+		}
+	})
+	for _, d := range dones {
+		<-d
+	}
+}
+
 // runPair runs two sessions to completion and returns them with their
 // machines.
 func runPair(t *testing.T, env *twoSiteEnv, frames int, cfg0, cfg1 Config, input func(site, frame int) uint16) (ses [2]*Session, machines [2]*fakeMachine) {
 	t.Helper()
 	cfgs := [2]Config{cfg0, cfg1}
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		m := &fakeMachine{}
@@ -85,17 +99,16 @@ func runPair(t *testing.T, env *twoSiteEnv, frames int, cfg0, cfg1 Config, input
 			t.Fatalf("NewSession(%d): %v", site, err)
 		}
 		ses[site] = s
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			if err := s.Handshake(5 * time.Second); err != nil {
 				errs[site] = err
 				return
 			}
 			errs[site] = s.RunFrames(frames, func(f int) uint16 { return input(site, f) }, nil)
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)
@@ -233,7 +246,7 @@ func TestStartupOffsetSmoothedByMasterSlave(t *testing.T) {
 	type rec struct{ starts []time.Time }
 	var recs [2]rec
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		m := &fakeMachine{}
@@ -242,7 +255,7 @@ func TestStartupOffsetSmoothedByMasterSlave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			if site == 1 {
 				env.v.Sleep(150 * time.Millisecond) // late starter
 			}
@@ -251,10 +264,9 @@ func TestStartupOffsetSmoothedByMasterSlave(t *testing.T) {
 				recs[site].starts = append(recs[site].starts, fi.Start)
 			})
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)
@@ -299,7 +311,7 @@ func TestObserverConvergesWithPlayers(t *testing.T) {
 	const frames = 200
 	var machines [3]*fakeMachine
 	var errs [3]error
-	var done [3]<-chan struct{}
+	var actors [3]func()
 	for site := 0; site < 3; site++ {
 		site := site
 		machines[site] = &fakeMachine{}
@@ -307,7 +319,7 @@ func TestObserverConvergesWithPlayers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		done[site] = v.Go(func() {
+		actors[site] = func() {
 			if errs[site] = s.Handshake(5 * time.Second); errs[site] != nil {
 				return
 			}
@@ -315,10 +327,10 @@ func TestObserverConvergesWithPlayers(t *testing.T) {
 				return uint16(f*3+site) & 0xFF << (8 * site % 16)
 			}, nil)
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
+	goAll(v, actors[:]...)
 	for site := 0; site < 3; site++ {
-		<-done[site]
 		if errs[site] != nil {
 			t.Fatalf("site %d: %v", site, errs[site])
 		}
@@ -360,7 +372,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 	var err0, err1, errObs error
 	var obsHash uint64
 	var obsFrames int
-	d0 := v.Go(func() {
+	d0 := func() {
 		if err0 = s0.RunFrames(phase1, func(f int) uint16 { return input(0, f) }, nil); err0 != nil {
 			return
 		}
@@ -371,14 +383,14 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 		}
 		err0 = s0.RunFrames(phase2, func(f int) uint16 { return input(0, f) }, nil)
 		s0.Drain(4 * time.Second)
-	})
-	d1 := v.Go(func() {
+	}
+	d1 := func() {
 		if err1 = s1.RunFrames(phase1+phase2, func(f int) uint16 { return input(1, f) }, nil); err1 != nil {
 			return
 		}
 		s1.Drain(4 * time.Second)
-	})
-	dObs := v.Go(func() {
+	}
+	dObs := func() {
 		// Give the players a head start.
 		v.Sleep(phase1 * 17 * time.Millisecond)
 		obs := &fakeMachine{}
@@ -394,10 +406,8 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 		errObs = s.RunFrames(remaining, nil, nil)
 		obsHash = obs.hash
 		obsFrames = len(obs.inputs)
-	})
-	<-d0
-	<-d1
-	<-dObs
+	}
+	goAll(v, d0, d1, dObs)
 	if err0 != nil || err1 != nil || errObs != nil {
 		t.Fatalf("errors: site0=%v site1=%v observer=%v", err0, err1, errObs)
 	}
@@ -445,7 +455,7 @@ func TestAdaptiveLagTracksRTTAndStaysConsistent(t *testing.T) {
 	machines := [2]*fakeMachine{{}, {}}
 	sessions := [2]*Session{}
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		s, err := NewSession(Config{SiteNo: site, BufFrame: 2, WaitTimeout: 20 * time.Second},
@@ -456,7 +466,7 @@ func TestAdaptiveLagTracksRTTAndStaysConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		sessions[site] = s
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			if errs[site] = s.Handshake(5 * time.Second); errs[site] != nil {
 				return
 			}
@@ -464,10 +474,9 @@ func TestAdaptiveLagTracksRTTAndStaysConsistent(t *testing.T) {
 				return uint16(f*3+site) & 0xFF << (8 * site)
 			}, nil)
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)
@@ -495,7 +504,7 @@ func TestAdaptiveLagShrinksOnFastLinks(t *testing.T) {
 	machines := [2]*fakeMachine{{}, {}}
 	sessions := [2]*Session{}
 	errs := [2]error{}
-	var done [2]<-chan struct{}
+	var actors [2]func()
 	for site := 0; site < 2; site++ {
 		site := site
 		s, err := NewSession(Config{SiteNo: site, WaitTimeout: 20 * time.Second}, // starts at 6
@@ -506,15 +515,14 @@ func TestAdaptiveLagShrinksOnFastLinks(t *testing.T) {
 			t.Fatal(err)
 		}
 		sessions[site] = s
-		done[site] = env.v.Go(func() {
+		actors[site] = func() {
 			errs[site] = s.RunFrames(400, func(f int) uint16 {
 				return uint16(f) & 0xFF << (8 * site)
 			}, nil)
 			s.Drain(2 * time.Second)
-		})
+		}
 	}
-	<-done[0]
-	<-done[1]
+	goAll(env.v, actors[:]...)
 	for site, err := range errs {
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)

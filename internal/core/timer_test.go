@@ -141,7 +141,7 @@ func TestNaivePenalizesEarlierSite(t *testing.T) {
 		const frames = 400
 		var startTimes [2][]time.Time
 		var errs [2]error
-		var done [2]<-chan struct{}
+		var actors [2]func()
 		for site := 0; site < 2; site++ {
 			site := site
 			cfg := Config{SiteNo: site, WaitTimeout: 10 * time.Second}
@@ -153,7 +153,7 @@ func TestNaivePenalizesEarlierSite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			done[site] = env.v.Go(func() {
+			actors[site] = func() {
 				if site == 1 {
 					env.v.Sleep(120 * time.Millisecond) // site 0 starts earlier
 				}
@@ -161,10 +161,9 @@ func TestNaivePenalizesEarlierSite(t *testing.T) {
 					startTimes[site] = append(startTimes[site], fi.Start)
 				})
 				s.Drain(2 * time.Second)
-			})
+			}
 		}
-		<-done[0]
-		<-done[1]
+		goAll(env.v, actors[:]...)
 		for site, err := range errs {
 			if err != nil {
 				t.Fatalf("site %d (naive=%v): %v", site, naive, err)

@@ -133,8 +133,9 @@ type Config struct {
 	// Capture, when set, records every datagram both sites put on (or take
 	// off) the emulated WAN into this RKCP recorder — below the ARQ layer,
 	// so the capture shows retransmissions and duplicates as they crossed
-	// the wire. Virtual-time runs produce bit-identical captures for
-	// identical configs.
+	// the wire. Both sites' taps share the recorder, so records land in the
+	// order the virtual clock ran the sites: bit-identical captures for
+	// identical configs, on any host.
 	Capture *capture.Recorder
 }
 
@@ -366,8 +367,7 @@ func Run(cfg Config) (*Result, error) {
 	// The measurement LAN: default links (50 µs one way, "under 1 ms"
 	// round trip, §4.1.2).
 	tsEP := net.MustBind("timeserver")
-	ts := timeserver.NewServer(tsEP, v)
-	tsDone := v.Go(ts.Run)
+	ts := timeserver.NewServer(tsEP)
 	reporters := make([]*simnet.Endpoint, 0, 2+cfg.Observers)
 
 	totalSites := 2 + cfg.Observers
@@ -526,60 +526,71 @@ func Run(cfg Config) (*Result, error) {
 		health.Register(reg, 0)
 	}
 
+	// One root actor starts all the others, so none runs before every one
+	// is registered (vclock.Virtual's spawn idiom).
 	start := v.Now()
-	done := make([]<-chan struct{}, totalSites)
-	for site := 0; site < totalSites; site++ {
-		site := site
-		st := sites[site]
-		rep := reporters[site]
-		done[site] = v.Go(func() {
-			if site == 1 && cfg.StartOffset > 0 {
-				v.Sleep(cfg.StartOffset)
-			}
-			localInput := func(f int) uint16 {
-				// Frame begin: report to the time server (§4.1).
-				_ = rep.SendTo("timeserver", timeserver.EncodeReport(site, f))
-				return PlayerInput(cfg.Seed, site, f)
-			}
-			if site >= 2 {
-				localInput = func(f int) uint16 {
+	var elapsed time.Duration
+	running := totalSites
+	done := make([]<-chan struct{}, 0, totalSites)
+	<-v.Go(func() {
+		for site := 0; site < totalSites; site++ {
+			site := site
+			st := sites[site]
+			rep := reporters[site]
+			done = append(done, v.Go(func() {
+				defer func() {
+					if running--; running == 0 {
+						// Last site out: let the last reports reach the
+						// time server.
+						elapsed = v.Now().Sub(start)
+						v.Sleep(10 * time.Millisecond)
+						ts.Poll()
+					}
+				}()
+				if site == 1 && cfg.StartOffset > 0 {
+					v.Sleep(cfg.StartOffset)
+				}
+				localInput := func(f int) uint16 {
+					// Frame begin: report to the time server (§4.1). The
+					// server has no actor of its own; each site drains it
+					// here, which costs no wake-up and stamps nothing (a
+					// sample's instant is its datagram's delivery).
+					ts.Poll()
 					_ = rep.SendTo("timeserver", timeserver.EncodeReport(site, f))
-					return 0
+					if site >= 2 {
+						return 0
+					}
+					return PlayerInput(cfg.Seed, site, f)
 				}
-			}
-			if st.rollback != nil {
-				st.err = st.rollback.RunFrames(cfg.Frames, localInput, nil)
-				if st.err == nil {
-					st.err = st.rollback.Settle(5 * time.Second)
-				}
-				return
-			}
-			if !cfg.SkipHandshake {
-				if err := st.session.Handshake(10 * time.Second); err != nil {
-					st.err = err
+				if st.rollback != nil {
+					st.err = st.rollback.RunFrames(cfg.Frames, localInput, nil)
+					if st.err == nil {
+						st.err = st.rollback.Settle(5 * time.Second)
+					}
 					return
 				}
-			}
-			var onFrame func(core.FrameInfo)
-			if site == 0 && health != nil {
-				onFrame = func(fi core.FrameInfo) {
-					if fi.Frame > 0 && fi.Frame%cfg.HealthEvery == 0 {
-						health.Evaluate(v.Now())
+				if !cfg.SkipHandshake {
+					if err := st.session.Handshake(10 * time.Second); err != nil {
+						st.err = err
+						return
 					}
 				}
-			}
-			st.err = st.session.RunFrames(cfg.Frames, localInput, onFrame)
-			st.session.Drain(5 * time.Second)
-		})
+				var onFrame func(core.FrameInfo)
+				if site == 0 && health != nil {
+					onFrame = func(fi core.FrameInfo) {
+						if fi.Frame > 0 && fi.Frame%cfg.HealthEvery == 0 {
+							health.Evaluate(v.Now())
+						}
+					}
+				}
+				st.err = st.session.RunFrames(cfg.Frames, localInput, onFrame)
+				st.session.Drain(5 * time.Second)
+			}))
+		}
+	})
+	for _, d := range done {
+		<-d
 	}
-	for site := 0; site < totalSites; site++ {
-		<-done[site]
-	}
-	elapsed := v.Now().Sub(start)
-	// Flush the last reports into the server before stopping it.
-	flushed := v.Go(func() { v.Sleep(10 * time.Millisecond); ts.Stop() })
-	<-flushed
-	<-tsDone
 
 	for site, st := range sites {
 		if st.err != nil {

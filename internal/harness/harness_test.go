@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -276,23 +277,43 @@ func TestRunSeedsSpread(t *testing.T) {
 func TestHealthAndInputLatency(t *testing.T) {
 	// A comfortable RTT: healthy verdict, cross-site latency dominated by
 	// the 100 ms local lag, local latency = lag/CFPS by construction.
-	res := run(t, Config{RTT: 40 * time.Millisecond, Frames: 900, Seed: 3})
-	if res.Health != 0 { // obs.Healthy
-		t.Fatalf("health at RTT 40ms = %v, want healthy (window %+v)", res.Health, res.HealthWindow)
-	}
-	if res.HealthWindow.Window == 0 {
-		t.Fatal("health engine never evaluated a window")
-	}
-	for site := 0; site < 2; site++ {
-		il := res.InputLatency(site)
-		if il.LocalP50 < 50 || il.LocalP50 > 300 {
-			t.Errorf("site %d local p50 = %.1fms, want ~100ms (the local lag)", site, il.LocalP50)
+	//
+	// The span journal's first-wins stamps used to race between same-instant
+	// actors at GOMAXPROCS >= 2 and saturate these quantiles at 68 719 ms;
+	// the schedule no longer depends on the host, so neither do they.
+	var res *Result
+	var first [2]InputLatencyMs
+	for i, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		res = run(t, Config{RTT: 40 * time.Millisecond, Frames: 900, Seed: 3})
+		runtime.GOMAXPROCS(prev)
+		if res.Health != 0 { // obs.Healthy
+			t.Fatalf("health at RTT 40ms = %v, want healthy (window %+v)", res.Health, res.HealthWindow)
 		}
-		if il.CrossP50 < 50 || il.CrossP50 > 300 {
-			t.Errorf("site %d cross p50 = %.1fms, want lag-dominated", site, il.CrossP50)
+		if res.HealthWindow.Window == 0 {
+			t.Fatal("health engine never evaluated a window")
 		}
-		if il.SkewP90 == 0 {
-			t.Errorf("site %d skew p90 = 0, want live skew observations", site)
+		for site := 0; site < 2; site++ {
+			il := res.InputLatency(site)
+			if il.LocalP50 < 50 || il.LocalP50 > 300 {
+				t.Errorf("site %d local p50 = %.1fms, want ~100ms (the local lag)", site, il.LocalP50)
+			}
+			if il.CrossP50 < 50 || il.CrossP50 > 300 {
+				t.Errorf("site %d cross p50 = %.1fms, want lag-dominated", site, il.CrossP50)
+			}
+			if il.SkewP90 == 0 {
+				t.Errorf("site %d skew p90 = 0, want live skew observations", site)
+			}
+			for _, q := range []float64{il.CrossP50, il.CrossP90, il.LocalP50, il.NetP50, il.SkewP90} {
+				if q > 1000 {
+					t.Errorf("GOMAXPROCS=%d site %d: a latency quantile reads %.0fms: %+v", procs, site, q, il)
+				}
+			}
+			if i == 0 {
+				first[site] = il
+			} else if il != first[site] {
+				t.Errorf("site %d quantiles at GOMAXPROCS=%d are %+v, at 1 they were %+v", site, procs, il, first[site])
+			}
 		}
 	}
 

@@ -170,38 +170,42 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 			net.SetLinkBoth(fmt.Sprintf("drvB-%d", j), frontAddr, sh)
 		}
 	}
-	controller := v.Go(func() {
-		v.Sleep(time.Second) // warmup
-		setChaos(func(j int) simnet.Shaper {
-			return netem.New(netem.Config{
-				Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond,
-				Loss: 0.3, BurstLoss: true, Seed: seed + int64(j),
+	// One root actor starts every other, so none runs before all exist.
+	var controller, samplerDone <-chan struct{}
+	<-v.Go(func() {
+		controller = v.Go(func() {
+			v.Sleep(time.Second) // warmup
+			setChaos(func(j int) simnet.Shaper {
+				return netem.New(netem.Config{
+					Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond,
+					Loss: 0.3, BurstLoss: true, Seed: seed + int64(j),
+				})
 			})
+			v.Sleep(time.Second) // burst loss
+			setChaos(func(j int) simnet.Shaper {
+				return netem.New(netem.Config{Loss: 1, Seed: seed + int64(j)})
+			})
+			v.Sleep(time.Second) // partition
+			setChaos(func(int) simnet.Shaper { return nil })
+			v.Sleep(5 * time.Second) // heal
+			stop.Store(true)
 		})
-		v.Sleep(time.Second) // burst loss
-		setChaos(func(j int) simnet.Shaper {
-			return netem.New(netem.Config{Loss: 1, Seed: seed + int64(j)})
-		})
-		v.Sleep(time.Second) // partition
-		setChaos(func(int) simnet.Shaper { return nil })
-		v.Sleep(5 * time.Second) // heal
-		stop.Store(true)
-	})
 
-	d.StartVirtual(v)
-	fl.StartVirtual(v)
-	samplerDone := v.Go(func() {
-		v.Sleep(gradeWindow + gradeWindow/2)
-		for !stop.Load() {
-			svc.Sample(v.Now())
-			v.Sleep(gradeWindow)
+		d.StartVirtual(v)
+		fl.StartVirtual(v)
+		samplerDone = v.Go(func() {
+			v.Sleep(gradeWindow + gradeWindow/2)
+			for !stop.Load() {
+				svc.Sample(v.Now())
+				v.Sleep(gradeWindow)
+			}
+		})
+		wg.Add(nDrivers)
+		for j := 0; j < nDrivers; j++ {
+			j := j
+			v.Go(func() { runDriver(j) })
 		}
 	})
-	wg.Add(nDrivers)
-	for j := 0; j < nDrivers; j++ {
-		j := j
-		v.Go(func() { runDriver(j) })
-	}
 	<-controller
 	wg.Wait()
 	<-samplerDone

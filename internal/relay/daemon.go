@@ -316,7 +316,11 @@ func (d *Daemon) readReal(f Front) {
 // StartVirtual launches the same topology as virtual-clock actors: readers
 // and shards poll their queues and park on the clock, so a CI soak drives
 // tens of thousands of sessions through real shard code in milliseconds of
-// wall time. The caller's Scenario must use the same clock.
+// wall time. The caller's Scenario must use the same clock, and calls this
+// from its root actor (see vclock.Virtual) so no loop runs before all exist.
+// Readers are registered before shards and all poll on one grid, so at every
+// instant each reader's pushes precede each shard's step: "this step or the
+// next" is decided by that order, not by the host.
 func (d *Daemon) StartVirtual(v *vclock.Virtual) {
 	for _, f := range d.fronts {
 		f := f
@@ -338,16 +342,6 @@ func (d *Daemon) StartVirtual(v *vclock.Virtual) {
 		d.wg.Add(1)
 		v.Go(func() {
 			defer d.wg.Done()
-			// Phase-offset the shard loops half a poll interval from the
-			// reader loops. Same-instant actors run in unspecified order
-			// under the virtual clock, so a reader pushing into a shard
-			// queue at the very instant the shard steps would make "this
-			// step or the next" a scheduling race — harmless for the soak's
-			// invariants, but a ±PollInterval wobble in delivery instants
-			// that the QoE sweep's bit-identical-verdict contract cannot
-			// afford. With the offset, pushes at t strictly precede the
-			// step at t+PollInterval/2.
-			v.Sleep(d.cfg.PollInterval / 2)
 			s.runVirtual(&d.closed)
 		})
 	}

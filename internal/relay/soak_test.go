@@ -340,57 +340,62 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		{"partition", time.Second},
 		{"heal", 5 * time.Second},
 	}
-	controller := v.Go(func() {
-		for _, ph := range phases {
-			switch ph.name {
-			case "warmup", "heal":
-				setChaosLinks(func(int) simnet.Shaper { return nil }) // clean
-			case "burst-loss":
-				setChaosLinks(func(j int) simnet.Shaper {
-					return netem.New(netem.Config{
-						Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond,
-						Loss: 0.3, BurstLoss: true, Seed: *soakSeed + int64(j),
-					})
-				})
-			case "partition":
-				setChaosLinks(func(j int) simnet.Shaper {
-					return netem.New(netem.Config{Loss: 1, Seed: *soakSeed + int64(j)})
-				})
-			}
-			switch ph.name {
-			case "heal":
-				healStart = takeSnap()
-				partEndCensus = takeCensus()
-			}
-			v.Sleep(ph.dur)
-			switch ph.name {
-			case "warmup":
-				warmupSnap = takeSnap()
-			case "heal":
-				healEnd = takeSnap()
-				healEndCensus = takeCensus()
-			}
-		}
-		stop.Store(true)
-	})
-
-	d.StartVirtual(v)
-	fl.StartVirtual(v)
-	// History sampler: one base tick per grading window, phase-offset half a
-	// window behind the fleet tick so every sample reads a freshly published
-	// verdict census (never racing the same virtual instant).
-	samplerDone := v.Go(func() {
-		v.Sleep(gradeWindow + gradeWindow/2)
-		for !stop.Load() {
-			svc.Sample(v.Now())
-			v.Sleep(gradeWindow)
-		}
-	})
+	// Everything below starts from one root actor, in this order: nothing
+	// runs (and the clock stands still) until every actor is registered.
+	var controller, samplerDone <-chan struct{}
 	dones := make([]<-chan struct{}, 0, nDrivers)
-	for _, dr := range drivers {
-		dr := dr
-		dones = append(dones, v.Go(func() { runDriver(dr) }))
-	}
+	<-v.Go(func() {
+		controller = v.Go(func() {
+			for _, ph := range phases {
+				switch ph.name {
+				case "warmup", "heal":
+					setChaosLinks(func(int) simnet.Shaper { return nil }) // clean
+				case "burst-loss":
+					setChaosLinks(func(j int) simnet.Shaper {
+						return netem.New(netem.Config{
+							Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond,
+							Loss: 0.3, BurstLoss: true, Seed: *soakSeed + int64(j),
+						})
+					})
+				case "partition":
+					setChaosLinks(func(j int) simnet.Shaper {
+						return netem.New(netem.Config{Loss: 1, Seed: *soakSeed + int64(j)})
+					})
+				}
+				switch ph.name {
+				case "heal":
+					healStart = takeSnap()
+					partEndCensus = takeCensus()
+				}
+				v.Sleep(ph.dur)
+				switch ph.name {
+				case "warmup":
+					warmupSnap = takeSnap()
+				case "heal":
+					healEnd = takeSnap()
+					healEndCensus = takeCensus()
+				}
+			}
+			stop.Store(true)
+		})
+
+		d.StartVirtual(v)
+		fl.StartVirtual(v)
+		// History sampler: one base tick per grading window, phase-offset half a
+		// window behind the fleet tick so every sample reads a freshly published
+		// verdict census (never racing the same virtual instant).
+		samplerDone = v.Go(func() {
+			v.Sleep(gradeWindow + gradeWindow/2)
+			for !stop.Load() {
+				svc.Sample(v.Now())
+				v.Sleep(gradeWindow)
+			}
+		})
+		for _, dr := range drivers {
+			dr := dr
+			dones = append(dones, v.Go(func() { runDriver(dr) }))
+		}
+	})
 	<-controller
 	for _, done := range dones {
 		<-done

@@ -25,10 +25,10 @@ import (
 )
 
 // MinDelay is the smallest one-way delivery delay the network imposes even
-// when a shaper asks for less. A strictly positive floor keeps virtual-time
-// runs deterministic (same-instant actors must not communicate, see vclock)
-// and matches the paper's assumption that even a LAN round trip costs under
-// one millisecond.
+// when a shaper asks for less: it models the link, matching the paper's
+// assumption that even a LAN round trip costs time (under one millisecond).
+// Determinism no longer rests on it — vclock.Virtual orders same-instant
+// actors — but every checked-in table was produced with this floor.
 const MinDelay = 50 * time.Microsecond
 
 // DefaultQueueCap is the default receive-queue capacity of an endpoint, in

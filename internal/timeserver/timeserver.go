@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"retrolock/internal/simnet"
-	"retrolock/internal/vclock"
 )
 
 // Report wire format: type byte, site byte, frame uint32 (little endian).
@@ -96,61 +95,42 @@ func (r *recorder) samples(site int) []Sample {
 	return out
 }
 
-// Server is a time server bound to a simnet endpoint. Start it with
-// clock.Go(server.Run) and stop it with Stop.
+// Server is a time server bound to a simnet endpoint. It owns no actor:
+// whoever drives the simulation calls Poll, at least once before the
+// endpoint's receive queue can fill.
 type Server struct {
-	ep    *simnet.Endpoint
-	clock vclock.Clock
-
-	rec  *recorder
-	mu   sync.Mutex
-	stop bool
+	ep  *simnet.Endpoint
+	rec *recorder
 }
 
 // NewServer creates a server reading reports from ep.
-func NewServer(ep *simnet.Endpoint, clock vclock.Clock) *Server {
-	return &Server{ep: ep, clock: clock, rec: newRecorder()}
+func NewServer(ep *simnet.Endpoint) *Server {
+	return &Server{ep: ep, rec: newRecorder()}
 }
 
-// Run polls for reports until Stop is called. It is designed to run as a
-// virtual-clock actor. Samples are timestamped with each datagram's exact
-// delivery instant, so the polling interval does not quantize measurements.
-func (s *Server) Run() {
-	const pollEvery = 2 * time.Millisecond
+// Poll records every report that has arrived. Samples are timestamped with
+// each datagram's exact delivery instant, so how often Poll runs does not
+// quantize measurements.
+func (s *Server) Poll() {
 	for {
-		s.mu.Lock()
-		stopped := s.stop
-		s.mu.Unlock()
-		if stopped {
+		d, ok := s.ep.TryRecv()
+		if !ok {
 			return
 		}
-		for {
-			d, ok := s.ep.TryRecv()
-			if !ok {
-				break
-			}
-			site, frame, err := DecodeReport(d.Payload)
-			if err != nil {
-				continue
-			}
-			s.rec.record(site, frame, d.At)
+		site, frame, err := DecodeReport(d.Payload)
+		if err != nil {
+			continue
 		}
-		s.clock.Sleep(pollEvery)
+		s.rec.record(site, frame, d.At)
 	}
-}
-
-// Stop makes Run return after its current poll.
-func (s *Server) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stop = true
 }
 
 // Samples returns the recorded frame-begin times of a site, frame-ordered.
 func (s *Server) Samples(site int) []Sample { return s.rec.samples(site) }
 
 // ReportCount returns the number of recorded frame reports across all sites
-// and the number of distinct reporting sites. Safe to call while Run polls.
+// and the number of distinct reporting sites. Safe to call while another
+// goroutine polls.
 func (s *Server) ReportCount() (reports, sites int) { return s.rec.total() }
 
 // FrameTimes returns consecutive frame-begin differences for a site — the

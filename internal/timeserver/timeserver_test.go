@@ -36,21 +36,20 @@ func TestServerRecordsOverSimnet(t *testing.T) {
 	site0 := n.MustBind("s0")
 	site1 := n.MustBind("s1")
 
-	srv := NewServer(tsEP, v)
-	srvDone := v.Go(srv.Run)
-
-	clientDone := v.Go(func() {
+	srv := NewServer(tsEP)
+	<-v.Go(func() {
 		for f := 0; f < 10; f++ {
 			_ = site0.SendTo("ts", EncodeReport(0, f))
 			v.Sleep(5 * time.Millisecond)
 			_ = site1.SendTo("ts", EncodeReport(1, f))
 			v.Sleep(11666 * time.Microsecond) // ~16.7ms frames
+			if f%4 == 0 {
+				srv.Poll() // any cadence: samples carry their delivery instant
+			}
 		}
 		v.Sleep(10 * time.Millisecond)
-		srv.Stop()
+		srv.Poll()
 	})
-	<-clientDone
-	<-srvDone
 
 	s0 := srv.Samples(0)
 	if len(s0) != 10 {

@@ -175,15 +175,17 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 	total := span + 2*driverTick + cfg.Drain
 
 	var dones []<-chan struct{}
-	dones = append(dones, v.Go(func() {
-		v.Sleep(total)
-		e.stop.Store(true)
-	}))
-	d.StartVirtual(v)
-	for j, dr := range e.drivers {
-		dr, evs := dr, events[j]
-		dones = append(dones, v.Go(func() { e.runReplayDriver(dr, evs) }))
-	}
+	<-v.Go(func() { // root actor: nothing runs until all are registered
+		dones = append(dones, v.Go(func() {
+			v.Sleep(total)
+			e.stop.Store(true)
+		}))
+		d.StartVirtual(v)
+		for j, dr := range e.drivers {
+			dr, evs := dr, events[j]
+			dones = append(dones, v.Go(func() { e.runReplayDriver(dr, evs) }))
+		}
+	})
 	for _, done := range dones {
 		<-done
 	}

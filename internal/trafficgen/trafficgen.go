@@ -275,9 +275,12 @@ type engine struct {
 // RunConfig yields a bit-identical Result (and capture, when attached).
 func Run(cfg RunConfig) (*Result, error) {
 	v := vclock.NewVirtual(Epoch)
+	// The wiring runs as one root actor, so no controller, relay loop or
+	// driver runs (and the clock stands still) until all are registered.
 	return run(cfg, v, v,
+		func(wire func()) { <-v.Go(wire) },
 		func(d *relay.Daemon) { d.StartVirtual(v) },
-		func(fn func()) <-chan struct{} { return v.Go(fn) })
+		v.Go)
 }
 
 // RunReal executes one generator run against the wall clock: same model,
@@ -285,6 +288,7 @@ func Run(cfg RunConfig) (*Result, error) {
 func RunReal(cfg RunConfig) (*Result, error) {
 	clock := vclock.Real{}
 	return run(cfg, clock, clock,
+		func(wire func()) { wire() },
 		func(d *relay.Daemon) { d.StartPolled() },
 		func(fn func()) <-chan struct{} {
 			ch := make(chan struct{})
@@ -293,7 +297,7 @@ func RunReal(cfg RunConfig) (*Result, error) {
 		})
 }
 
-func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler,
+func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler, root func(wire func()),
 	start func(*relay.Daemon), spawn func(func()) <-chan struct{}) (*Result, error) {
 	cfg = cfg.withDefaults()
 	m := cfg.Model
@@ -372,24 +376,26 @@ func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler,
 	// Storm controller (optional) and the stop controller.
 	total := cfg.Warmup + cfg.Measure + cfg.Drain
 	var dones []<-chan struct{}
-	if st := cfg.Storm; st != nil {
+	root(func() {
+		if st := cfg.Storm; st != nil {
+			dones = append(dones, spawn(func() {
+				clock.Sleep(st.After)
+				_ = e.shapeStorm(frontAddrs, st)
+				clock.Sleep(st.For)
+				_ = e.shapeLinks(frontAddrs, stormedHalf(m.Drivers))
+			}))
+		}
 		dones = append(dones, spawn(func() {
-			clock.Sleep(st.After)
-			_ = e.shapeStorm(frontAddrs, st)
-			clock.Sleep(st.For)
-			_ = e.shapeLinks(frontAddrs, stormedHalf(m.Drivers))
+			clock.Sleep(total)
+			e.stop.Store(true)
 		}))
-	}
-	dones = append(dones, spawn(func() {
-		clock.Sleep(total)
-		e.stop.Store(true)
-	}))
 
-	start(d)
-	for _, dr := range e.drivers {
-		dr := dr
-		dones = append(dones, spawn(func() { e.runDriver(dr) }))
-	}
+		start(d)
+		for _, dr := range e.drivers {
+			dr := dr
+			dones = append(dones, spawn(func() { e.runDriver(dr) }))
+		}
+	})
 	for _, done := range dones {
 		<-done
 	}

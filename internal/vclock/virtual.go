@@ -2,135 +2,173 @@ package vclock
 
 import (
 	"container/heap"
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Virtual is a discrete-event Clock. A fixed set of registered actor
-// goroutines runs against it; whenever every registered actor is parked in
-// Sleep, the clock jumps straight to the earliest pending wake-up or
-// scheduled event. Sixty seconds of simulated game play therefore cost only
-// as much wall time as the actors' own computation.
+// Virtual is a discrete-event Clock. A set of registered actor goroutines
+// runs against it, one at a time: the running actor holds the baton until it
+// parks in Sleep or finishes, and only then does the clock jump to the
+// earliest pending wake-up or scheduled event, run what is due and hand the
+// baton to exactly one sleeper. Sixty seconds of simulated game play
+// therefore cost only as much wall time as the actors' own computation, and
+// a run's interleaving is a property of the program, not of the host's
+// scheduler or GOMAXPROCS.
+//
+// Ordering contract:
+//
+//   - Actors get an id in the program order of their Go (or AddActor) calls
+//     and are registered parked at the current instant, so a child never runs
+//     beside its spawner and cannot be overtaken by the clock before its
+//     first Sleep. Sleepers wake in (wake instant, actor id) order.
+//   - Events run in (instant, scheduling actor id, that actor's event
+//     counter) order; event callbacks and goroutines that are not actors
+//     schedule as actor 0. Every event due at an instant runs before any
+//     sleeper due at that instant resumes, so a packet "delivered at t" is
+//     visible to a poller waking at t.
+//   - Schedule callbacks run while every actor is parked, so they may freely
+//     mutate state shared with actors; they must not Sleep.
 //
 // Rules for correct use:
 //
-//   - Every goroutine that calls Sleep must be registered via AddActor (or
-//     started with Go) and must call DoneActor when it finishes.
+//   - Only the running actor may call Sleep. Sleep panics when nobody holds
+//     the baton; a stray goroutine sleeping beside a running actor cannot be
+//     told from that actor and corrupts the schedule.
 //   - Actors must not block on anything other than Sleep (channels, mutexes
 //     held across Sleep, ...); all cross-actor communication has to go
 //     through data structures that are polled, such as simnet queues.
-//   - Schedule callbacks run while every actor is parked, so they may freely
-//     mutate state shared with actors.
+//   - To start several actors at one instant, start them from one root actor
+//     (a Go whose body makes the Go calls and returns): nothing runs until
+//     the root parks or returns. Go from a goroutine that is not an actor
+//     works, but the child may start at once, beside its spawner.
 //
-// Wake-ups at distinct instants happen in time order. Actors that wake at the
-// same instant run concurrently in unspecified relative order, so
-// deterministic simulations must not share mutable state between same-instant
-// actors except through positively-delayed events (simnet enforces a minimum
-// one-way delay for exactly this reason). Together with seeded randomness in
-// the network emulator this yields fully reproducible runs: the experiment
-// binaries print identical series on every invocation.
+// Together with seeded randomness in the network emulator this yields fully
+// reproducible runs: the experiment binaries print identical series on every
+// invocation, at any GOMAXPROCS.
 type Virtual struct {
-	mu       sync.Mutex
-	now      time.Time
-	start    time.Time
-	actors   int
-	parked   int
+	mu    sync.Mutex
+	start time.Time
+	// now is the current instant in ns since start. Only the baton holder
+	// moves it, so actors and event callbacks read it without the lock.
+	now atomic.Int64
+
+	// cur holds the baton: the running actor, &clock while the clock itself
+	// runs due events, nil when every registered actor has finished.
+	cur      *actor
+	clock    actor // id 0
+	lastID   uint64
+	handoffs uint64 // batons Sleep passed to another actor (tests read it)
 	sleepers sleeperQueue
 	events   eventQueue
-	seq      uint64
 
-	// Free lists recycle sleeper and event records (and the sleepers' wake
-	// channels) so a steady-state simulation — every frame sleeps once and
-	// schedules a few deliveries — settles to zero allocations per frame.
-	freeSleepers []*sleeper
-	freeEvents   []*event
+	// The free list recycles event records so a steady-state simulation —
+	// every frame sleeps once and schedules a few deliveries — settles to
+	// zero allocations per frame. A sleeping actor is its own sleeper record.
+	freeEvents []*event
 }
 
 // NewVirtual returns a virtual clock whose current instant is start.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start, start: start}
+	return &Virtual{start: start}
 }
 
 // Now returns the current virtual instant.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Now() time.Time { return v.start.Add(v.Elapsed()) }
 
 // Elapsed returns how much virtual time has passed since the clock was
 // created.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now.Sub(v.start)
-}
+func (v *Virtual) Elapsed() time.Duration { return time.Duration(v.now.Load()) }
 
-// AddActor registers the calling goroutine (or one about to be started) as a
-// participant. The clock only advances while all registered actors sleep.
-func (v *Virtual) AddActor() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.actors++
-}
+// AddActor registers the calling goroutine as an actor parked at the current
+// instant and returns once it holds the baton. The goroutine must call
+// DoneActor when it finishes. To start another goroutine as an actor, use Go.
+func (v *Virtual) AddActor() { v.await(v.register()) }
 
-// DoneActor deregisters an actor. It must be called exactly once per
-// AddActor, after the actor's final use of the clock.
+// DoneActor deregisters the running actor and passes the baton on. It must
+// be called exactly once per AddActor, after the actor's final use of the
+// clock.
 func (v *Virtual) DoneActor() {
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.actors == 0 {
+	if v.cur == nil || v.cur == &v.clock {
+		v.mu.Unlock()
 		panic("vclock: DoneActor without matching AddActor")
 	}
-	v.actors--
-	v.advanceLocked()
+	next := v.dispatchLocked()
+	v.mu.Unlock()
+	if next != nil {
+		next.ch <- struct{}{}
+	}
 }
 
-// Go runs fn on a new registered actor goroutine and returns a channel that
-// is closed when fn returns. It is the preferred way to start actors because
-// it pairs AddActor/DoneActor automatically.
+// Go runs fn on a new actor goroutine and returns a channel that is closed
+// when fn returns. The actor is registered before Go returns — parked at the
+// current instant, behind every actor registered earlier — and fn starts
+// when the baton reaches it.
 func (v *Virtual) Go(fn func()) <-chan struct{} {
-	v.AddActor()
+	a := v.register()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		v.await(a)
 		defer v.DoneActor()
 		fn()
 	}()
 	return done
 }
 
+// register queues a new actor due at the current instant.
+func (v *Virtual) register() *actor {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.lastID++
+	// Capacity 1: the baton is sent before its receiver necessarily waits.
+	a := &actor{id: v.lastID, wake: v.now.Load(), ch: make(chan struct{}, 1)}
+	heap.Push(&v.sleepers, a)
+	return a
+}
+
+// await blocks the new actor's goroutine until a holds the baton. Nobody
+// holds it when a was registered by a goroutine that is not an actor while
+// none was running; then the first such goroutine to get here starts the
+// clock, which is what lets a non-actor register several actors before any
+// of them runs — as long as it is quicker than a goroutine start.
+func (v *Virtual) await(a *actor) {
+	v.mu.Lock()
+	var next *actor
+	if v.cur == nil {
+		next = v.dispatchLocked()
+	}
+	v.mu.Unlock()
+	if next != nil {
+		next.ch <- struct{}{}
+	}
+	<-a.ch
+}
+
 // Sleep parks the calling actor until at least d of virtual time has passed.
-// A non-positive d parks for zero duration, which still gives events
-// scheduled at the current instant a chance to run first.
+// A non-positive d parks for zero duration, which still lets events and
+// lower-numbered actors due at the current instant run first.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	v.mu.Lock()
-	var s *sleeper
-	if n := len(v.freeSleepers); n > 0 {
-		s = v.freeSleepers[n-1]
-		v.freeSleepers[n-1] = nil
-		v.freeSleepers = v.freeSleepers[:n-1]
-	} else {
-		// Capacity 1 so the waker's send never blocks while holding the
-		// clock lock.
-		s = &sleeper{ch: make(chan struct{}, 1)}
+	a := v.cur
+	if a == nil || a == &v.clock {
+		v.mu.Unlock()
+		panic("vclock: Sleep by a goroutine that does not hold the baton: only the running actor (started with Go or registered with AddActor) may Sleep, and event callbacks must not block")
 	}
-	s.wake = v.now.Add(d)
-	s.seq = v.nextSeq()
-	heap.Push(&v.sleepers, s)
-	v.parked++
-	v.advanceLocked()
+	a.wake = v.now.Load() + int64(d)
+	heap.Push(&v.sleepers, a)
+	next := v.dispatchLocked()
 	v.mu.Unlock()
-	<-s.ch
-	// Only this goroutine holds s now (the waker released it with the send),
-	// so it can go straight back on the free list.
-	v.mu.Lock()
-	v.freeSleepers = append(v.freeSleepers, s)
-	v.mu.Unlock()
+	if next != a {
+		// Direct hand-off: ready the next actor, then block on our own slot.
+		v.handoffs++
+		next.ch <- struct{}{}
+		<-a.ch
+	}
 }
 
 // Schedule runs fn when the virtual clock reaches at. If at is not after the
@@ -139,7 +177,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 func (v *Virtual) Schedule(at time.Time, fn func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	heap.Push(&v.events, v.newEventLocked(at, fn))
+	v.scheduleLocked(int64(at.Sub(v.start)), fn)
 }
 
 // ScheduleAfter runs fn once d of virtual time has passed.
@@ -149,10 +187,14 @@ func (v *Virtual) ScheduleAfter(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	heap.Push(&v.events, v.newEventLocked(v.now.Add(d), fn))
+	v.scheduleLocked(v.now.Load()+int64(d), fn)
 }
 
-func (v *Virtual) newEventLocked(at time.Time, fn func()) *event {
+func (v *Virtual) scheduleLocked(at int64, fn func()) {
+	by := v.cur
+	if by == nil {
+		by = &v.clock
+	}
 	var e *event
 	if n := len(v.freeEvents); n > 0 {
 		e = v.freeEvents[n-1]
@@ -161,80 +203,64 @@ func (v *Virtual) newEventLocked(at time.Time, fn func()) *event {
 	} else {
 		e = &event{}
 	}
-	e.at, e.seq, e.fn = at, v.nextSeq(), fn
-	return e
+	by.nev++
+	e.at, e.by, e.n, e.fn = at, by.id, by.nev, fn
+	heap.Push(&v.events, e)
 }
 
-func (v *Virtual) nextSeq() uint64 {
-	v.seq++
-	return v.seq
-}
-
-// advanceLocked moves time forward while every registered actor is parked.
-// It runs due events (unlocked) in timestamp order and stops as soon as at
-// least one sleeper has been woken.
-func (v *Virtual) advanceLocked() {
-	for v.actors > 0 && v.parked == v.actors {
-		next, ok := v.nextWakeLocked()
-		if !ok {
-			// Every actor is parked yet nothing is pending. Cannot
-			// happen: each parked actor owns a sleeper entry.
-			panic(fmt.Sprintf("vclock: %d actors parked with no pending wake-ups", v.parked))
-		}
-		if next.After(v.now) {
-			v.now = next
-		}
-		for len(v.events) > 0 && !v.events[0].at.After(v.now) {
+// dispatchLocked is called by the baton holder as it parks or finishes, or
+// by await when the baton is free. The clock takes the baton, moves time to
+// the earliest pending wake-up, running every event due on the way
+// (unlocked), and gives the baton to the first sleeper, which it returns for
+// the caller to signal unless it is the caller itself — nil when no actor is
+// left, which freezes the clock.
+func (v *Virtual) dispatchLocked() *actor {
+	v.cur = &v.clock
+	for len(v.sleepers) > 0 {
+		if len(v.events) > 0 && v.events[0].at <= v.sleepers[0].wake {
 			e := heap.Pop(&v.events).(*event)
+			if e.at > v.now.Load() {
+				v.now.Store(e.at)
+			}
 			fn := e.fn
 			e.fn = nil // release the closure; the record is recycled
 			v.freeEvents = append(v.freeEvents, e)
 			v.mu.Unlock()
 			fn()
 			v.mu.Lock()
+			continue
 		}
-		woke := false
-		for len(v.sleepers) > 0 && !v.sleepers[0].wake.After(v.now) {
-			s := heap.Pop(&v.sleepers).(*sleeper)
-			v.parked--
-			s.ch <- struct{}{} // hands s back to its sleeping goroutine
-			woke = true
+		a := heap.Pop(&v.sleepers).(*actor)
+		if a.wake > v.now.Load() {
+			v.now.Store(a.wake)
 		}
-		if woke {
-			return
-		}
+		v.cur = a
+		return a
 	}
+	v.cur = nil
+	return nil
 }
 
-func (v *Virtual) nextWakeLocked() (time.Time, bool) {
-	var t time.Time
-	ok := false
-	if len(v.events) > 0 {
-		t, ok = v.events[0].at, true
-	}
-	if len(v.sleepers) > 0 && (!ok || v.sleepers[0].wake.Before(t)) {
-		t, ok = v.sleepers[0].wake, true
-	}
-	return t, ok
+// actor is one registered goroutine; while it sleeps it is its own entry in
+// the sleeper queue.
+type actor struct {
+	id   uint64
+	wake int64         // ns since start
+	nev  uint64        // events scheduled so far: the event tie-break counter
+	ch   chan struct{} // one slot: receives the baton
 }
 
-type sleeper struct {
-	wake time.Time
-	seq  uint64
-	ch   chan struct{}
-}
-
-type sleeperQueue []*sleeper
+type sleeperQueue []*actor
 
 func (q sleeperQueue) Len() int { return len(q) }
 func (q sleeperQueue) Less(i, j int) bool {
-	if !q[i].wake.Equal(q[j].wake) {
-		return q[i].wake.Before(q[j].wake)
+	if q[i].wake != q[j].wake {
+		return q[i].wake < q[j].wake
 	}
-	return q[i].seq < q[j].seq
+	return q[i].id < q[j].id
 }
 func (q sleeperQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *sleeperQueue) Push(x interface{}) { *q = append(*q, x.(*sleeper)) }
+func (q *sleeperQueue) Push(x interface{}) { *q = append(*q, x.(*actor)) }
 func (q *sleeperQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
@@ -244,20 +270,25 @@ func (q *sleeperQueue) Pop() interface{} {
 	return it
 }
 
+// event is one scheduled callback, ordered by (at, by, n).
 type event struct {
-	at  time.Time
-	seq uint64
-	fn  func()
+	at int64  // ns since start
+	by uint64 // id of the actor that scheduled it
+	n  uint64 // that actor's event counter
+	fn func()
 }
 
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
 	}
-	return q[i].seq < q[j].seq
+	if q[i].by != q[j].by {
+		return q[i].by < q[j].by
+	}
+	return q[i].n < q[j].n
 }
 func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }

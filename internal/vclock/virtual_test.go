@@ -9,6 +9,20 @@ import (
 
 var epoch = time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC) // ICDCS'09 week
 
+// goAll starts fns as actors from one root actor, so none of them runs
+// before all are registered, and waits for all of them.
+func goAll(v *Virtual, fns ...func()) {
+	dones := make([]<-chan struct{}, len(fns))
+	<-v.Go(func() {
+		for i, fn := range fns {
+			dones[i] = v.Go(fn)
+		}
+	})
+	for _, d := range dones {
+		<-d
+	}
+}
+
 func TestVirtualNowStartsAtEpoch(t *testing.T) {
 	v := NewVirtual(epoch)
 	if got := v.Now(); !got.Equal(epoch) {
@@ -52,20 +66,17 @@ func TestVirtualTwoActorsInterleave(t *testing.T) {
 		order = append(order, tag)
 		mu.Unlock()
 	}
-	a := v.Go(func() {
+	goAll(v, func() {
 		v.Sleep(10 * time.Millisecond)
 		record("a10")
 		v.Sleep(20 * time.Millisecond) // wakes at 30ms
 		record("a30")
-	})
-	b := v.Go(func() {
+	}, func() {
 		v.Sleep(15 * time.Millisecond)
 		record("b15")
 		v.Sleep(30 * time.Millisecond) // wakes at 45ms
 		record("b45")
 	})
-	<-a
-	<-b
 	want := []string{"a10", "b15", "a30", "b45"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -138,19 +149,17 @@ func TestVirtualManyActorsConverge(t *testing.T) {
 	v := NewVirtual(epoch)
 	const actors = 8
 	var total atomic.Int64
-	var done []<-chan struct{}
+	var fns []func()
 	for i := 0; i < actors; i++ {
 		i := i
-		done = append(done, v.Go(func() {
+		fns = append(fns, func() {
 			for step := 0; step < 100; step++ {
 				v.Sleep(time.Duration(i+1) * time.Millisecond)
 			}
 			total.Add(1)
-		}))
+		})
 	}
-	for _, ch := range done {
-		<-ch
-	}
+	goAll(v, fns...)
 	if total.Load() != actors {
 		t.Fatalf("finished actors = %d, want %d", total.Load(), actors)
 	}
@@ -184,10 +193,9 @@ func TestVirtualActorSpawnsActor(t *testing.T) {
 func TestVirtualDoneActorUnblocksOthers(t *testing.T) {
 	// When one actor exits, the remaining actor must keep advancing.
 	v := NewVirtual(epoch)
-	short := v.Go(func() { v.Sleep(5 * time.Millisecond) })
-	long := v.Go(func() { v.Sleep(500 * time.Millisecond) })
-	<-short
-	<-long
+	goAll(v,
+		func() { v.Sleep(5 * time.Millisecond) },
+		func() { v.Sleep(500 * time.Millisecond) })
 	if got := v.Elapsed(); got != 500*time.Millisecond {
 		t.Fatalf("Elapsed() = %v, want 500ms", got)
 	}
@@ -198,10 +206,10 @@ func TestVirtualDeterministicOrderAcrossRuns(t *testing.T) {
 		v := NewVirtual(epoch)
 		var mu sync.Mutex
 		var order []int
-		var done []<-chan struct{}
+		var fns []func()
 		for i := 0; i < 5; i++ {
 			i := i
-			done = append(done, v.Go(func() {
+			fns = append(fns, func() {
 				v.Sleep(time.Duration(10+i) * time.Millisecond)
 				mu.Lock()
 				order = append(order, i)
@@ -210,11 +218,9 @@ func TestVirtualDeterministicOrderAcrossRuns(t *testing.T) {
 				mu.Lock()
 				order = append(order, 100+i)
 				mu.Unlock()
-			}))
+			})
 		}
-		for _, ch := range done {
-			<-ch
-		}
+		goAll(v, fns...)
 		return order
 	}
 	first := run()
