@@ -185,7 +185,7 @@ func (s *Session) Handshake(timeout time.Duration) error {
 			if s.clock.Now().After(deadline) {
 				return fmt.Errorf("core: handshake timed out with %d/%d peers ready", len(ready), len(s.sync.peers))
 			}
-			for _, p := range s.sync.peers {
+			for _, p := range s.sync.peerList {
 				for {
 					raw, ok := p.Conn.TryRecv()
 					if !ok {
@@ -201,15 +201,17 @@ func (s *Session) Handshake(timeout time.Duration) error {
 			now := s.clock.Now()
 			if now.Sub(lastTx) >= handshakeResendEvery {
 				lastTx = now
-				for site := range ready {
-					_ = s.sync.peers[site].Conn.Send(encodeCtl(msgGo, s.cfg.SiteNo))
+				for _, p := range s.sync.peerList {
+					if ready[p.Site] {
+						_ = p.Conn.Send(encodeCtl(msgGo, s.cfg.SiteNo))
+					}
 				}
 			}
 			s.clock.Sleep(s.cfg.PollInterval)
 		}
 		// Everyone is ready: broadcast GO a few times for loss cover.
 		for i := 0; i < 3; i++ {
-			for _, p := range s.sync.peers {
+			for _, p := range s.sync.peerList {
 				_ = p.Conn.Send(encodeCtl(msgGo, s.cfg.SiteNo))
 			}
 		}
@@ -225,11 +227,11 @@ func (s *Session) Handshake(timeout time.Duration) error {
 		now := s.clock.Now()
 		if now.Sub(lastTx) >= handshakeResendEvery {
 			lastTx = now
-			for _, p := range s.sync.peers {
+			for _, p := range s.sync.peerList {
 				_ = p.Conn.Send(encodeCtl(msgReady, s.cfg.SiteNo))
 			}
 		}
-		for _, p := range s.sync.peers {
+		for _, p := range s.sync.peerList {
 			for {
 				raw, ok := p.Conn.TryRecv()
 				if !ok {
@@ -374,7 +376,7 @@ func (s *Session) LagStats() (changes int, avg float64) {
 
 func (s *Session) broadcastHash(frame int, hash uint64) {
 	msg := encodeHash(s.cfg.SiteNo, frame, hash)
-	for _, p := range s.sync.peers {
+	for _, p := range s.sync.peerList {
 		_ = p.Conn.Send(msg)
 	}
 }
