@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench bench-all bench-hotpath bench-gate bench-check qoe lint
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench bench-all bench-hotpath bench-gate bench-check qoe lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -99,6 +99,11 @@ bench-gate: bench
 # the benchmark was written against.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# The size of the program: non-test Go source outside the benchmark module,
+# in lines. CI prints it next to bench-check so every change shows it.
+sloc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test.go$$' | xargs cat | wc -l
 
 # The QoE load-generation gate: replays the 1024-session virtual-time
 # sweep across every netem profile and diffs the verdict table against

@@ -30,17 +30,16 @@ import (
 	"time"
 
 	"retrolock/internal/core"
-	"retrolock/internal/flight"
 	"retrolock/internal/lobby"
 	"retrolock/internal/obs"
 	"retrolock/internal/obs/history"
 	"retrolock/internal/relay"
 	"retrolock/internal/replay"
+	"retrolock/internal/rig"
 	"retrolock/internal/rom"
 	"retrolock/internal/rom/games"
 	"retrolock/internal/transport"
 	"retrolock/internal/vclock"
-	"retrolock/internal/vm"
 )
 
 func main() {
@@ -65,16 +64,12 @@ func main() {
 		accept   = flag.Bool("accept-spectators", true, "master only: serve savestates to spectators that connect")
 		obsAddr  = flag.String("obs", "", "serve live metrics/expvar/pprof on this HTTP address (e.g. :6060)")
 		traceOut = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of frame events to this file")
-		flightTo = flag.String("flight-dir", ".", "directory for black-box incident bundles (\"\" disables auto-write)")
+		flightTo = flag.String("flight-dir", ".", "directory for black-box incident bundles (\"\": $RETROLOCK_FLIGHT_DIR; both empty disable auto-write)")
 		stallDur = flag.Duration("stall-threshold", 5*time.Second, "declare a liveness-stall incident after waiting this long for the peer (0 = off)")
 	)
 	flag.Parse()
 
 	image, err := loadROM(*game, *romPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	console, err := image.Boot()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +79,7 @@ func main() {
 		if *site < 2 {
 			*site = 2 // spectators are sites >= NumPlayers; override a default -site
 		}
-		spectateMain(image.Title, console, *spectate, *site, *render)
+		spectateMain(image, *spectate, *site, *render)
 		return
 	}
 	if *site != 0 && *site != 1 {
@@ -153,66 +148,44 @@ func main() {
 	defer conn.Close()
 	log.Printf("connected: %s <-> %s", conn.LocalAddr(), conn.RemoteAddr())
 
-	cfg := core.Config{SiteNo: *site, BufFrame: *lag, WaitTimeout: 30 * time.Second}
-	ses, err := core.NewSession(cfg, vclock.System, time.Now(), console, []core.Peer{{Site: 1 - *site, Conn: conn}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if lst != nil {
-		defer lst.Close()
-		go acceptSpectators(lst, ses)
-	}
-
-	// Live observability: counters and histograms are free on the hot path
+	// The site: the console, the lockstep session over this conn, and its
+	// live telemetry. Counters and histograms are free on the hot path
 	// (atomics), the tracer keeps the freshest ~64k frame events in a fixed
 	// ring, and the whole bundle serves over HTTP while the session runs.
+	// The black-box flight recorder is always on, bounded and
+	// allocation-free in steady state: it auto-writes an incident bundle on
+	// divergence, stall or a frame-loop panic, and SIGQUIT or GET
+	// /debug/flight/dump snapshots it on demand.
 	traceCap := 0
 	if *traceOut != "" || *obsAddr != "" {
 		traceCap = 1 << 16
 	}
 	reg := obs.NewRegistry()
 	obs.RegisterProcessMetrics(reg)
-	so := core.NewSessionObs(reg, *site, traceCap, time.Now())
-	ses.SetObs(so)
-	core.RegisterSessionMetrics(reg, obs.SiteLabels(*site), ses)
-
-	// Input-journey spans: every frame's press/encode/send/recv/merge/exec
-	// legs are stamped into a fixed ring and fold into the cross-site
-	// latency and skew histograms — allocation-free on the hot path.
-	journal := core.NewInputJourney(reg, *site, time.Now())
-	ses.SetJournal(journal)
+	ses, err := rig.New(rig.Spec{
+		Clock:          vclock.System,
+		Game:           image.Title,
+		ROM:            image,
+		Config:         core.Config{SiteNo: *site, BufFrame: *lag, WaitTimeout: 30 * time.Second},
+		Peers:          []core.Peer{{Site: 1 - *site, Conn: conn}},
+		Registry:       reg,
+		TraceEvents:    traceCap,
+		FlightDir:      *flightTo,
+		StallThreshold: *stallDur,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if lst != nil {
+		defer lst.Close()
+		go acceptSpectators(lst, ses.Session)
+	}
+	console, fr, tracer := ses.Machine, ses.Flight, ses.Obs.Tracer
 
 	// Health SLO engine: grades windowed RTT/skew/frame-time against the
 	// paper's feasibility region; the verdict serves as retrolock_health_state
 	// and GET /healthz, and flips are recorded as tracer incidents.
-	health := obs.NewHealth(obs.HealthConfig{}, obs.HealthSources{
-		FrameTime: so.FrameTime,
-		RTT:       so.RTT,
-		Skew:      journal.Skew,
-		Frames:    func() int64 { return int64(console.FrameCount()) },
-	})
-	if so.Tracer != nil {
-		health.SetTracer(*site, so.Tracer)
-	}
-	health.Register(reg, *site)
-
-	// Black-box flight recorder: always on, bounded, and allocation-free in
-	// steady state. It auto-writes an incident bundle on divergence, stall,
-	// or a frame-loop panic; SIGQUIT or GET /debug/flight/dump snapshots it
-	// on demand.
-	fr := flight.NewRecorder(console, flight.Options{
-		Site:           *site,
-		Game:           image.Title,
-		ROM:            image.Encode(),
-		Config:         ses.Sync().Config(),
-		Dir:            *flightTo,
-		StallThreshold: *stallDur,
-		Registry:       reg,
-		Tracer:         so.Tracer,
-		Journal:        journal,
-	})
-	ses.SetFlightRecorder(fr)
-	reg.AddDump(fmt.Sprintf("site%d", *site), fr.Dump)
+	health := ses.NewHealth(obs.HealthConfig{})
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGQUIT)
 	go func() {
@@ -240,7 +213,7 @@ func main() {
 			Budget: 0.05, FastWindow: time.Minute, SlowWindow: 5 * time.Minute,
 			Threshold: 4,
 		}},
-		Tracer:     so.Tracer,
+		Tracer:     tracer,
 		TracerSite: *site,
 	})
 
@@ -261,7 +234,7 @@ func main() {
 
 	var rec *replay.Recorder
 	if *record != "" {
-		rec = replay.NewRecorder(image.Title, console, 0)
+		rec = replay.NewRecorder(image.Title, console.Console, 0)
 	}
 
 	player := newPlayer(*input, *site)
@@ -316,7 +289,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("writing trace: %v", err)
 		}
-		if err := so.Tracer.WriteChromeTrace(f); err == nil {
+		if err := tracer.WriteChromeTrace(f); err == nil {
 			err = f.Close()
 		}
 		if err != nil {
@@ -375,13 +348,17 @@ func acceptSpectators(lst *transport.UDPListener, ses *core.Session) {
 
 // spectateMain follows a running match: savestate transfer, then lockstep
 // playback of the forwarded inputs.
-func spectateMain(title string, console *vm.Console, masterAddr string, site, render int) {
+func spectateMain(image *rom.ROM, masterAddr string, site, render int) {
+	console, err := image.Boot()
+	if err != nil {
+		log.Fatal(err)
+	}
 	conn, err := transport.DialUDP("", masterAddr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer conn.Close()
-	log.Printf("requesting a savestate of %q from %s...", title, masterAddr)
+	log.Printf("requesting a savestate of %q from %s...", image.Title, masterAddr)
 
 	cfg := core.Config{SiteNo: site, WaitTimeout: 15 * time.Second}
 	ses, err := core.JoinSession(cfg, vclock.System, time.Now(), console,

@@ -1,122 +1,60 @@
-// Netplay: a real-time session over real UDP sockets on the loopback
-// interface — the same code path cmd/retroplay uses across a WAN, but
-// self-contained in one process so it runs anywhere. Two goroutines play
-// Street Brawler for five seconds of wall-clock time at 60 FPS and verify
-// convergence.
+// Netplay: two rig sites play Street Brawler in lockstep over real UDP
+// sockets on the loopback interface and the host clock — the path
+// cmd/retroplay runs across a WAN — and must end on the same state.
 //
 //	go run ./examples/netplay
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"net"
-	"sync"
-	"time"
+	"os"
 
 	"retrolock/internal/core"
+	"retrolock/internal/rig"
 	"retrolock/internal/rom/games"
 	"retrolock/internal/transport"
 	"retrolock/internal/vclock"
 )
 
 func main() {
-	log.SetFlags(0)
-
-	// Reserve two loopback ports.
-	addr0 := reservePort()
-	addr1 := reservePort()
-
-	game := games.MustLoad("duel")
-	const frames = 300 // five seconds at 60 FPS
-
-	type result struct {
-		hash  uint64
-		stats core.Stats
-		err   error
-	}
-	results := make([]result, 2)
-	var wg sync.WaitGroup
-	addrs := [2]string{addr0, addr1}
-	for s := 0; s < 2; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			console, err := game.Boot()
-			if err != nil {
-				results[s].err = err
-				return
-			}
-			conn, err := transport.DialUDP(addrs[s], addrs[1-s])
-			if err != nil {
-				results[s].err = err
-				return
-			}
-			defer conn.Close()
-
-			ses, err := core.NewSession(
-				core.Config{SiteNo: s, WaitTimeout: 10 * time.Second},
-				vclock.System, time.Now(), console,
-				[]core.Peer{{Site: 1 - s, Conn: conn}},
-			)
-			if err != nil {
-				results[s].err = err
-				return
-			}
-			if err := ses.Handshake(10 * time.Second); err != nil {
-				results[s].err = err
-				return
-			}
-			// Walk toward each other and trade punches.
-			input := func(frame int) uint16 {
-				var pad byte
-				if s == 0 {
-					pad = 8 // right
-				} else {
-					pad = 4 // left
-				}
-				if frame > 60 && frame%20 < 3 {
-					pad |= 16 // punch
-				}
-				return uint16(pad) << (8 * s)
-			}
-			if err := ses.RunFrames(frames, input, nil); err != nil {
-				results[s].err = err
-				return
-			}
-			ses.Drain(2 * time.Second)
-			results[s].hash = console.StateHash()
-			results[s].stats = ses.Sync().Stats()
-		}()
-	}
-	start := time.Now()
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	for s, r := range results {
-		if r.err != nil {
-			log.Fatalf("site %d: %v", s, r.err)
-		}
-	}
-	fmt.Printf("played %d frames over real UDP loopback in %v (%.1f FPS)\n",
-		frames, elapsed.Round(time.Millisecond), float64(frames)/elapsed.Seconds())
-	fmt.Printf("site 0: hash %016x, %d msgs sent\n", results[0].hash, results[0].stats.MsgsSent)
-	fmt.Printf("site 1: hash %016x, %d msgs sent\n", results[1].hash, results[1].stats.MsgsSent)
-	if results[0].hash != results[1].hash {
-		log.Fatal("replicas diverged!")
-	}
-	fmt.Println("replicas converged")
-}
-
-// reservePort binds an ephemeral UDP port, closes it, and returns the
-// address for reuse (safe on loopback for example purposes).
-func reservePort() string {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
+	if err := run(os.Stdout, 300); err != nil {
 		log.Fatal(err)
 	}
-	addr := pc.LocalAddr().String()
-	pc.Close()
-	return addr
+}
+
+func run(w io.Writer, frames int) error {
+	// Site 0 listens and site 1 dials, as retroplay's master and slave do.
+	lst, err := transport.ListenUDPAddr("127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	defer lst.Close()
+	dialed, err := transport.DialUDP("", lst.Addr())
+	if err != nil {
+		return err
+	}
+	defer dialed.Close()
+	listened, err := lst.Conn(dialed.LocalAddr())
+	if err != nil {
+		return err
+	}
+	var sites [2]*rig.Site
+	for i, conn := range []transport.Conn{listened, dialed} {
+		if sites[i], err = rig.New(rig.Spec{Clock: vclock.System, Game: "duel", ROM: games.MustLoad("duel"),
+			Config: core.Config{SiteNo: i}, Peers: []core.Peer{{Site: 1 - i, Conn: conn}}}); err != nil {
+			return err
+		}
+	}
+	// The fighters walk toward each other: site 0 right, site 1 left.
+	err = rig.Run(nil, 2, func(i int) error {
+		return sites[i].Play(frames, func(int) uint16 { return uint16(8>>i) << (8 * i) }, nil)
+	})
+	h0, h1 := sites[0].Machine.StateHash(), sites[1].Machine.StateHash()
+	fmt.Fprintf(w, "%d frames over loopback UDP: site 0 %016x, site 1 %016x\n", frames, h0, h1)
+	if err == nil && h0 != h1 {
+		err = fmt.Errorf("replicas diverged")
+	}
+	return err
 }

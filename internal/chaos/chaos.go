@@ -32,12 +32,12 @@ import (
 	"retrolock/internal/harness"
 	"retrolock/internal/netem"
 	"retrolock/internal/obs"
+	"retrolock/internal/rig"
 	"retrolock/internal/rom/games"
 	"retrolock/internal/simnet"
 	"retrolock/internal/span"
 	"retrolock/internal/transport"
 	"retrolock/internal/vclock"
-	"retrolock/internal/vm"
 )
 
 // Epoch anchors every chaos run's virtual clock (the date of the paper's
@@ -87,13 +87,9 @@ type Scenario struct {
 	Frames int
 	// Game selects the ROM (default "pong").
 	Game string
-	// BufFrame overrides the local lag (0 = the paper's default 6).
-	BufFrame int
 	// WaitTimeout bounds each SyncInput wait (default 60s virtual); a
 	// partition outlasting it fails the run loudly instead of hanging.
 	WaitTimeout time.Duration
-	// EmulationTime is the virtual CPU cost of one frame (default 2 ms).
-	EmulationTime time.Duration
 	// ARQ routes the session traffic through the reliable in-order
 	// transport (transport.ARQConn) instead of raw datagrams.
 	ARQ bool
@@ -152,9 +148,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.WaitTimeout == 0 {
 		sc.WaitTimeout = 60 * time.Second
-	}
-	if sc.EmulationTime == 0 {
-		sc.EmulationTime = 2 * time.Millisecond
 	}
 	if len(sc.Phases) == 0 {
 		sc.Phases = []Phase{{Name: "clean", Duration: 10 * time.Second, WantProgress: true}}
@@ -354,9 +347,13 @@ type snapshot struct {
 	snap    obs.Snapshot
 }
 
-// recorder attributes executed frames to the phase they ran in. Both site
-// actors call frame concurrently, so it locks; the fields each site touches
-// are its own, keeping the result independent of same-instant actor order.
+// recorder attributes executed frames to the phase they ran in. Its writers
+// are the two site actors (frame) and the phase-entry clock callbacks
+// (enter), which vclock.Virtual's baton already runs one at a time. The
+// mutex stays so that the recorder's memory safety does not rest on that
+// schedule; it costs two uncontended lock operations per frame. The fields
+// each site touches are its own, keeping the result independent of which
+// site runs first.
 type recorder struct {
 	mu         sync.Mutex
 	phase      int
@@ -391,28 +388,6 @@ func (r *recorder) frame(site int, now time.Time) {
 	}
 	r.frames[p][site]++
 	r.mu.Unlock()
-}
-
-// costedMachine adds the configured per-frame emulation cost, on the site's
-// own (possibly skewed) clock, and carries the scenario's corruption
-// injection.
-type costedMachine struct {
-	*vm.Console
-	clock   vclock.Clock
-	cost    time.Duration
-	corrupt *Corruption
-}
-
-func (m *costedMachine) StepFrame(input uint16) {
-	if m.cost > 0 {
-		m.clock.Sleep(m.cost)
-	}
-	if m.corrupt != nil && m.Console.FrameCount() == m.corrupt.Frame {
-		// Flip the byte just before the frame executes, so the corruption
-		// lands in exactly Frame's post-transition hash.
-		m.Console.Poke(m.corrupt.Addr, m.Console.Peek(m.corrupt.Addr)^m.corrupt.XOR)
-	}
-	m.Console.StepFrame(input)
 }
 
 // Run executes one chaos scenario and returns its report. Errors surface
@@ -453,80 +428,31 @@ func Run(sc Scenario) (*Report, error) {
 	// snapshots below are registry snapshots, and the per-phase tables are
 	// deltas between them.
 	reg := obs.NewRegistry()
-	flightDir := sc.FlightDir
-	if flightDir == "" {
-		flightDir = os.Getenv("RETROLOCK_FLIGHT_DIR")
-	}
-	romImage := game.Encode()
-	var traces [2]*obs.Tracer
-	var sessions [2]*core.Session
-	var machines [2]*costedMachine
-	var recorders [2]*flight.Recorder
-	var sos [2]*obs.SessionObs
-	var journals [2]*span.Journal
-	for i := 0; i < 2; i++ {
-		console, err := game.Boot()
-		if err != nil {
-			return nil, err
-		}
-		machines[i] = &costedMachine{Console: console, clock: clocks[i], cost: sc.EmulationTime}
-		if sc.Corrupt != nil && sc.Corrupt.Site == i {
-			machines[i].corrupt = sc.Corrupt
-		}
-		cfg := core.Config{
-			SiteNo:      i,
-			NumPlayers:  2,
-			BufFrame:    sc.BufFrame,
-			WaitTimeout: sc.WaitTimeout,
-		}
-		peers := []core.Peer{{Site: 1 - i, Conn: conns[i]}}
-		sessions[i], err = core.NewSession(cfg, clocks[i], clocks[i].Now(), machines[i], peers)
-		if err != nil {
-			return nil, err
-		}
-		sl := obs.SiteLabels(i)
-		core.RegisterSessionMetrics(reg, sl, sessions[i])
-		transport.RegisterChecksumMetrics(reg, sl, cks[i])
-		if arqs[i] != nil {
-			transport.RegisterARQMetrics(reg, sl, arqs[i])
-		}
-		// Frame-time/stall/RTT histograms are always on (the health engine
-		// grades them); the tracer rides along when TraceEvents > 0.
-		sos[i] = core.NewSessionObs(reg, i, sc.TraceEvents, Epoch)
-		traces[i] = sos[i].Tracer
-		sessions[i].SetObs(sos[i])
-		if traces[i] != nil && arqs[i] != nil {
-			arqs[i].SetTracer(i, traces[i])
-		}
-		// Input-journey spans are likewise always on: constant memory,
-		// allocation-free stamping.
-		journals[i] = core.NewInputJourney(reg, i, clocks[i].Now())
-		sessions[i].SetJournal(journals[i])
-		if arqs[i] != nil {
-			arqs[i].SetJournal(journals[i])
-		}
-		// Every chaos session flies with a black box: the rings are bounded
-		// and the hot path stays allocation-free, so there is no reason to
-		// make it conditional — exactly the always-on posture production
-		// sessions use.
-		recorders[i] = flight.NewRecorder(machines[i], flight.Options{
-			Site:     i,
-			Game:     sc.Game,
-			ROM:      romImage,
-			Config:   sessions[i].Sync().Config(),
-			Dir:      flightDir,
-			Registry: reg,
-			Tracer:   traces[i],
-			Journal:  journals[i],
+	var sites [2]*rig.Site
+	for i := range sites {
+		// Every chaos session carries the rig's always-on instruments,
+		// black box included, as production sessions do.
+		sites[i], err = rig.New(rig.Spec{
+			Clock:       clocks[i],
+			Game:        sc.Game,
+			ROM:         game,
+			Config:      core.Config{SiteNo: i, NumPlayers: 2, WaitTimeout: sc.WaitTimeout},
+			Peers:       []core.Peer{{Site: 1 - i, Conn: conns[i]}},
+			ARQ:         arqs[i],
+			Checksum:    cks[i],
+			Registry:    reg,
+			Cost:        harness.DefaultEmulation,
+			TraceEvents: sc.TraceEvents,
+			FlightDir:   sc.FlightDir,
 		})
-		sessions[i].SetFlightRecorder(recorders[i])
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	// The health SLO engine watches site 0, fed by its frame-time and RTT
-	// histograms, its journal's skew derivations and the ARQ retransmit
-	// counter; evaluations run from site 0's frame callback at a fixed frame
-	// cadence, so every window boundary — and therefore every verdict flip —
-	// lands on a deterministic frame.
+	// The health SLO engine watches site 0; evaluations run from site 0's
+	// frame callback at a fixed frame cadence, so every window boundary —
+	// and therefore every verdict flip — lands on a deterministic frame.
 	var health *obs.Health
 	var healthTrans []HealthTransition
 	healthFrame := 0
@@ -535,23 +461,10 @@ func Run(sc Scenario) (*Report, error) {
 		if sc.Health != nil {
 			hcfg = *sc.Health
 		}
-		src := obs.HealthSources{
-			FrameTime: sos[0].FrameTime,
-			RTT:       sos[0].RTT,
-			Skew:      journals[0].Skew,
-			Frames:    func() int64 { return int64(machines[0].FrameCount()) },
-		}
-		if arqs[0] != nil {
-			src.Retransmits = func() int64 { return int64(arqs[0].Retransmissions()) }
-		}
-		health = obs.NewHealth(hcfg, src)
+		health = sites[0].NewHealth(hcfg)
 		health.OnTransition = func(from, to obs.HealthState) {
 			healthTrans = append(healthTrans, HealthTransition{Frame: healthFrame, From: from, To: to})
 		}
-		if traces[0] != nil {
-			health.SetTracer(0, traces[0])
-		}
-		health.Register(reg, 0)
 	}
 
 	nph := len(sc.Phases)
@@ -572,49 +485,35 @@ func Run(sc Scenario) (*Report, error) {
 	InstallPhases(v, n, "site0", "site1", sc.Seed, sc.Phases, onEnter)
 
 	start := v.Now()
-	var hashes [2][]uint64
-	var errs [2]error
-	var done [2]<-chan struct{}
-	// Both sites start from one root actor: neither runs before both are
-	// registered.
-	<-v.Go(func() {
-		for site := 0; site < 2; site++ {
-			site := site
-			hashes[site] = make([]uint64, 0, sc.Frames)
-			done[site] = v.Go(func() {
-				if err := sessions[site].Handshake(10 * time.Second); err != nil {
-					errs[site] = err
-					return
-				}
-				errs[site] = sessions[site].RunFrames(sc.Frames,
-					func(f int) uint16 { return harness.PlayerInput(sc.Seed, site, f) },
-					func(fi core.FrameInfo) {
-						hashes[site] = append(hashes[site], fi.Hash)
-						rec.frame(site, v.Now())
-						if site == 0 && health != nil && fi.Frame > 0 && fi.Frame%sc.HealthEvery == 0 {
-							healthFrame = fi.Frame
-							health.Evaluate(v.Now())
-						}
-					})
-				sessions[site].Drain(5 * time.Second)
-			})
+	hashes := [2][]uint64{make([]uint64, 0, sc.Frames), make([]uint64, 0, sc.Frames)}
+	err = rig.Run(v, 2, func(site int) error {
+		input := func(f int) uint16 {
+			if c := sc.Corrupt; c != nil && c.Site == site && c.Frame == f {
+				// Flip the byte just before frame f executes, so the
+				// corruption lands in exactly f's post-transition hash.
+				m := sites[site].Machine
+				m.Poke(c.Addr, m.Peek(c.Addr)^c.XOR)
+			}
+			return harness.PlayerInput(sc.Seed, site, f)
 		}
+		return sites[site].Play(sc.Frames, input, func(fi core.FrameInfo) {
+			hashes[site] = append(hashes[site], fi.Hash)
+			rec.frame(site, v.Now())
+			if site == 0 && health != nil && fi.Frame > 0 && fi.Frame%sc.HealthEvery == 0 {
+				healthFrame = fi.Frame
+				health.Evaluate(v.Now())
+			}
+		})
 	})
-	<-done[0]
-	<-done[1]
 	snaps[nph] = take()
 	elapsed := v.Now().Sub(start)
-
-	for i, e := range errs {
-		if e != nil {
-			return nil, fmt.Errorf("chaos %s: site %d in phase %q: %w",
-				sc.Name, i, sc.Phases[rec.phase].Name, e)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("chaos %s: in phase %q: %w", sc.Name, sc.Phases[rec.phase].Name, err)
 	}
 
 	r := &Report{
 		Spec:          sc,
-		Lag:           sessions[0].Sync().Lag(),
+		Lag:           sites[0].Sync().Lag(),
 		Elapsed:       elapsed,
 		MismatchFrame: -1,
 		Converged:     true,
@@ -659,16 +558,17 @@ func Run(sc Scenario) (*Report, error) {
 	final := snaps[nph].snap
 	for site := 0; site < 2; site++ {
 		sl := obs.SiteLabels(site)
-		r.Frames[site] = machines[site].FrameCount()
-		r.FinalHashes[site] = machines[site].StateHash()
-		r.AllAcked[site] = sessions[site].Sync().AllAcked()
+		s := sites[site]
+		r.Frames[site] = s.Machine.FrameCount()
+		r.FinalHashes[site] = s.Machine.StateHash()
+		r.AllAcked[site] = s.Sync().AllAcked()
 		r.Sync[site] = core.SyncStatsFromSnapshot(final, sl)
 		r.ARQ[site] = transport.ARQStatsFromSnapshot(final, sl)
 		r.ChecksumDiscarded[site] = transport.ChecksumDiscardedFrom(final, sl)
-		r.Traces[site] = traces[site]
-		r.Journals[site] = journals[site]
-		r.Flight[site] = recorders[site]
-		r.FlightBundles[site] = recorders[site].BundlePath()
+		r.Traces[site] = s.Obs.Tracer
+		r.Journals[site] = s.Journal
+		r.Flight[site] = s.Flight
+		r.FlightBundles[site] = s.Flight.BundlePath()
 	}
 	if health != nil {
 		r.Health = healthTrans
@@ -687,11 +587,4 @@ func Run(sc Scenario) (*Report, error) {
 		}
 	}
 	return r, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

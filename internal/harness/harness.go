@@ -9,22 +9,20 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"time"
 
 	"retrolock/internal/capture"
 	"retrolock/internal/core"
-	"retrolock/internal/flight"
 	"retrolock/internal/metrics"
 	"retrolock/internal/netem"
 	"retrolock/internal/obs"
+	"retrolock/internal/rig"
 	"retrolock/internal/rom/games"
 	"retrolock/internal/simnet"
 	"retrolock/internal/span"
 	"retrolock/internal/timeserver"
 	"retrolock/internal/transport"
 	"retrolock/internal/vclock"
-	"retrolock/internal/vm"
 )
 
 // Defaults matching the paper's setup.
@@ -61,12 +59,10 @@ type Config struct {
 	// Seed drives the netem PRNGs and the synthetic player inputs.
 	Seed int64
 
-	// BufFrame, CFPS, SendInterval, PollInterval override the sync
-	// module's defaults (zero keeps each default).
+	// BufFrame and SendInterval override the sync module's defaults (zero
+	// keeps each default).
 	BufFrame     int
-	CFPS         int
 	SendInterval time.Duration
-	PollInterval time.Duration
 
 	// StartOffset delays site 1's start (startup-skew experiments).
 	StartOffset time.Duration
@@ -87,9 +83,6 @@ type Config struct {
 	RTTSwing   time.Duration
 	SwingEvery time.Duration
 
-	// EmulationTime is the virtual CPU cost of one Transition call.
-	EmulationTime time.Duration
-
 	// Observers adds that many spectator sites (journal extension),
 	// connected to both players.
 	Observers int
@@ -105,30 +98,6 @@ type Config struct {
 	ARQ bool
 	// ARQRto is the baseline's retransmission timeout (default 200 ms).
 	ARQRto time.Duration
-
-	// WaitTimeout bounds each SyncInput wait (default 60 s virtual).
-	WaitTimeout time.Duration
-
-	// TraceEvents, when positive, attaches a fixed-capacity frame-event
-	// tracer of that many slots to each site; the rings survive the run in
-	// Result.Traces. Zero disables tracing (histograms and counters are
-	// always collected — they are allocation-free).
-	TraceEvents int
-
-	// HealthEvery is how often (in frames) site 0's health SLO engine
-	// closes and grades a window (default 60 — once per second of frames).
-	// Negative disables the engine; lockstep mode only.
-	HealthEvery int
-
-	// FlightDir is where each site's black-box recorder auto-writes its
-	// incident bundle ("" falls back to the RETROLOCK_FLIGHT_DIR
-	// environment variable; recorders are attached to lockstep sessions
-	// either way, and also registered as /debug/flight/dump producers on
-	// Result.Registry).
-	FlightDir string
-	// StallThreshold is the SyncInput wait past which a session declares a
-	// liveness-stall incident (0 disables the trigger).
-	StallThreshold time.Duration
 
 	// Capture, when set, records every datagram both sites put on (or take
 	// off) the emulated WAN into this RKCP recorder — below the ARQ layer,
@@ -149,17 +118,12 @@ func (c Config) withDefaults() Config {
 	if c.ProcDelay == 0 {
 		c.ProcDelay = DefaultProcDelay
 	}
-	if c.EmulationTime == 0 {
-		c.EmulationTime = DefaultEmulation
-	}
-	if c.WaitTimeout == 0 {
-		c.WaitTimeout = DefaultTimeout
-	}
-	if c.HealthEvery == 0 {
-		c.HealthEvery = 60
-	}
 	return c
 }
+
+// healthEvery is how often, in frames, site 0's health SLO engine closes and
+// grades a window: once per second of frames.
+const healthEvery = 60
 
 // SiteResult aggregates one site's measurements.
 type SiteResult struct {
@@ -201,23 +165,16 @@ type Result struct {
 	// counters the SiteResults above were read from, plus frame-time /
 	// stall / RTT histograms per site, the cross-site skew histogram
 	// (retrolock_skew_ns), and the link emulators' counters. Serve it live
-	// with obs.Serve or scrape it with Registry.Snapshot.
+	// with obs.Serve or scrape it with Registry.Snapshot; each lockstep
+	// site's flight recorder is registered on it as a /debug/flight/dump
+	// producer.
 	Registry *obs.Registry
-	// Traces holds each site's frame-event ring when Config.TraceEvents >
-	// 0 (entries nil otherwise).
-	Traces []*obs.Tracer
-	// Flight holds each lockstep site's black-box recorder (entries nil in
-	// rollback mode). FlightBundles lists incident bundle paths the run
-	// auto-wrote, if any.
-	Flight        []*flight.Recorder
-	FlightBundles []string
 	// Journals holds each lockstep site's input-journey span journal
 	// (entries nil in rollback mode) — the source of the cross-site input
 	// latency, one-way net latency and live skew histograms.
 	Journals []*span.Journal
 	// Health is site 0's final SLO verdict and HealthWindow its last
-	// evaluated window (zero values in rollback mode or when
-	// Config.HealthEvery < 0).
+	// evaluated window (zero values in rollback mode).
 	Health       obs.HealthState
 	HealthWindow obs.HealthSignals
 }
@@ -276,24 +233,16 @@ func PlayerInput(seed int64, site, frame int) uint16 {
 	return uint16(h.Sum64()) & 0x00FF << (8 * (site & 1))
 }
 
-// machineUnderTest wraps the console with the configured per-frame
-// emulation cost in virtual time.
-type machineUnderTest struct {
-	*vm.Console
-	clock vclock.Clock
-	cost  time.Duration
-}
-
-func (m *machineUnderTest) StepFrame(input uint16) {
-	if m.cost > 0 {
-		m.clock.Sleep(m.cost)
-	}
-	m.Console.StepFrame(input)
-}
-
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Rollback && cfg.Observers > 0 {
+		return nil, fmt.Errorf("harness: the rollback baseline does not support observers")
+	}
+	game, err := games.Load(cfg.Game)
+	if err != nil {
+		return nil, err
+	}
 	start0 := time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
 	v := vclock.NewVirtual(start0)
 	net := simnet.New(v)
@@ -322,21 +271,19 @@ func Run(cfg Config) (*Result, error) {
 		if every <= 0 {
 			every = 5 * time.Second
 		}
-		swing := func(on bool) netem.Config {
-			c := linkCfg(cfg.Seed + 100)
-			if on {
-				c.Delay = (cfg.RTT + cfg.RTTSwing) / 2
-			}
-			return c
-		}
+		// Each swing reshapes the installed emulators in place, so the
+		// dir=fwd|rev series keep counting for the whole run.
 		var schedule func(at time.Duration, high bool)
 		schedule = func(at time.Duration, high bool) {
 			v.ScheduleAfter(at, func() {
-				fwd := swing(high)
+				fwd := linkCfg(cfg.Seed + 100)
+				if high {
+					fwd.Delay = (cfg.RTT + cfg.RTTSwing) / 2
+				}
 				rev := fwd
 				rev.Seed++
-				net.SetLink("site0", "site1", netem.New(fwd))
-				net.SetLink("site1", "site0", netem.New(rev))
+				fwdEm.Reshape(fwd)
+				revEm.Reshape(rev)
 				schedule(every, !high)
 			})
 		}
@@ -348,272 +295,153 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	conns := []transport.Conn{conn0, conn1}
-	if cfg.Capture != nil {
-		// Tap below ARQ: the capture is the wire's view, not the session's.
-		for i := range conns {
+	var arqs [2]*transport.ARQConn
+	for i := range conns {
+		if cfg.Capture != nil {
+			// Tap below ARQ: the capture is the wire's view, not the session's.
 			conns[i] = transport.NewTap(conns[i], v, i, cfg.Capture)
 		}
-	}
-	var arqs [2]*transport.ARQConn
-	if cfg.ARQ {
-		rto := cfg.ARQRto
-		for i, lower := range []transport.Conn{conns[0], conns[1]} {
-			arqs[i] = transport.NewARQ(lower, v, rto)
+		if cfg.ARQ {
+			arqs[i] = transport.NewARQ(conns[i], v, cfg.ARQRto)
 			conns[i] = arqs[i]
-			transport.RegisterARQMetrics(reg, obs.SiteLabels(i), arqs[i])
 		}
 	}
 
 	// The measurement LAN: default links (50 µs one way, "under 1 ms"
 	// round trip, §4.1.2).
-	tsEP := net.MustBind("timeserver")
-	ts := timeserver.NewServer(tsEP)
-	reporters := make([]*simnet.Endpoint, 0, 2+cfg.Observers)
-
+	ts := timeserver.NewServer(net.MustBind("timeserver"))
 	totalSites := 2 + cfg.Observers
-	if cfg.Rollback && cfg.Observers > 0 {
-		return nil, fmt.Errorf("harness: the rollback baseline does not support observers")
-	}
-	type siteState struct {
-		session  *core.Session
-		rollback *core.RollbackSession
-		machine  *machineUnderTest
-		err      error
-	}
-	sites := make([]*siteState, totalSites)
-	traces := make([]*obs.Tracer, 0, totalSites)
-	journals := make([]*span.Journal, totalSites)
-	var so0 *obs.SessionObs
 
-	// Observer wiring: each observer connects to both players.
-	obsConns := make([][2]transport.Conn, cfg.Observers) // observer side
-	playerObs := make([][]core.Peer, 2)                  // player side peers
-	for o := 0; o < cfg.Observers; o++ {
+	// Each player's peers: the other player, then every observer; each
+	// observer connects to both players.
+	peers := make([][]core.Peer, totalSites)
+	for p := range conns {
+		peers[p] = []core.Peer{{Site: 1 - p, Conn: conns[p]}}
+	}
+	for o := 2; o < totalSites; o++ {
 		for p := 0; p < 2; p++ {
 			a, b, err := transport.SimPair(net,
-				fmt.Sprintf("obs%d->p%d", o, p), fmt.Sprintf("p%d->obs%d", p, o))
+				fmt.Sprintf("obs%d->p%d", o-2, p), fmt.Sprintf("p%d->obs%d", p, o-2))
 			if err != nil {
 				return nil, err
 			}
-			obsConns[o][p] = a
-			playerObs[p] = append(playerObs[p], core.Peer{Site: 2 + o, Conn: b})
+			peers[o] = append(peers[o], core.Peer{Site: p, Conn: a})
+			peers[p] = append(peers[p], core.Peer{Site: o, Conn: b})
 		}
 	}
 
-	game, err := games.Load(cfg.Game)
-	if err != nil {
-		return nil, err
-	}
-	flightDir := cfg.FlightDir
-	if flightDir == "" {
-		flightDir = os.Getenv("RETROLOCK_FLIGHT_DIR")
-	}
-	romImage := game.Encode()
-	recorders := make([]*flight.Recorder, totalSites)
-
-	mkMachine := func() (*machineUnderTest, error) {
-		console, err := game.Boot()
-		if err != nil {
-			return nil, err
+	sites := make([]*rig.Site, totalSites)
+	journals := make([]*span.Journal, totalSites)
+	reporters := make([]*simnet.Endpoint, totalSites)
+	for site := range sites {
+		sp := rig.Spec{
+			Clock: v,
+			Game:  cfg.Game,
+			ROM:   game,
+			Config: core.Config{
+				SiteNo:       site,
+				NumPlayers:   2,
+				BufFrame:     cfg.BufFrame,
+				SendInterval: cfg.SendInterval,
+				WaitTimeout:  DefaultTimeout,
+			},
+			Peers:    peers[site],
+			Registry: reg,
+			Cost:     DefaultEmulation,
+			Rollback: cfg.Rollback,
 		}
-		return &machineUnderTest{Console: console, clock: v, cost: cfg.EmulationTime}, nil
-	}
-
-	for site := 0; site < totalSites; site++ {
-		m, err := mkMachine()
-		if err != nil {
-			return nil, err
-		}
-		var peers []core.Peer
 		if site < 2 {
-			peers = append(peers, core.Peer{Site: 1 - site, Conn: conns[site]})
-			peers = append(peers, playerObs[site]...)
-		} else {
-			o := site - 2
-			peers = []core.Peer{
-				{Site: 0, Conn: obsConns[o][0]},
-				{Site: 1, Conn: obsConns[o][1]},
-			}
+			sp.ARQ = arqs[site]
 		}
-		sc := core.Config{
-			SiteNo:       site,
-			NumPlayers:   2,
-			BufFrame:     cfg.BufFrame,
-			CFPS:         cfg.CFPS,
-			SendInterval: cfg.SendInterval,
-			PollInterval: cfg.PollInterval,
-			WaitTimeout:  cfg.WaitTimeout,
+		if cfg.NaivePacer {
+			sp.Options = append(sp.Options, core.WithPacer(core.NewNaiveTimer(sp.Config, v)))
 		}
-		st := &siteState{machine: m}
-		so := core.NewSessionObs(reg, site, cfg.TraceEvents, start0)
-		traces = append(traces, so.Tracer)
-		if site == 0 {
-			so0 = so
+		if cfg.AdaptiveLag {
+			sp.Options = append(sp.Options, core.WithAdaptiveLag(core.AdaptiveLag{
+				Min: 1, Max: 18, Margin: 15 * time.Millisecond, Every: 60,
+			}))
 		}
-		if cfg.Rollback {
-			rs, err := core.NewRollbackSession(sc, v, v.Now(), m, peers, core.DefaultPredictionWindow)
-			if err != nil {
-				return nil, err
-			}
-			rs.SetObs(so)
-			core.RegisterRollbackMetrics(reg, obs.SiteLabels(site), rs)
-			st.rollback = rs
-		} else {
-			var opts []core.SessionOption
-			if cfg.NaivePacer {
-				opts = append(opts, core.WithPacer(core.NewNaiveTimer(sc, v)))
-			}
-			if cfg.AdaptiveLag {
-				opts = append(opts, core.WithAdaptiveLag(core.AdaptiveLag{
-					Min: 1, Max: 18, Margin: 15 * time.Millisecond, Every: 60,
-				}))
-			}
-			ses, err := core.NewSession(sc, v, v.Now(), m, peers, opts...)
-			if err != nil {
-				return nil, err
-			}
-			ses.SetObs(so)
-			journals[site] = core.NewInputJourney(reg, site, start0)
-			ses.SetJournal(journals[site])
-			core.RegisterSessionMetrics(reg, obs.SiteLabels(site), ses)
-			// The black box rides along on every lockstep session: bounded
-			// rings, allocation-free steady state, and a live dump endpoint
-			// on the run's registry.
-			rec := flight.NewRecorder(m, flight.Options{
-				Site:           site,
-				Game:           cfg.Game,
-				ROM:            romImage,
-				Config:         ses.Sync().Config(),
-				Dir:            flightDir,
-				Registry:       reg,
-				Tracer:         so.Tracer,
-				Journal:        journals[site],
-				StallThreshold: cfg.StallThreshold,
-			})
-			ses.SetFlightRecorder(rec)
-			reg.AddDump(fmt.Sprintf("site%d", site), rec.Dump)
-			recorders[site] = rec
-			st.session = ses
+		if sites[site], err = rig.New(sp); err != nil {
+			return nil, err
 		}
-		if site < 2 && arqs[site] != nil {
-			arqs[site].SetTracer(site, so.Tracer)
-			arqs[site].SetJournal(journals[site])
-		}
-		sites[site] = st
-
-		rep := net.MustBind(fmt.Sprintf("reporter%d", site))
-		reporters = append(reporters, rep)
+		journals[site] = sites[site].Journal
+		reporters[site] = net.MustBind(fmt.Sprintf("reporter%d", site))
 	}
 
 	// The site-0 health SLO engine grades the feasibility signals — median
 	// RTT vs the 140 ms cliff, skew quantile, mean frame time, ARQ
-	// retransmit rate — one window every HealthEvery frames.
+	// retransmit rate — one window every healthEvery frames.
 	var health *obs.Health
-	if !cfg.Rollback && cfg.HealthEvery > 0 {
-		src := obs.HealthSources{
-			FrameTime: so0.FrameTime,
-			RTT:       so0.RTT,
-			Skew:      journals[0].Skew,
-			Frames:    func() int64 { return int64(sites[0].machine.FrameCount()) },
-		}
-		if arqs[0] != nil {
-			src.Retransmits = func() int64 { return int64(arqs[0].Retransmissions()) }
-		}
-		health = obs.NewHealth(obs.HealthConfig{}, src)
-		if traces[0] != nil {
-			health.SetTracer(0, traces[0])
-		}
-		health.Register(reg, 0)
+	if !cfg.Rollback {
+		health = sites[0].NewHealth(obs.HealthConfig{})
 	}
 
-	// One root actor starts all the others, so none runs before every one
-	// is registered (vclock.Virtual's spawn idiom).
 	start := v.Now()
 	var elapsed time.Duration
 	running := totalSites
-	done := make([]<-chan struct{}, 0, totalSites)
-	<-v.Go(func() {
-		for site := 0; site < totalSites; site++ {
-			site := site
-			st := sites[site]
-			rep := reporters[site]
-			done = append(done, v.Go(func() {
-				defer func() {
-					if running--; running == 0 {
-						// Last site out: let the last reports reach the
-						// time server.
-						elapsed = v.Now().Sub(start)
-						v.Sleep(10 * time.Millisecond)
-						ts.Poll()
-					}
-				}()
-				if site == 1 && cfg.StartOffset > 0 {
-					v.Sleep(cfg.StartOffset)
-				}
-				localInput := func(f int) uint16 {
-					// Frame begin: report to the time server (§4.1). The
-					// server has no actor of its own; each site drains it
-					// here, which costs no wake-up and stamps nothing (a
-					// sample's instant is its datagram's delivery).
-					ts.Poll()
-					_ = rep.SendTo("timeserver", timeserver.EncodeReport(site, f))
-					if site >= 2 {
-						return 0
-					}
-					return PlayerInput(cfg.Seed, site, f)
-				}
-				if st.rollback != nil {
-					st.err = st.rollback.RunFrames(cfg.Frames, localInput, nil)
-					if st.err == nil {
-						st.err = st.rollback.Settle(5 * time.Second)
-					}
-					return
-				}
-				if !cfg.SkipHandshake {
-					if err := st.session.Handshake(10 * time.Second); err != nil {
-						st.err = err
-						return
-					}
-				}
-				var onFrame func(core.FrameInfo)
-				if site == 0 && health != nil {
-					onFrame = func(fi core.FrameInfo) {
-						if fi.Frame > 0 && fi.Frame%cfg.HealthEvery == 0 {
-							health.Evaluate(v.Now())
-						}
-					}
-				}
-				st.err = st.session.RunFrames(cfg.Frames, localInput, onFrame)
-				st.session.Drain(5 * time.Second)
-			}))
+	err = rig.Run(v, totalSites, func(site int) error {
+		s := sites[site]
+		defer func() {
+			if running--; running == 0 {
+				// Last site out: let the last reports reach the time
+				// server.
+				elapsed = v.Now().Sub(start)
+				v.Sleep(10 * time.Millisecond)
+				ts.Poll()
+			}
+		}()
+		if site == 1 && cfg.StartOffset > 0 {
+			v.Sleep(cfg.StartOffset)
 		}
+		localInput := func(f int) uint16 {
+			// Frame begin: report to the time server (§4.1). The server
+			// has no actor of its own; each site drains it here, which
+			// costs no wake-up and stamps nothing (a sample's instant is
+			// its datagram's delivery).
+			ts.Poll()
+			_ = reporters[site].SendTo("timeserver", timeserver.EncodeReport(site, f))
+			if site >= 2 {
+				return 0
+			}
+			return PlayerInput(cfg.Seed, site, f)
+		}
+		if s.Rollback != nil {
+			if err := s.Rollback.RunFrames(cfg.Frames, localInput, nil); err != nil {
+				return err
+			}
+			return s.Rollback.Settle(5 * time.Second)
+		}
+		if !cfg.SkipHandshake {
+			if err := s.Handshake(10 * time.Second); err != nil {
+				return err
+			}
+		}
+		var onFrame func(core.FrameInfo)
+		if site == 0 && health != nil {
+			onFrame = func(fi core.FrameInfo) {
+				if fi.Frame > 0 && fi.Frame%healthEvery == 0 {
+					health.Evaluate(v.Now())
+				}
+			}
+		}
+		err := s.RunFrames(cfg.Frames, localInput, onFrame)
+		s.Drain(5 * time.Second)
+		return err
 	})
-	for _, d := range done {
-		<-d
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 
-	for site, st := range sites {
-		if st.err != nil {
-			return nil, fmt.Errorf("harness: site %d: %w", site, st.err)
-		}
-	}
-
-	res := &Result{Elapsed: elapsed, Converged: true, Registry: reg, Traces: traces,
-		Flight: recorders, Journals: journals}
+	res := &Result{Elapsed: elapsed, Converged: true, Registry: reg, Journals: journals}
 	if health != nil {
 		res.Health = health.State()
 		res.HealthWindow = health.Signals()
-	}
-	for _, rec := range recorders {
-		if rec != nil && rec.BundlePath() != "" {
-			res.FlightBundles = append(res.FlightBundles, rec.BundlePath())
-		}
 	}
 	// Every protocol counter below is read back out of the registry — the
 	// same series a live scrape of obs.Serve would see — rather than from
 	// the session structs directly.
 	final := reg.Snapshot()
-	for site, st := range sites {
+	for site, s := range sites {
 		var frameTimes metrics.Series
 		for _, d := range ts.FrameTimes(site) {
 			frameTimes.AddDuration(d)
@@ -621,19 +449,19 @@ func Run(cfg Config) (*Result, error) {
 		sl := obs.SiteLabels(site)
 		sr := SiteResult{
 			FrameTimes: frameTimes.Summarize(),
-			FinalHash:  st.machine.StateHash(),
-			Frames:     st.machine.FrameCount(),
+			FinalHash:  s.Machine.StateHash(),
+			Frames:     s.Machine.FrameCount(),
 			Stats:      core.SyncStatsFromSnapshot(final, sl),
 		}
-		if st.rollback != nil {
+		if s.Rollback != nil {
 			sr.Rollback = core.RollbackStatsFromSnapshot(final, sl)
 		} else {
-			sr.LagChanges, sr.AvgLag = st.session.LagStats()
-			sr.FinalLag = st.session.Sync().Lag()
+			sr.LagChanges, sr.AvgLag = s.LagStats()
+			sr.FinalLag = s.Sync().Lag()
 		}
 		sr.FPS = metrics.FPS(sr.FrameTimes.Mean)
 		res.Sites = append(res.Sites, sr)
-		if st.machine.StateHash() != sites[0].machine.StateHash() {
+		if sr.FinalHash != res.Sites[0].FinalHash {
 			res.Converged = false
 		}
 	}

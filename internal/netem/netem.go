@@ -124,6 +124,16 @@ func New(cfg Config) *Emulator {
 	return &Emulator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
+// Reshape retunes the emulator to cfg: configuration, PRNG, rate queue and
+// burst state restart exactly as New(cfg) would, while the lifetime counters
+// carry on, so a link reshaped mid-run still reports all of its traffic.
+func (e *Emulator) Reshape(cfg Config) {
+	fresh := New(cfg)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cfg, e.rng, e.busyUntil, e.inBurst = fresh.cfg, fresh.rng, fresh.busyUntil, fresh.inBurst
+}
+
 // Config returns the emulator's configuration.
 func (e *Emulator) Config() Config {
 	e.mu.Lock()
