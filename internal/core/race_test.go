@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,7 @@ func TestStatsPollingDuringSessionIsRaceFree(t *testing.T) {
 				}
 			}
 			polls.Add(1)
+			runtime.Gosched() // at GOMAXPROCS=1, give the thread back to the session
 		}
 	}()
 
@@ -69,6 +71,7 @@ func TestStatsPollingDuringSessionIsRaceFree(t *testing.T) {
 				return
 			}
 			errs[site] = s.RunFrames(frames, func(f int) uint16 {
+				letPollerIn(f)
 				return uint16(f*3+site) & 0xFF << (8 * site)
 			}, nil)
 			s.Drain(2 * time.Second)
@@ -129,6 +132,7 @@ func TestRollbackStatsPollingIsRaceFree(t *testing.T) {
 				sink.Add(int64(s.Frame()))
 			}
 			polls.Add(1)
+			runtime.Gosched() // at GOMAXPROCS=1, give the thread back to the session
 		}
 	}()
 
@@ -139,6 +143,7 @@ func TestRollbackStatsPollingIsRaceFree(t *testing.T) {
 		s := sessions[site]
 		actors[site] = func() {
 			errs[site] = s.RunFrames(frames, func(f int) uint16 {
+				letPollerIn(f)
 				return uint16(f*7+site) & 0xFF << (8 * site)
 			}, nil)
 			if errs[site] == nil {
@@ -160,5 +165,14 @@ func TestRollbackStatsPollingIsRaceFree(t *testing.T) {
 	}
 	if polls.Load() == 0 {
 		t.Fatal("poller never ran concurrently with the session")
+	}
+}
+
+// letPollerIn yields the thread every 50 frames. A virtual-time world keeps
+// its OS thread for its whole run, so at GOMAXPROCS=1 the poller would
+// otherwise get in only if the session outlasted a preemption time slice.
+func letPollerIn(f int) {
+	if f%50 == 0 {
+		runtime.Gosched()
 	}
 }

@@ -2,6 +2,8 @@ package vclock
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"sort"
@@ -145,3 +147,117 @@ func TestVirtualSoleSleeperNoHandoff(t *testing.T) {
 		}
 	})
 }
+
+// pingPong runs actor A, which calls body, beside actor B, which sleeps on
+// A's 1 ms grid until A returns, so every Sleep(time.Millisecond) in body
+// hands the baton to B and back.
+func pingPong(v *Virtual, body func()) {
+	var stop bool
+	goAll(v, func() {
+		body()
+		stop = true
+	}, func() {
+		for !stop {
+			v.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// A hand-off between two actors is two coroutine switches and allocates
+// nothing.
+func TestVirtualHandoffNoAlloc(t *testing.T) {
+	v := NewVirtual(epoch)
+	const runs = 200
+	pingPong(v, func() {
+		before := v.handoffs
+		if allocs := testing.AllocsPerRun(runs, func() { v.Sleep(time.Millisecond) }); allocs != 0 {
+			t.Errorf("a two-actor hand-off allocates %.1f times", allocs)
+		}
+		if n := v.handoffs - before; n < 2*runs {
+			t.Errorf("%d hand-offs in %d sleeps, want two per sleep", n, runs)
+		}
+	})
+}
+
+// BenchmarkVirtualHandoff measures one baton round trip: A hands to B and B
+// back to A.
+func BenchmarkVirtualHandoff(b *testing.B) {
+	v := NewVirtual(epoch)
+	pingPong(v, func() {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// A world whose last actor finished is idle; a later Go from a goroutine
+// that is not an actor starts it again at the instant it stopped.
+func TestVirtualIdleWorldRestarts(t *testing.T) {
+	v := NewVirtual(epoch)
+	<-v.Go(func() { v.Sleep(30 * time.Millisecond) })
+	var startedAt time.Duration
+	<-v.Go(func() {
+		startedAt = v.Elapsed()
+		v.Sleep(20 * time.Millisecond)
+	})
+	if startedAt != 30*time.Millisecond || v.Elapsed() != 50*time.Millisecond {
+		t.Fatalf("second actor started at %v and the clock ended at %v, want 30ms and 50ms", startedAt, v.Elapsed())
+	}
+}
+
+// An actor leaving through runtime.Goexit — what t.Fatal does in an actor —
+// ends that actor only: its done channel closes and the world runs on.
+func TestVirtualActorGoexitEndsOnlyThatActor(t *testing.T) {
+	v := NewVirtual(epoch)
+	var quit, other <-chan struct{}
+	var woke atomic.Bool
+	<-v.Go(func() {
+		quit = v.Go(func() {
+			v.Sleep(time.Millisecond)
+			runtime.Goexit()
+		})
+		other = v.Go(func() {
+			v.Sleep(10 * time.Millisecond)
+			woke.Store(true)
+		})
+	})
+	deadline := time.After(2 * time.Second)
+	for _, c := range []<-chan struct{}{quit, other} {
+		select {
+		case <-c:
+		case <-deadline:
+			t.Fatal("the world hung after an actor's Goexit")
+		}
+	}
+	if !woke.Load() {
+		t.Fatal("the second actor did not run to its wake-up")
+	}
+}
+
+// A panicking actor crashes the program with its own frames in the report,
+// not only the driver's. The test binary re-runs itself to watch the crash.
+func TestVirtualActorPanicKeepsStack(t *testing.T) {
+	if os.Getenv("VCLOCK_PANIC_CHILD") == "1" {
+		v := NewVirtual(epoch)
+		<-v.Go(func() {
+			v.Sleep(time.Millisecond)
+			indexPastEnd(nil)
+		})
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestVirtualActorPanicKeepsStack$")
+	cmd.Env = append(os.Environ(), "VCLOCK_PANIC_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("the panicking child exited cleanly:\n%s", out)
+	}
+	for _, want := range []string{"index out of range", "vclock.indexPastEnd"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("crash report lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+func indexPastEnd(s []int) int { return s[len(s)] }

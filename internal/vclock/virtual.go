@@ -1,27 +1,36 @@
+//go:build go1.23
+
 package vclock
 
 import (
 	"container/heap"
+	"fmt"
+	"iter"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Virtual is a discrete-event Clock. A set of registered actor goroutines
-// runs against it, one at a time: the running actor holds the baton until it
-// parks in Sleep or finishes, and only then does the clock jump to the
-// earliest pending wake-up or scheduled event, run what is due and hand the
-// baton to exactly one sleeper. Sixty seconds of simulated game play
-// therefore cost only as much wall time as the actors' own computation, and
-// a run's interleaving is a property of the program, not of the host's
-// scheduler or GOMAXPROCS.
+// Virtual is a discrete-event Clock. A set of registered actors runs against
+// it, one at a time: the running actor holds the baton until it parks in
+// Sleep or finishes, and only then does the clock jump to the earliest
+// pending wake-up or scheduled event, run what is due and hand the baton to
+// exactly one sleeper. Sixty seconds of simulated game play therefore cost
+// only as much wall time as the actors' own computation, and a run's
+// interleaving is a property of the program, not of the host's scheduler or
+// GOMAXPROCS.
+//
+// Actors are coroutines (iter.Pull) resumed by one driver goroutine per
+// running world, so a hand-off is a coroutine switch on the driver's thread:
+// no other goroutine is readied and no idle thread is woken.
 //
 // Ordering contract:
 //
-//   - Actors get an id in the program order of their Go (or AddActor) calls
-//     and are registered parked at the current instant, so a child never runs
-//     beside its spawner and cannot be overtaken by the clock before its
-//     first Sleep. Sleepers wake in (wake instant, actor id) order.
+//   - Actors get an id in the program order of their Go calls and are
+//     registered parked at the current instant, so a child never runs beside
+//     its spawner and cannot be overtaken by the clock before its first
+//     Sleep. Sleepers wake in (wake instant, actor id) order.
 //   - Events run in (instant, scheduling actor id, that actor's event
 //     counter) order; event callbacks and goroutines that are not actors
 //     schedule as actor 0. Every event due at an instant runs before any
@@ -41,7 +50,8 @@ import (
 //   - To start several actors at one instant, start them from one root actor
 //     (a Go whose body makes the Go calls and returns): nothing runs until
 //     the root parks or returns. Go from a goroutine that is not an actor
-//     works, but the child may start at once, beside its spawner.
+//     works, but when no actor is running it starts the driver, and the
+//     child may start at once, beside its spawner.
 //
 // Together with seeded randomness in the network emulator this yields fully
 // reproducible runs: the experiment binaries print identical series on every
@@ -54,7 +64,7 @@ type Virtual struct {
 	now atomic.Int64
 
 	// cur holds the baton: the running actor, &clock while the clock itself
-	// runs due events, nil when every registered actor has finished.
+	// runs due events, nil when no driver runs: every actor has finished.
 	cur      *actor
 	clock    actor // id 0
 	lastID   uint64
@@ -80,70 +90,59 @@ func (v *Virtual) Now() time.Time { return v.start.Add(v.Elapsed()) }
 // created.
 func (v *Virtual) Elapsed() time.Duration { return time.Duration(v.now.Load()) }
 
-// AddActor registers the calling goroutine as an actor parked at the current
-// instant and returns once it holds the baton. The goroutine must call
-// DoneActor when it finishes. To start another goroutine as an actor, use Go.
-func (v *Virtual) AddActor() { v.await(v.register()) }
-
-// DoneActor deregisters the running actor and passes the baton on. It must
-// be called exactly once per AddActor, after the actor's final use of the
-// clock.
-func (v *Virtual) DoneActor() {
-	v.mu.Lock()
-	if v.cur == nil || v.cur == &v.clock {
-		v.mu.Unlock()
-		panic("vclock: DoneActor without matching AddActor")
-	}
-	next := v.dispatchLocked()
-	v.mu.Unlock()
-	if next != nil {
-		next.ch <- struct{}{}
-	}
-}
-
-// Go runs fn on a new actor goroutine and returns a channel that is closed
-// when fn returns. The actor is registered before Go returns — parked at the
-// current instant, behind every actor registered earlier — and fn starts
-// when the baton reaches it.
+// Go runs fn as a new actor and returns a channel that is closed when fn
+// returns (or its goroutine exits through runtime.Goexit). The actor is
+// registered before Go returns — parked at the current instant, behind every
+// actor registered earlier — and fn starts when the baton reaches it.
 func (v *Virtual) Go(fn func()) <-chan struct{} {
-	a := v.register()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v.await(a)
-		defer v.DoneActor()
+	a := &actor{done: make(chan struct{})}
+	a.resume, _ = iter.Pull(func(yield func(*actor) bool) {
+		a.yield = yield
+		returned := false
+		defer func() {
+			// iter.Pull re-raises a panic from the driver, where the actor's
+			// frames are gone: keep them in the value.
+			if p := recover(); p != nil {
+				panic(fmt.Sprintf("%v\n\nvclock actor stack:\n%s", p, debug.Stack()))
+			}
+			close(a.done)
+			if !returned {
+				// runtime.Goexit (t.Fatal in an actor), which iter.Pull
+				// passes on to the driver: end only this actor, and let a
+				// fresh driver run the rest of the world.
+				go v.drive()
+			}
+		}()
 		fn()
-	}()
-	return done
-}
-
-// register queues a new actor due at the current instant.
-func (v *Virtual) register() *actor {
+		returned = true
+	})
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.lastID++
-	// Capacity 1: the baton is sent before its receiver necessarily waits.
-	a := &actor{id: v.lastID, wake: v.now.Load(), ch: make(chan struct{}, 1)}
+	a.id, a.wake = v.lastID, v.now.Load()
 	heap.Push(&v.sleepers, a)
-	return a
+	if v.cur == nil {
+		v.cur = &v.clock // until the driver dispatches
+		go v.drive()
+	}
+	return a.done
 }
 
-// await blocks the new actor's goroutine until a holds the baton. Nobody
-// holds it when a was registered by a goroutine that is not an actor while
-// none was running; then the first such goroutine to get here starts the
-// clock, which is what lets a non-actor register several actors before any
-// of them runs — as long as it is quicker than a goroutine start.
-func (v *Virtual) await(a *actor) {
-	v.mu.Lock()
-	var next *actor
-	if v.cur == nil {
-		next = v.dispatchLocked()
+// drive gives the baton to one actor after another and exits, under the
+// lock, when none is left. It resumes the holder and gets the next one back
+// from the holder's Sleep; when an actor finishes, the driver dispatches.
+func (v *Virtual) drive() {
+	for {
+		v.mu.Lock()
+		a := v.dispatchLocked()
+		v.mu.Unlock()
+		if a == nil {
+			return
+		}
+		for next, ok := a.resume(); ok; next, ok = a.resume() {
+			a = next
+		}
 	}
-	v.mu.Unlock()
-	if next != nil {
-		next.ch <- struct{}{}
-	}
-	<-a.ch
 }
 
 // Sleep parks the calling actor until at least d of virtual time has passed.
@@ -157,17 +156,16 @@ func (v *Virtual) Sleep(d time.Duration) {
 	a := v.cur
 	if a == nil || a == &v.clock {
 		v.mu.Unlock()
-		panic("vclock: Sleep by a goroutine that does not hold the baton: only the running actor (started with Go or registered with AddActor) may Sleep, and event callbacks must not block")
+		panic("vclock: Sleep by a goroutine that does not hold the baton: only the running actor (started with Go) may Sleep, and event callbacks must not block")
 	}
 	a.wake = v.now.Load() + int64(d)
 	heap.Push(&v.sleepers, a)
 	next := v.dispatchLocked()
 	v.mu.Unlock()
 	if next != a {
-		// Direct hand-off: ready the next actor, then block on our own slot.
+		// Hand-off: switch back to the driver, which resumes next.
 		v.handoffs++
-		next.ch <- struct{}{}
-		<-a.ch
+		a.yield(next)
 	}
 }
 
@@ -208,11 +206,10 @@ func (v *Virtual) scheduleLocked(at int64, fn func()) {
 	heap.Push(&v.events, e)
 }
 
-// dispatchLocked is called by the baton holder as it parks or finishes, or
-// by await when the baton is free. The clock takes the baton, moves time to
-// the earliest pending wake-up, running every event due on the way
-// (unlocked), and gives the baton to the first sleeper, which it returns for
-// the caller to signal unless it is the caller itself — nil when no actor is
+// dispatchLocked is called as the baton holder parks or finishes, and by a
+// driver as it starts. The clock takes the baton, moves time to the earliest
+// pending wake-up, running every event due on the way (unlocked), and gives
+// the baton to the first sleeper, which it returns — nil when no actor is
 // left, which freezes the clock.
 func (v *Virtual) dispatchLocked() *actor {
 	v.cur = &v.clock
@@ -241,13 +238,16 @@ func (v *Virtual) dispatchLocked() *actor {
 	return nil
 }
 
-// actor is one registered goroutine; while it sleeps it is its own entry in
+// actor is one registered coroutine; while it sleeps it is its own entry in
 // the sleeper queue.
 type actor struct {
 	id   uint64
-	wake int64         // ns since start
-	nev  uint64        // events scheduled so far: the event tie-break counter
-	ch   chan struct{} // one slot: receives the baton
+	wake int64  // ns since start
+	nev  uint64 // events scheduled so far: the event tie-break counter
+
+	resume func() (*actor, bool) // runs the actor until it hands the baton to the actor returned
+	yield  func(*actor) bool     // called by the actor: back to the driver
+	done   chan struct{}
 }
 
 type sleeperQueue []*actor

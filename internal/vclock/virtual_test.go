@@ -246,12 +246,3 @@ func TestRealClockSleepsApproximately(t *testing.T) {
 	}
 	c.Sleep(-time.Hour) // must not block
 }
-
-func TestVirtualDoneWithoutAddPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewVirtual(epoch).DoneActor()
-}
