@@ -19,7 +19,8 @@ verify-race:
 # and on every repetition. The whole suite at 1, 2 and 4 procs, then the
 # four packages built on the clock 20 times over and under the race
 # detector (which checks that the baton hand-off orders the actors' shared
-# state).
+# state). Last, the relay's real-clock tests 20 times under the race
+# detector: several goroutines feed and run each shard.
 SCHED_PKGS = ./internal/vclock/ ./internal/harness/ ./internal/chaos/ ./internal/trafficgen/
 verify-sched:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
@@ -27,6 +28,7 @@ verify-sched:
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
 	$(GO) test -count=20 $(SCHED_PKGS)
 	$(GO) test -race -count=1 $(SCHED_PKGS)
+	$(GO) test -race -count=20 -run 'UDP|RealMode|FrontsAgree|Close' ./internal/relay/
 
 # The long chaos soak: every scenario across CHAOS_SEEDS seeds, each run
 # twice to prove per-phase stats are bit-identical, 10k frames per run,
