@@ -35,7 +35,7 @@ import (
 
 var (
 	listen      = flag.String("listen", ":7300", "base UDP address for relay fronts (port 0 = ephemeral; otherwise front i binds port+i)")
-	fronts      = flag.Int("fronts", 1, "number of UDP sockets to spread shard traffic over")
+	fronts      = flag.Int("fronts", 1, "number of UDP sockets, one reader goroutine each; readers run the shards they feed, so this sets the packet path's parallelism")
 	lobbyAddr   = flag.String("lobby", ":7200", "UDP address for the embedded admission lobby")
 	shards      = flag.Int("shards", 8, "shared-nothing event loops")
 	maxSessions = flag.Int("max-sessions", 4096, "session budget per shard")

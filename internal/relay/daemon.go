@@ -2,7 +2,6 @@ package relay
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -41,7 +40,7 @@ type Config struct {
 	// PollInterval paces the virtual-mode reader/shard actors (default
 	// 200 µs of virtual time).
 	PollInterval time.Duration
-	// TickEvery is the real-mode fallback tick for sweeps (default 50 ms).
+	// TickEvery paces the real-mode ticker that runs every shard (default 50 ms).
 	TickEvery time.Duration
 	// Clock defaults to vclock.System; virtual-time runs inject their
 	// vclock.Virtual (and start the daemon with StartVirtual).
@@ -139,6 +138,7 @@ type Daemon struct {
 	fronts []Front
 	shards []*Shard
 	closed atomic.Bool
+	done   chan struct{} // closed by Close; stops the ticker
 	wg     sync.WaitGroup
 
 	mu   sync.Mutex
@@ -152,7 +152,7 @@ type Daemon struct {
 	rejRunt  obs.Counter
 
 	// StepTime aggregates real-mode shard step durations (ns) across all
-	// shards; nil outside real mode. It doubles as the daemon's health
+	// shards; empty outside real mode. It doubles as the daemon's health
 	// signal: an overloaded relay shows up as step-time inflation long
 	// before packets drop.
 	StepTime *obs.Histogram
@@ -169,6 +169,7 @@ func NewDaemon(cfg Config, fronts []Front) (*Daemon, error) {
 	d := &Daemon{
 		cfg:      cfg,
 		fronts:   fronts,
+		done:     make(chan struct{}),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		StepTime: &obs.Histogram{},
 	}
@@ -252,7 +253,10 @@ func (d *Daemon) shardOf(tok Token) (*Shard, bool) {
 // transfers to the shard on push (the caller's slot is refilled from the
 // pool); on reject the buffer stays with the reader for reuse. Exported for
 // custom front integrations and the packet-path benchmarks.
-func (d *Daemon) Route(ms []Message, n int) {
+func (d *Daemon) Route(ms []Message, n int) { d.route(ms, n, nil) }
+
+// route is Route marking fed[i] for every shard i it pushes to.
+func (d *Daemon) route(ms []Message, n int, fed []bool) {
 	// One clock read per batch, not per datagram: the residence series
 	// only needs batch granularity, and the virtual clock's Now takes a
 	// mutex the packet path must not contend on per packet.
@@ -274,32 +278,26 @@ func (d *Daemon) Route(ms []Message, n int) {
 		ms[i].At = at
 		d.shards[idx].push(ms[i])
 		ms[i].Buf = getBuf() // replace the buffer we just handed over
+		if fed != nil {
+			fed[idx] = true
+		}
 	}
 }
 
-// Start launches real-clock operation: one blocking batched reader per
-// front plus one doorbell-driven loop per shard.
+// Start launches real-clock operation: one blocking batched reader per front,
+// which runs the shards each batch fed (Shard.drive), and one ticker.
 func (d *Daemon) Start() {
+	d.wg.Add(len(d.fronts) + 1)
 	for _, f := range d.fronts {
-		f := f
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.readReal(f)
-		}()
+		go d.readReal(f)
 	}
-	for _, s := range d.shards {
-		s := s
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			s.runReal(&d.closed, d.StepTime)
-		}()
-	}
+	go d.tick()
 }
 
 func (d *Daemon) readReal(f Front) {
+	defer d.wg.Done()
 	ms := newBatch(d.cfg.WriteBatch)
+	fed := make([]bool, len(d.shards))
 	for !d.closed.Load() {
 		n, err := f.Recv(ms)
 		if err != nil {
@@ -309,7 +307,30 @@ func (d *Daemon) readReal(f Front) {
 			// Transient (ICMP unreachable and friends): keep serving.
 			continue
 		}
-		d.Route(ms, n)
+		d.route(ms, n, fed)
+		for i, ok := range fed {
+			if ok {
+				fed[i] = false
+				d.shards[i].drive(d.StepTime)
+			}
+		}
+	}
+}
+
+// tick drives every shard each TickEvery until Close.
+func (d *Daemon) tick() {
+	defer d.wg.Done()
+	t := time.NewTicker(d.cfg.TickEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-d.done:
+			return
+		case <-t.C:
+		}
+		for _, s := range d.shards {
+			s.drive(d.StepTime)
+		}
 	}
 }
 
@@ -392,21 +413,13 @@ func (d *Daemon) Close() error {
 	if d.closed.Swap(true) {
 		return nil
 	}
+	close(d.done)
 	var first error
 	for _, f := range d.fronts {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	for _, s := range d.shards {
-		s.ring()
-	}
 	d.wg.Wait()
 	return first
-}
-
-// String summarizes the daemon for logs.
-func (d *Daemon) String() string {
-	return fmt.Sprintf("relayd{%d shards, %d fronts, %d sessions}",
-		len(d.shards), len(d.fronts), d.Sessions())
 }

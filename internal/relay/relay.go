@@ -28,8 +28,9 @@
 //	    no lock shared across shards.
 //	  - Each shard is a shared-nothing event loop: it owns its sessions, its
 //	    bounded inbound queue, and its outbound batch. Readers push into a
-//	    shard's queue under that shard's lock; nothing in the packet path takes
-//	    a lock owned by another shard.
+//	    shard's queue under its lock, then in real time run the shard to
+//	    completion themselves unless another goroutine does; nothing in the
+//	    packet path takes a lock owned by another shard.
 //	  - Socket I/O is batched: on Linux the UDP front drains and flushes with
 //	    recvmmsg/sendmmsg (pooled message buffers, one syscall per batch);
 //	    elsewhere it degrades to one datagram per syscall behind the same

@@ -47,18 +47,18 @@ type ctlOp struct {
 // Shard is one shared-nothing event loop of the daemon. Readers push
 // datagrams into its bounded inbound queue under the shard's own lock;
 // everything else — the session table, pending rings, outbound batch — is
-// touched only by the shard goroutine. Nothing in the packet path takes a
-// lock owned by another shard.
+// touched only by the goroutine running the shard (see drive). Nothing in
+// the packet path takes a lock owned by another shard.
 type Shard struct {
 	idx   int
 	out   Front
 	cfg   Config
 	clock vclock.Clock
 
-	mu   sync.Mutex
-	inq  []Message // bounded by cfg.QueueLen
-	ctl  []ctlOp
-	wake chan struct{} // real-mode doorbell, cap 1
+	mu  sync.Mutex
+	inq []Message // bounded by cfg.QueueLen
+	ctl []ctlOp
+	own sync.Mutex // held by whoever runs the shard in real time; TryLock only
 
 	// Loop-owned state (no locking).
 	sessions  map[Token]*hosted
@@ -99,7 +99,6 @@ func newShard(idx int, out Front, cfg Config, pool *statsPool) *Shard {
 		out:      out,
 		cfg:      cfg,
 		clock:    cfg.Clock,
-		wake:     make(chan struct{}, 1),
 		sessions: make(map[Token]*hosted),
 		inq:      make([]Message, 0, cfg.QueueLen),
 		inqSwap:  make([]Message, 0, cfg.QueueLen),
@@ -115,8 +114,8 @@ func (s *Shard) Active() int { return int(s.active.Load()) }
 func (s *Shard) Addr() string { return s.out.LocalAddr() }
 
 // push hands one datagram (ownership of m.Buf included) to the shard. It is
-// the only packet-path operation that crosses goroutines; overflow drops the
-// datagram with a count, like a socket buffer.
+// the only packet-path operation that may cross goroutines; overflow drops
+// the datagram with a count, like a socket buffer.
 func (s *Shard) push(m Message) {
 	s.mu.Lock()
 	if len(s.inq) >= s.cfg.QueueLen {
@@ -130,29 +129,19 @@ func (s *Shard) push(m Message) {
 		s.queuePeak.Store(n)
 	}
 	s.mu.Unlock()
-	s.ring()
 }
 
-// control enqueues a control-plane operation.
+// control enqueues a control-plane operation for the shard's next Step.
 func (s *Shard) control(op ctlOp) {
 	s.mu.Lock()
 	s.ctl = append(s.ctl, op)
 	s.mu.Unlock()
-	s.ring()
-}
-
-// ring taps the real-mode doorbell without blocking.
-func (s *Shard) ring() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Step drains the control queue and the inbound queue once, forwarding what
 // it can and flushing the outbound batch. It returns the number of inbound
-// datagrams processed. Step must only be called from the shard's loop (or a
-// test standing in for it).
+// datagrams processed. Step must only be called by the goroutine running the
+// shard (or a test standing in for it).
 func (s *Shard) Step() int {
 	now := s.clock.Now()
 	var nowNs int64
@@ -404,28 +393,20 @@ func (s *Shard) dropSession(tok Token, counter *obs.Counter) {
 	counter.Inc()
 }
 
-// runReal is the shard loop for real-clock operation: doorbell-driven with a
-// periodic tick for sweeps and stragglers.
-func (s *Shard) runReal(closed *atomic.Bool, step *obs.Histogram) {
-	tick := time.NewTicker(s.cfg.TickEvery)
-	defer tick.Stop()
-	for !closed.Load() {
-		select {
-		case <-s.wake:
-		case <-tick.C:
-		}
-		for {
-			t0 := time.Now()
-			n := s.Step()
-			if step != nil {
-				step.Observe(time.Since(t0).Nanoseconds())
-			}
-			if n == 0 {
-				break
-			}
-		}
+// drive runs the shard on the calling goroutine (a reader or the ticker)
+// until its queues are empty, unless another goroutine runs it already. The
+// owner looks again after releasing own: a push that found own taken after
+// its Step would otherwise wait for the ticker.
+func (s *Shard) drive(step *obs.Histogram) {
+	for more := true; more && s.own.TryLock(); {
+		t0 := time.Now()
+		s.Step()
+		step.Observe(time.Since(t0).Nanoseconds())
+		s.own.Unlock()
+		s.mu.Lock()
+		more = len(s.inq) > 0 || len(s.ctl) > 0
+		s.mu.Unlock()
 	}
-	s.flush()
 }
 
 // runVirtual is the shard loop as a virtual-clock actor: poll, step, park.
