@@ -106,6 +106,10 @@ type Config struct {
 	// order the virtual clock ran the sites: bit-identical captures for
 	// identical configs, on any host.
 	Capture *capture.Recorder
+
+	// peerConn, when set, wraps every conn a site is given for a peer, on
+	// top of the whole stack (tests use it to hide optional interfaces).
+	peerConn func(transport.Conn) transport.Conn
 }
 
 func (c Config) withDefaults() Config {
@@ -327,6 +331,14 @@ func Run(cfg Config) (*Result, error) {
 			}
 			peers[o] = append(peers[o], core.Peer{Site: p, Conn: a})
 			peers[p] = append(peers[p], core.Peer{Site: o, Conn: b})
+		}
+	}
+
+	if cfg.peerConn != nil {
+		for _, ps := range peers {
+			for i := range ps {
+				ps[i].Conn = cfg.peerConn(ps[i].Conn)
+			}
 		}
 	}
 
