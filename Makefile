@@ -127,9 +127,11 @@ qoe-update:
 	$(GO) test ./internal/trafficgen/ -run 'TestQoESweepMatchesBaseline' -count 1 \
 		-qoe.update -v
 
-# Static analysis beyond go vet. Staticcheck is fetched on demand — CI
-# runs this; locally it needs network the first time.
+# Static analysis beyond go vet, after a formatting gate: any source file
+# gofmt would rewrite fails it. Staticcheck is fetched on demand — CI runs
+# this; locally it needs network the first time.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1 ./...
 

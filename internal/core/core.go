@@ -92,7 +92,11 @@ type Config struct {
 	SendInterval time.Duration
 
 	// PollInterval is how often SyncInput re-checks for arrivals while
-	// blocked, modelling the consumer thread's scheduling quantum.
+	// blocked, modelling the consumer thread's scheduling quantum. On a
+	// vclock.Virtual whose every peer conn stack is a transport.Notifier,
+	// the wait keeps this grid but skips the re-checks that would find
+	// nothing: it wakes at the first grid point at or after an arrival, a
+	// paced send, a conn-stack timer or the WaitTimeout deadline.
 	PollInterval time.Duration
 
 	// WaitTimeout bounds a single SyncInput wait. Zero waits forever.

@@ -7,6 +7,7 @@ import (
 
 	"retrolock/internal/obs"
 	"retrolock/internal/span"
+	"retrolock/internal/transport"
 	"retrolock/internal/vclock"
 )
 
@@ -55,6 +56,14 @@ type InputSync struct {
 	rcvAt []time.Time
 
 	stats syncCounters
+
+	// bell lets a blocked SyncInput nap past the polls that would find
+	// nothing (see idle). It is nil, and the wait polls every PollInterval,
+	// unless the clock is a vclock.Virtual and every peer's conn stack is a
+	// transport.Notifier; armed counts the peers whose stacks ring it.
+	virt  *vclock.Virtual
+	bell  *vclock.Bell
+	armed int
 
 	// lastWait is how long the most recent SyncInput blocked (0 when it
 	// did not). Frame-loop local — the session's flight recorder reads it
@@ -107,6 +116,9 @@ type peerState struct {
 	lastAck  int       // last own-input frame this peer acknowledged
 	lastSend time.Time // for 20 ms send pacing
 	rtt      RTTEstimator
+
+	// notifier is Conn as a transport.Notifier once it rings the bell.
+	notifier transport.Notifier
 
 	// Echo bookkeeping for RTT measurement.
 	echoTime   uint32
@@ -219,6 +231,9 @@ func NewInputSync(cfg Config, clock vclock.Clock, epoch time.Time, peers []Peer)
 		ps := &peerState{Peer: p, lastAck: init}
 		s.peers[p.Site] = ps
 		s.peerList = append(s.peerList, ps)
+	}
+	if v, ok := clock.(*vclock.Virtual); ok && cfg.PollInterval > 0 {
+		s.virt, s.bell = v, v.NewBell()
 	}
 	s.lagPub.Store(int64(s.lag))
 	s.ownRcvPub.Store(int64(init))
@@ -409,7 +424,7 @@ func (s *InputSync) SyncInput(input uint16, frame int) (uint16, error) {
 		if s.cfg.WaitTimeout > 0 && s.clock.Now().After(deadline) {
 			return 0, fmt.Errorf("%w: frame %d still missing inputs (have %v)", ErrWaitTimeout, frame, s.lastRcv)
 		}
-		s.clock.Sleep(s.cfg.PollInterval)
+		s.idle(deadline)
 	}
 	if waited {
 		now := s.clock.Now()
@@ -426,6 +441,62 @@ func (s *InputSync) SyncInput(input uint16, frame int) (uint16, error) {
 	// One journal-lock round trip applies every hop stamped this frame.
 	s.batch.Flush()
 	return merged, nil
+}
+
+// idle parks a blocked SyncInput until its next poll. Polls fall on a grid
+// of PollInterval steps from the wait's start, which is where the paper's
+// consumer thread would wake. When it can, the site naps on its bell past
+// every grid point at which a poll would find nothing: one is worth making
+// only once a datagram has arrived, a paced send or a timer of some peer's
+// conn stack is due, or the WaitTimeout deadline has passed. Arrivals ring
+// the bell, which moves the wake-up to the first grid point at or after
+// them; the rest are known in advance. Events run before an actor due at
+// the same instant, so the polls that remain see exactly what they would
+// have seen on the full grid.
+func (s *InputSync) idle(deadline time.Time) {
+	if !s.napReady() {
+		s.clock.Sleep(s.cfg.PollInterval)
+		return
+	}
+	now, step := s.clock.Now(), s.cfg.PollInterval
+	// steps counts the grid points up to the first at or after at.
+	steps := func(at time.Time) int64 {
+		d := at.Sub(now)
+		if d <= step {
+			return 1
+		}
+		return int64((d-1)/step) + 1
+	}
+	n := steps(now.Add(s.cfg.SendInterval)) // no peer sends later than this
+	for _, p := range s.peerList {
+		n = min(n, steps(p.lastSend.Add(s.cfg.SendInterval)))
+		if at, ok := p.notifier.NextTimer(); ok {
+			n = min(n, steps(at))
+		}
+	}
+	if s.cfg.WaitTimeout > 0 {
+		// The wait times out at the first poll strictly after the deadline.
+		n = min(n, int64(deadline.Sub(now)/step)+1)
+	}
+	s.bell.Nap(n, step)
+}
+
+// napReady reports whether idle may nap: every peer's conn stack rings the
+// bell on arrival. It arms the peers added since it last ran (late joiners
+// arrive mid-session); one whose stack cannot ring turns napping off for
+// the rest of the session.
+func (s *InputSync) napReady() bool {
+	for s.bell != nil && s.armed < len(s.peerList) {
+		p := s.peerList[s.armed]
+		n, ok := p.Conn.(transport.Notifier)
+		if !ok || !n.NotifyArrival(s.virt, s.bell.Ring) {
+			s.bell = nil
+			break
+		}
+		p.notifier = n
+		s.armed++
+	}
+	return s.bell != nil
 }
 
 // FlushSpans applies any journal stamps still batched on the hot path. The

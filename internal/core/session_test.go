@@ -590,3 +590,78 @@ func TestSetLagManualTransitions(t *testing.T) {
 		}
 	}
 }
+
+// A blocked SyncInput naps only on a virtual clock whose every peer conn
+// stack is a transport.Notifier. On the host clock, or once any peer — a
+// late joiner included — sits behind a conn that hides the interface, it
+// polls every PollInterval for the rest of the session.
+func TestSyncInputNapsOnlyWhenEveryPeerRings(t *testing.T) {
+	v := vclock.NewVirtual(epoch)
+	a, b, err := transport.SimPair(simnet.New(v), "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := func(clock vclock.Clock, c transport.Conn) *InputSync {
+		s, err := NewInputSync(Config{SiteNo: 0}, clock, epoch, []Peer{{Site: 1, Conn: c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	hidden := struct{ transport.Conn }{b}
+	if site(vclock.System, a).napReady() {
+		t.Error("a site on the host clock naps")
+	}
+	if site(v, hidden).napReady() {
+		t.Error("a site whose peer conn hides Notifier naps")
+	}
+	s := site(v, a)
+	if !s.napReady() {
+		t.Fatal("a site over a simulated conn polls")
+	}
+	s.peerList = append(s.peerList, &peerState{Peer: Peer{Site: 2, Conn: hidden}})
+	if s.napReady() || s.napReady() {
+		t.Error("a site still naps after a peer joined behind a hiding conn")
+	}
+}
+
+// A blocked SyncInput that naps on its bell, and the deliveries that ring
+// it, allocate nothing in steady state. The one-way delay exceeds the local
+// lag, so the sites keep waiting.
+func TestSyncInputNapDoesNotAllocate(t *testing.T) {
+	v := vclock.NewVirtual(epoch)
+	n := simnet.New(v)
+	n.SetLinkBoth("a", "b", simnet.ConstantDelay(150*time.Millisecond))
+	a, b, err := transport.SimPair(n, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sites [2]*InputSync
+	for i, c := range []transport.Conn{a, b} {
+		if sites[i], err = NewInputSync(Config{SiteNo: i}, v, epoch, []Peer{{Site: 1 - i, Conn: c}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := 0
+	step := func() {
+		for i, s := range sites {
+			if _, err := s.SyncInput(uint16(frame)<<(8*i), frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frame++
+		v.Sleep(16667 * time.Microsecond)
+	}
+	<-v.Go(func() {
+		for frame < 300 {
+			step()
+		}
+		waits := sites[0].Stats().Waits
+		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+			t.Errorf("a napping frame allocates %.1f times", allocs)
+		}
+		if w := sites[0].Stats().Waits - waits; w < 20 || !sites[0].napReady() {
+			t.Errorf("site 0 napped in %d of 201 frames, want 20 or more", w)
+		}
+	})
+}

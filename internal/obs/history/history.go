@@ -111,12 +111,12 @@ type histRing struct {
 }
 
 type histSeries struct {
-	key        string
-	h          *obs.Histogram
-	prevBkt    obs.BucketCounts
-	prevCount  int64
-	prevSum    int64
-	res        []histRing
+	key       string
+	h         *obs.Histogram
+	prevBkt   obs.BucketCounts
+	prevCount int64
+	prevSum   int64
+	res       []histRing
 }
 
 // resState is one resolution's cursor: which slot is open and how many base

@@ -221,6 +221,7 @@ type Endpoint struct {
 	head, count int
 	queueCap    int
 	closed      bool
+	onArrival   func() // run by the delivery event after each enqueue
 
 	sent      int
 	delivered int
@@ -296,9 +297,9 @@ func (e *Endpoint) SendTo(dst string, payload []byte) error {
 
 func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed || e.count >= e.queueCap {
 		e.dropped++
+		e.mu.Unlock()
 		return
 	}
 	if e.count == len(e.ring) {
@@ -310,6 +311,26 @@ func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
 	s.buf = append(s.buf[:0], payload...)
 	e.count++
 	e.delivered++
+	hook := e.onArrival
+	e.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+}
+
+// OnArrival sets fn to run each time a datagram enters the receive queue,
+// inside the scheduler callback that delivers it, after the datagram is
+// queued (nil removes it). fn runs while the network's scheduler runs its
+// events, so it must not block. It reports false, setting nothing, when v is
+// not the scheduler the network delivers on.
+func (e *Endpoint) OnArrival(v *vclock.Virtual, fn func()) bool {
+	if e.net.sched != vclock.Scheduler(v) {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.onArrival = fn
+	return true
 }
 
 // growLocked doubles the receive ring (starting at 16 slots), unwrapping the

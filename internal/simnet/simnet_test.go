@@ -342,3 +342,31 @@ func TestCorrupterAppliedPerDeliveredCopy(t *testing.T) {
 		t.Errorf("sender's buffer mutated to %q; corruption must act on copies", payload)
 	}
 }
+
+// The arrival hook runs inside the delivery event, once per queued datagram
+// and never for one the full queue drops, after the endpoint's lock is
+// released (it may call Pending); only the network's own scheduler may set
+// it.
+func TestOnArrivalRunsInDeliveryEvent(t *testing.T) {
+	v := vclock.NewVirtual(epoch)
+	n := New(v)
+	a := n.MustBind("a")
+	b := n.MustBind("b")
+	b.SetQueueCap(1)
+	n.SetLink("a", "b", ConstantDelay(30*time.Millisecond))
+	if b.OnArrival(vclock.NewVirtual(epoch), func() {}) {
+		t.Fatal("OnArrival accepted a scheduler the network does not deliver on")
+	}
+	var rang []time.Duration
+	if !b.OnArrival(v, func() { rang = append(rang, v.Elapsed()); _ = b.Pending() }) {
+		t.Fatal("OnArrival refused the network's scheduler")
+	}
+	<-v.Go(func() {
+		_ = a.SendTo("b", []byte("1"))
+		_ = a.SendTo("b", []byte("2")) // dropped: the queue holds one
+		v.Sleep(40 * time.Millisecond)
+	})
+	if len(rang) != 1 || rang[0] != 30*time.Millisecond {
+		t.Fatalf("hook ran at %v, want once at 30ms", rang)
+	}
+}

@@ -46,8 +46,9 @@ const DefaultRTO = 200 * time.Millisecond
 //
 // The connection is driven entirely by its Send/TryRecv calls (no internal
 // goroutine): each call checks the retransmission timer against the supplied
-// clock. The sync module polls TryRecv every few hundred microseconds, which
-// is more than enough drive.
+// clock. A blocked SyncInput calls TryRecv every PollInterval (1 ms by
+// default), or, napping on a virtual clock, at the first poll instant at or
+// after an arrival or the deadline NextTimer reports.
 type ARQConn struct {
 	mu sync.Mutex
 
@@ -326,10 +327,34 @@ func (c *ARQConn) Close() error {
 	return c.lower.Close()
 }
 
+// NotifyArrival implements Notifier by asking the wrapped conn. It fails when
+// the connection times its retransmissions on another clock than v.
+func (c *ARQConn) NotifyArrival(v *vclock.Virtual, fn func()) bool {
+	return c.clock == vclock.Clock(v) && notifyArrival(c.lower, v, fn)
+}
+
+// NextTimer implements Notifier: the earliest retransmission deadline, or the
+// wrapped conn's timer if that comes first.
+func (c *ARQConn) NextTimer() (time.Time, bool) {
+	at, ok := nextTimer(c.lower)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.unacked {
+		seg := &c.unacked[i]
+		if due := seg.lastSent.Add(seg.rto); !ok || due.Before(at) {
+			at, ok = due, true
+		}
+	}
+	return at, ok
+}
+
 // LocalAddr implements Conn.
 func (c *ARQConn) LocalAddr() string { return c.lower.LocalAddr() }
 
 // RemoteAddr implements Conn.
 func (c *ARQConn) RemoteAddr() string { return c.lower.RemoteAddr() }
 
-var _ Conn = (*ARQConn)(nil)
+var (
+	_ Conn     = (*ARQConn)(nil)
+	_ Notifier = (*ARQConn)(nil)
+)

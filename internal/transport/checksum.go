@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"sync"
+	"time"
+
+	"retrolock/internal/vclock"
 )
 
 // checksumTrailerLen is the CRC-32 trailer appended to every datagram.
@@ -86,10 +89,22 @@ func (c *ChecksumConn) Discarded() int {
 // Close implements Conn.
 func (c *ChecksumConn) Close() error { return c.lower.Close() }
 
+// NotifyArrival implements Notifier by asking the wrapped conn; fn also runs
+// for datagrams TryRecv will discard.
+func (c *ChecksumConn) NotifyArrival(v *vclock.Virtual, fn func()) bool {
+	return notifyArrival(c.lower, v, fn)
+}
+
+// NextTimer implements Notifier by asking the wrapped conn.
+func (c *ChecksumConn) NextTimer() (time.Time, bool) { return nextTimer(c.lower) }
+
 // LocalAddr implements Conn.
 func (c *ChecksumConn) LocalAddr() string { return c.lower.LocalAddr() }
 
 // RemoteAddr implements Conn.
 func (c *ChecksumConn) RemoteAddr() string { return c.lower.RemoteAddr() }
 
-var _ Conn = (*ChecksumConn)(nil)
+var (
+	_ Conn     = (*ChecksumConn)(nil)
+	_ Notifier = (*ChecksumConn)(nil)
+)

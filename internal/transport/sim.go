@@ -2,8 +2,10 @@ package transport
 
 import (
 	"sync"
+	"time"
 
 	"retrolock/internal/simnet"
+	"retrolock/internal/vclock"
 )
 
 // SimConn is a Conn over an in-process simnet endpoint, connected to a
@@ -80,10 +82,22 @@ func (c *SimConn) Close() error {
 	return c.ep.Close()
 }
 
+// NotifyArrival implements Notifier: fn runs on every datagram the endpoint
+// queues, including ones TryRecv will discard as foreign.
+func (c *SimConn) NotifyArrival(v *vclock.Virtual, fn func()) bool {
+	return c.ep.OnArrival(v, fn)
+}
+
+// NextTimer implements Notifier: a SimConn has no timers.
+func (c *SimConn) NextTimer() (time.Time, bool) { return time.Time{}, false }
+
 // LocalAddr implements Conn.
 func (c *SimConn) LocalAddr() string { return c.ep.Addr() }
 
 // RemoteAddr implements Conn.
 func (c *SimConn) RemoteAddr() string { return c.peer }
 
-var _ Conn = (*SimConn)(nil)
+var (
+	_ Conn     = (*SimConn)(nil)
+	_ Notifier = (*SimConn)(nil)
+)

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"time"
+
 	"retrolock/internal/capture"
 	"retrolock/internal/vclock"
 )
@@ -48,10 +50,21 @@ func (c *TapConn) TryRecv() ([]byte, bool) {
 // Close implements Conn.
 func (c *TapConn) Close() error { return c.inner.Close() }
 
+// NotifyArrival implements Notifier by asking the wrapped conn.
+func (c *TapConn) NotifyArrival(v *vclock.Virtual, fn func()) bool {
+	return notifyArrival(c.inner, v, fn)
+}
+
+// NextTimer implements Notifier by asking the wrapped conn.
+func (c *TapConn) NextTimer() (time.Time, bool) { return nextTimer(c.inner) }
+
 // LocalAddr implements Conn.
 func (c *TapConn) LocalAddr() string { return c.inner.LocalAddr() }
 
 // RemoteAddr implements Conn.
 func (c *TapConn) RemoteAddr() string { return c.inner.RemoteAddr() }
 
-var _ Conn = (*TapConn)(nil)
+var (
+	_ Conn     = (*TapConn)(nil)
+	_ Notifier = (*TapConn)(nil)
+)

@@ -14,12 +14,18 @@
 //     counterpart of ARQ.
 //
 // All connections are message-oriented and connected to a single peer.
-// Receiving never blocks: the sync module's SyncInput loop polls TryRecv,
-// mirroring the paper's two-thread produce/consume design without hiding
-// timing behaviour inside the transport.
+// Receiving never blocks: a blocked SyncInput polls TryRecv, mirroring the
+// paper's two-thread produce/consume design without hiding timing behaviour
+// inside the transport. Over a virtual clock, a stack whose every layer
+// implements Notifier lets it skip the polls that would find nothing.
 package transport
 
-import "errors"
+import (
+	"errors"
+	"time"
+
+	"retrolock/internal/vclock"
+)
 
 // ErrClosed is returned by operations on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
@@ -46,4 +52,35 @@ type Conn interface {
 	// LocalAddr and RemoteAddr identify the two ends, for logging.
 	LocalAddr() string
 	RemoteAddr() string
+}
+
+// Notifier is implemented by conns that can say when a TryRecv could next
+// find work, so that a reader on a virtual clock can nap between those
+// instants instead of polling: a datagram arrives, or a timer inside the
+// stack (an ARQ retransmission) comes due. Wrappers implement it by asking
+// the conn they wrap, and fail when that conn cannot answer.
+type Notifier interface {
+	// NotifyArrival arranges for fn to run, inside the clock event that
+	// delivers it, whenever a datagram reaches the bottom of the stack. It
+	// reports false when some layer cannot, or when the stack's deliveries
+	// or timers run on another clock than v.
+	NotifyArrival(v *vclock.Virtual, fn func()) bool
+
+	// NextTimer reports the earliest instant at which a TryRecv does timed
+	// work, and false when no such work is pending.
+	NextTimer() (time.Time, bool)
+}
+
+// notifyArrival is NotifyArrival on a conn that may not implement Notifier.
+func notifyArrival(c Conn, v *vclock.Virtual, fn func()) bool {
+	n, ok := c.(Notifier)
+	return ok && n.NotifyArrival(v, fn)
+}
+
+// nextTimer is NextTimer on a conn that may not implement Notifier.
+func nextTimer(c Conn) (time.Time, bool) {
+	if n, ok := c.(Notifier); ok {
+		return n.NextTimer()
+	}
+	return time.Time{}, false
 }

@@ -382,3 +382,55 @@ func TestTCPConnLoopback(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// A Notifier stack rings on every datagram its bottom conn queues, inside
+// the delivery event, and reports the earliest ARQ retransmission as its
+// timer. Any layer that cannot answer — a conn that is not a Notifier, a
+// delivery or timer on another clock — makes the whole stack refuse.
+func TestNotifierStack(t *testing.T) {
+	v := vclock.NewVirtual(epoch)
+	n := simnet.New(v)
+	n.SetLinkBoth("a", "b", simnet.ConstantDelay(10*time.Millisecond))
+	rawA, rawB, err := SimPair(n, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rto = 100 * time.Millisecond
+	sender := NewARQ(NewChecksum(rawA), v, rto)
+	stack := NewARQ(NewTap(NewChecksum(rawB), v, 1, nil), v, rto)
+
+	other := vclock.NewVirtual(epoch)
+	if stack.NotifyArrival(other, func() {}) {
+		t.Error("a stack delivering on one clock agreed to ring for another")
+	}
+	if NewARQ(rawB, vclock.System, rto).NotifyArrival(v, func() {}) {
+		t.Error("an ARQ timing retransmissions on the host clock agreed to ring")
+	}
+	if NewTap(struct{ Conn }{rawB}, v, 1, nil).NotifyArrival(v, func() {}) {
+		t.Error("a tap over a conn that is not a Notifier agreed to ring")
+	}
+	var rang []time.Duration
+	if !stack.NotifyArrival(v, func() { rang = append(rang, v.Elapsed()) }) {
+		t.Fatal("an all-simulated stack refused to ring")
+	}
+	for _, c := range []Notifier{rawB, stack} {
+		if at, ok := c.NextTimer(); ok {
+			t.Errorf("%T has a timer at %v with nothing in flight", c, at)
+		}
+	}
+	<-v.Go(func() {
+		v.Sleep(5 * time.Millisecond)
+		if err := sender.Send([]byte("x")); err != nil {
+			t.Error(err)
+		}
+		if at, ok := sender.NextTimer(); !ok || at.Sub(epoch) != 5*time.Millisecond+rto {
+			t.Errorf("sender's timer at %v/%v, want %v", at.Sub(epoch), ok, 5*time.Millisecond+rto)
+		}
+		if p, ok := recvWithin(v, stack, time.Second); !ok || string(p) != "x" {
+			t.Errorf("received %q/%v, want x", p, ok)
+		}
+	})
+	if len(rang) != 1 || rang[0] != 15*time.Millisecond {
+		t.Errorf("rang at %v, want once at the 15ms delivery", rang)
+	}
+}

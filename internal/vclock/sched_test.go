@@ -179,6 +179,154 @@ func TestVirtualHandoffNoAlloc(t *testing.T) {
 	})
 }
 
+// A nap that a scheduled ring cuts short, and the hand-offs around it,
+// allocate nothing.
+func TestVirtualNapRingNoAlloc(t *testing.T) {
+	v := NewVirtual(epoch)
+	b := v.NewBell()
+	ring := b.Ring
+	pingPong(v, func() {
+		allocs := testing.AllocsPerRun(200, func() {
+			v.ScheduleAfter(500*time.Microsecond, ring)
+			b.Nap(5, time.Millisecond)
+		})
+		if allocs != 0 {
+			t.Errorf("a rung nap allocates %.1f times", allocs)
+		}
+	})
+}
+
+// Ring moves a nap's wake-up to the first grid point at or after the ring —
+// at least one step into the nap — and never later than it was.
+func TestVirtualRingRoundsUpToGrid(t *testing.T) {
+	v := NewVirtual(epoch)
+	b := v.NewBell()
+	ms := time.Millisecond
+	var woke []time.Duration
+	<-v.Go(func() {
+		v.Schedule(epoch.Add(2300*time.Microsecond), b.Ring) // -> 3 ms
+		v.Schedule(epoch.Add(2900*time.Microsecond), b.Ring) // still 3 ms
+		b.Nap(10, ms)
+		woke = append(woke, v.Elapsed())
+		v.ScheduleAfter(0, b.Ring) // rings at the nap's start: one step in
+		b.Nap(10, ms)
+		woke = append(woke, v.Elapsed())
+		v.ScheduleAfter(ms, b.Ring) // on a 4 ms grid from 4 ms: 8 ms
+		b.Nap(3, 4*ms)
+		woke = append(woke, v.Elapsed())
+		v.ScheduleAfter(ms, b.Ring) // the grid point it names is the wake-up
+		b.Nap(1, 2*ms)
+		woke = append(woke, v.Elapsed())
+	})
+	want := []time.Duration{3 * ms, 4 * ms, 8 * ms, 10 * ms}
+	if !reflect.DeepEqual(woke, want) {
+		t.Fatalf("naps ended at %v, want %v", woke, want)
+	}
+}
+
+// Ring does nothing to an actor that is not napping on the bell: one that
+// has never napped, sleeps, or is running.
+func TestVirtualRingWithoutNapIsNoOp(t *testing.T) {
+	v := NewVirtual(epoch)
+	b := v.NewBell()
+	b.Ring() // no actor bound yet
+	ms := time.Millisecond
+	var woke []time.Duration
+	<-v.Go(func() {
+		b.Nap(1, ms) // binds the bell
+		v.ScheduleAfter(2*ms, b.Ring)
+		v.Sleep(10 * ms) // a plain sleep is not cut short
+		woke = append(woke, v.Elapsed())
+		b.Ring() // running: nothing to bring forward, nothing kept for later
+		b.Nap(5, ms)
+		woke = append(woke, v.Elapsed())
+	})
+	want := []time.Duration{11 * ms, 16 * ms}
+	if !reflect.DeepEqual(woke, want) {
+		t.Fatalf("woke at %v, want %v", woke, want)
+	}
+}
+
+// A datagram delivered exactly on a grid point is seen by the napper at that
+// point: the delivery event runs, and rings, before the actor resumes.
+func TestVirtualRingOnGridPointSeenThere(t *testing.T) {
+	v := NewVirtual(epoch)
+	b := v.NewBell()
+	var delivered bool
+	var sawAt time.Duration
+	<-v.Go(func() {
+		v.ScheduleAfter(4*time.Millisecond, func() { delivered = true; b.Ring() })
+		for !delivered {
+			b.Nap(10, time.Millisecond)
+		}
+		sawAt = v.Elapsed()
+	})
+	if sawAt != 4*time.Millisecond {
+		t.Fatalf("delivery at 4ms seen at %v", sawAt)
+	}
+}
+
+// An actor rung to an instant another actor is due at keeps its place in
+// (wake, id) order, whichever of the two has the lower id.
+func TestVirtualRungNapKeepsIDOrder(t *testing.T) {
+	for _, napperFirst := range []bool{true, false} {
+		v := NewVirtual(epoch)
+		b := v.NewBell()
+		var order []string
+		napper := func() {
+			v.ScheduleAfter(4500*time.Microsecond, b.Ring) // -> 5 ms
+			b.Nap(20, time.Millisecond)
+			order = append(order, fmt.Sprintf("napper@%v", v.Elapsed()))
+		}
+		sleeper := func() {
+			v.Sleep(5 * time.Millisecond)
+			order = append(order, fmt.Sprintf("sleeper@%v", v.Elapsed()))
+		}
+		want := "napper@5ms sleeper@5ms"
+		if napperFirst {
+			goAll(v, napper, sleeper)
+		} else {
+			goAll(v, sleeper, napper)
+			want = "sleeper@5ms napper@5ms"
+		}
+		if got := strings.Join(order, " "); got != want {
+			t.Errorf("napper registered first %v: ran as %q, want %q", napperFirst, got, want)
+		}
+	}
+}
+
+// An actor that leaves through runtime.Goexit right after a rung nap ends
+// alone, and a later ring of its bell does nothing.
+func TestVirtualGoexitAfterNapEndsOnlyThatActor(t *testing.T) {
+	v := NewVirtual(epoch)
+	b := v.NewBell()
+	var quit, other <-chan struct{}
+	var otherAt time.Duration
+	<-v.Go(func() {
+		quit = v.Go(func() {
+			v.ScheduleAfter(1500*time.Microsecond, b.Ring)
+			v.ScheduleAfter(5*time.Millisecond, b.Ring) // after the actor is gone
+			b.Nap(10, time.Millisecond)
+			runtime.Goexit()
+		})
+		other = v.Go(func() {
+			v.Sleep(8 * time.Millisecond)
+			otherAt = v.Elapsed()
+		})
+	})
+	deadline := time.After(2 * time.Second)
+	for _, c := range []<-chan struct{}{quit, other} {
+		select {
+		case <-c:
+		case <-deadline:
+			t.Fatal("the world hung after a napper's Goexit")
+		}
+	}
+	if otherAt != 8*time.Millisecond {
+		t.Fatalf("the other actor woke at %v, want 8ms", otherAt)
+	}
+}
+
 // BenchmarkVirtualHandoff measures one baton round trip: A hands to B and B
 // back to A.
 func BenchmarkVirtualHandoff(b *testing.B) {

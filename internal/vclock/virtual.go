@@ -41,12 +41,14 @@ import (
 //
 // Rules for correct use:
 //
-//   - Only the running actor may call Sleep. Sleep panics when nobody holds
-//     the baton; a stray goroutine sleeping beside a running actor cannot be
-//     told from that actor and corrupts the schedule.
-//   - Actors must not block on anything other than Sleep (channels, mutexes
-//     held across Sleep, ...); all cross-actor communication has to go
-//     through data structures that are polled, such as simnet queues.
+//   - Only the running actor may call Sleep or Bell.Nap. They panic when
+//     nobody holds the baton; a stray goroutine sleeping beside a running
+//     actor cannot be told from that actor and corrupts the schedule.
+//   - Actors must not block on anything other than Sleep and Nap (channels,
+//     mutexes held across Sleep, ...). Cross-actor communication goes
+//     through data structures the receiver polls, such as simnet queues; a
+//     receiver that naps on a Bell instead of polling on a fixed period has
+//     the event that fills the structure ring the bell.
 //   - To start several actors at one instant, start them from one root actor
 //     (a Go whose body makes the Go calls and returns): nothing runs until
 //     the root parks or returns. Go from a goroutine that is not an actor
@@ -68,7 +70,8 @@ type Virtual struct {
 	cur      *actor
 	clock    actor // id 0
 	lastID   uint64
-	handoffs uint64 // batons Sleep passed to another actor (tests read it)
+	handoffs uint64 // batons Sleep and Nap passed to another actor (tests read it)
+	parks    uint64 // Sleep and Nap calls (tests read it)
 	sleepers sleeperQueue
 	events   eventQueue
 
@@ -153,12 +156,25 @@ func (v *Virtual) Sleep(d time.Duration) {
 		d = 0
 	}
 	v.mu.Lock()
+	v.parkLocked(v.holderLocked(), int64(d))
+}
+
+// holderLocked returns the running actor, panicking when the caller cannot
+// be one.
+func (v *Virtual) holderLocked() *actor {
 	a := v.cur
 	if a == nil || a == &v.clock {
 		v.mu.Unlock()
 		panic("vclock: Sleep by a goroutine that does not hold the baton: only the running actor (started with Go) may Sleep, and event callbacks must not block")
 	}
-	a.wake = v.now.Load() + int64(d)
+	return a
+}
+
+// parkLocked parks the running actor a for d ns and returns, unlocked, once
+// the baton is back with it.
+func (v *Virtual) parkLocked(a *actor, d int64) {
+	v.parks++
+	a.wake = v.now.Load() + d
 	heap.Push(&v.sleepers, a)
 	next := v.dispatchLocked()
 	v.mu.Unlock()
@@ -166,6 +182,56 @@ func (v *Virtual) Sleep(d time.Duration) {
 		// Hand-off: switch back to the driver, which resumes next.
 		v.handoffs++
 		a.yield(next)
+	}
+}
+
+// A Bell lets clock events cut an actor's nap short. The actor parks in Nap
+// on a grid of instants — its nap's start plus whole multiples of a step —
+// and an event callback that learns of work for it calls Ring, which moves
+// the wake-up forward to the first grid point at or after the ring. An actor
+// that polls on that grid can nap until its next timer instead: a poll it
+// skips is one no ring arrived before, so it would have found nothing.
+type Bell struct {
+	v *Virtual
+	a *actor // the actor that last napped on the bell
+
+	from, step int64 // the current nap's grid, in ns since start
+}
+
+// NewBell returns a bell on v; the actor that naps on it is bound at Nap.
+func (v *Virtual) NewBell() *Bell { return &Bell{v: v} }
+
+// Nap parks the calling actor like Sleep(n*step), unless Ring cuts the nap
+// short. n below one naps one step; a step below 1ns counts as 1ns.
+func (b *Bell) Nap(n int64, step time.Duration) {
+	v := b.v
+	n, step = max(n, 1), max(step, 1)
+	v.mu.Lock()
+	a := v.holderLocked()
+	b.a, a.nap = a, b
+	b.from, b.step = v.now.Load(), int64(step)
+	v.parkLocked(a, n*b.step)
+}
+
+// Ring brings the bell's nap forward to the first grid point at or after the
+// current instant, never earlier than one step into the nap and never later
+// than its wake-up. On an actor that is not napping on the bell — it runs,
+// sleeps, or has finished — Ring does nothing.
+func (b *Bell) Ring() {
+	v := b.v
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	a := b.a
+	if a == nil || a.nap != b {
+		return
+	}
+	at := b.from + b.step
+	if late := v.now.Load() - at; late > 0 {
+		at += (late + b.step - 1) / b.step * b.step
+	}
+	if at < a.wake {
+		a.wake = at
+		heap.Fix(&v.sleepers, a.index)
 	}
 }
 
@@ -228,6 +294,7 @@ func (v *Virtual) dispatchLocked() *actor {
 			continue
 		}
 		a := heap.Pop(&v.sleepers).(*actor)
+		a.nap = nil
 		if a.wake > v.now.Load() {
 			v.now.Store(a.wake)
 		}
@@ -241,9 +308,11 @@ func (v *Virtual) dispatchLocked() *actor {
 // actor is one registered coroutine; while it sleeps it is its own entry in
 // the sleeper queue.
 type actor struct {
-	id   uint64
-	wake int64  // ns since start
-	nev  uint64 // events scheduled so far: the event tie-break counter
+	id    uint64
+	wake  int64  // ns since start
+	nev   uint64 // events scheduled so far: the event tie-break counter
+	index int    // position in the sleeper queue while parked
+	nap   *Bell  // the bell it naps on, nil when it is not napping
 
 	resume func() (*actor, bool) // runs the actor until it hands the baton to the actor returned
 	yield  func(*actor) bool     // called by the actor: back to the driver
@@ -259,8 +328,15 @@ func (q sleeperQueue) Less(i, j int) bool {
 	}
 	return q[i].id < q[j].id
 }
-func (q sleeperQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *sleeperQueue) Push(x interface{}) { *q = append(*q, x.(*actor)) }
+func (q sleeperQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *sleeperQueue) Push(x interface{}) {
+	a := x.(*actor)
+	a.index = len(*q)
+	*q = append(*q, a)
+}
 func (q *sleeperQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
