@@ -302,7 +302,9 @@ func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
 		e.mu.Unlock()
 		return
 	}
-	if e.count == len(e.ring) {
+	if e.count >= len(e.ring)-1 {
+		// The next free slot would be the one TryRecv returned last, whose
+		// payload its caller may still be reading: grow instead.
 		e.growLocked()
 	}
 	s := &e.ring[(e.head+e.count)%len(e.ring)]
@@ -334,8 +336,8 @@ func (e *Endpoint) OnArrival(v *vclock.Virtual, fn func()) bool {
 }
 
 // growLocked doubles the receive ring (starting at 16 slots), unwrapping the
-// queued entries to the front. The ring never exceeds the point where count
-// can reach queueCap, checked by the caller.
+// queued entries to the front. The ring never grows past twice the point
+// where count can reach queueCap, checked by the caller.
 func (e *Endpoint) growLocked() {
 	n := 2 * len(e.ring)
 	if n < 16 {
@@ -354,9 +356,9 @@ func (e *Endpoint) growLocked() {
 // still drains packets that were queued before Close.
 //
 // The returned payload borrows the receive ring's buffer: it stays valid
-// until its slot is overwritten by a later delivery (at least ring-size
-// receives away). Callers that retain a payload beyond their current receive
-// loop must copy it.
+// until the next TryRecv on the endpoint, even while deliveries run beside
+// the reader (on the real clock they run on timer goroutines). Callers that
+// retain a payload longer must copy it.
 func (e *Endpoint) TryRecv() (Datagram, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

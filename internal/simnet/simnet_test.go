@@ -370,3 +370,30 @@ func TestOnArrivalRunsInDeliveryEvent(t *testing.T) {
 		t.Fatalf("hook ran at %v, want once at 30ms", rang)
 	}
 }
+
+// The payload TryRecv returned last stays intact until the next TryRecv,
+// however many deliveries land in between: even when the queue holds all
+// but one slot of the ring, a delivery does not reuse the slot just popped.
+func TestBorrowedPayloadSurvivesDeliveries(t *testing.T) {
+	v := vclock.NewVirtual(epoch)
+	n := New(v)
+	a := n.MustBind("a")
+	b := n.MustBind("b")
+	<-v.Go(func() {
+		for i := 0; i < 16; i++ {
+			_ = a.SendTo("b", []byte{'x', byte(i)})
+		}
+		v.Sleep(time.Millisecond)
+		d, ok := b.TryRecv()
+		if !ok {
+			t.Fatal("nothing queued")
+		}
+		for i := 0; i < 40; i++ {
+			_ = a.SendTo("b", []byte{'y', byte(i)})
+			v.Sleep(time.Millisecond)
+			if string(d.Payload) != "x\x00" {
+				t.Fatalf("borrowed payload became %q after %d more deliveries", d.Payload, i+1)
+			}
+		}
+	})
+}
