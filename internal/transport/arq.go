@@ -354,7 +354,5 @@ func (c *ARQConn) LocalAddr() string { return c.lower.LocalAddr() }
 // RemoteAddr implements Conn.
 func (c *ARQConn) RemoteAddr() string { return c.lower.RemoteAddr() }
 
-var (
-	_ Conn     = (*ARQConn)(nil)
-	_ Notifier = (*ARQConn)(nil)
-)
+var _ Conn = (*ARQConn)(nil)
+var _ Notifier = (*ARQConn)(nil)

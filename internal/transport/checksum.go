@@ -104,7 +104,5 @@ func (c *ChecksumConn) LocalAddr() string { return c.lower.LocalAddr() }
 // RemoteAddr implements Conn.
 func (c *ChecksumConn) RemoteAddr() string { return c.lower.RemoteAddr() }
 
-var (
-	_ Conn     = (*ChecksumConn)(nil)
-	_ Notifier = (*ChecksumConn)(nil)
-)
+var _ Conn = (*ChecksumConn)(nil)
+var _ Notifier = (*ChecksumConn)(nil)

@@ -97,7 +97,5 @@ func (c *SimConn) LocalAddr() string { return c.ep.Addr() }
 // RemoteAddr implements Conn.
 func (c *SimConn) RemoteAddr() string { return c.peer }
 
-var (
-	_ Conn     = (*SimConn)(nil)
-	_ Notifier = (*SimConn)(nil)
-)
+var _ Conn = (*SimConn)(nil)
+var _ Notifier = (*SimConn)(nil)

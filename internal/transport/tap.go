@@ -64,7 +64,5 @@ func (c *TapConn) LocalAddr() string { return c.inner.LocalAddr() }
 // RemoteAddr implements Conn.
 func (c *TapConn) RemoteAddr() string { return c.inner.RemoteAddr() }
 
-var (
-	_ Conn     = (*TapConn)(nil)
-	_ Notifier = (*TapConn)(nil)
-)
+var _ Conn = (*TapConn)(nil)
+var _ Notifier = (*TapConn)(nil)
