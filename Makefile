@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench bench-all bench-hotpath bench-gate bench-check qoe lint sloc
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check qoe lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -75,30 +75,23 @@ fuzz:
 	$(GO) test ./internal/span/ -fuzz FuzzDecodeSpan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture/ -fuzz FuzzDecodeCapture -fuzztime $(FUZZTIME)
 
-# The steady-state sync loop with allocs/op; BenchmarkSyncHotPath must
-# report 0 allocs/op (also enforced by TestSyncHotPathDoesNotAllocate).
+# The 0-allocs/op gate over the HOTPATH_BENCHMARKS benchmarks at the repo
+# root: the sync hot path (plain, traced, span-journaled, flight-recorded,
+# capture-tapped), the never-waiting SyncInput over simnet, the incremental
+# digest, the delta savestate, the relay packet path (Route and Shard.Step
+# in five configurations) and the history retention tick. It fails when any
+# of them allocates, and when fewer than HOTPATH_BENCHMARKS report, so a
+# gated benchmark cannot vanish unnoticed. Each one also has a tier-1
+# testing.AllocsPerRun twin. ns/op is printed, not gated: the performance
+# record is bench/ (BENCHMARK.json), compared in same-host pairs.
+HOTPATH_BENCHMARKS = 15
 bench-hotpath:
-	$(GO) test -run NONE -bench 'SyncHotPath|SyncInputNoWait' -benchmem .
-
-# The tracked perf surface — the sync hot path (plain, traced, and with
-# the flight recorder attached), the dirty-page savestate/digest paths,
-# the relayd packet path, and the history retention tick — rendered into
-# the machine-readable $(BENCH_JSON) via cmd/benchjson. CI runs this and
-# uploads the JSON as an artifact. The default output is the git-ignored
-# scratch file, never the checked-in baseline: re-baselining is an explicit
-# `make bench BENCH_JSON=BENCH_PR10.json`.
-BENCH_JSON ?= BENCH_NEW.json
-bench:
-	$(GO) test -run NONE -bench 'SyncHotPath|SyncInputNoWait|StateHashIncremental|SavestateDelta|RelayDemux|RelayShardStep|HistorySample' -benchmem . \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
-
-# Regression gate: rebuild the perf report and diff it against the
-# checked-in baseline with cmd/benchcmp. Fails on a >15% ns/op regression
-# or any allocs/op growth on a gated benchmark — and on a gated benchmark
-# disappearing from the fresh run.
-BENCH_BASELINE ?= BENCH_PR10.json
-bench-gate: bench
-	$(GO) run ./cmd/benchcmp $(BENCH_BASELINE) $(BENCH_JSON)
+	$(GO) test -run NONE -bench . -benchmem . > bench.out || { cat bench.out; exit 1; }
+	@cat bench.out
+	@n=$$(grep -c '^Benchmark' bench.out); if [ "$$n" -lt $(HOTPATH_BENCHMARKS) ]; then \
+		echo "bench-hotpath: $$n benchmark results, want $(HOTPATH_BENCHMARKS)"; exit 1; fi
+	@if grep '^Benchmark' bench.out | grep -v ' 0 allocs/op'; then \
+		echo "bench-hotpath: the benchmarks above allocate"; exit 1; fi
 
 # The benchmark module (bench/, see BENCHMARK.json) compiles against
 # internal/... through a replace directive and the root build does not
@@ -134,7 +127,3 @@ lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1 ./...
-
-# The full figure-reproduction benchmark suite.
-bench-all:
-	$(GO) test -run NONE -bench . -benchmem .

@@ -1,325 +1,35 @@
-// Benchmarks that regenerate the paper's evaluation, one benchmark per
-// figure/analysis. Timing-domain results (frame time, deviation, synchrony)
-// are attached to each benchmark via ReportMetric, so
+// The 0-allocs/op gate for the steady-state hot paths: the sync loop (plain,
+// traced, span-journaled, flight-recorded, capture-tapped), the incremental
+// digest and the delta savestate here, the relayd packet path in
+// relay_bench_test.go and the history retention tick in
+// history_bench_test.go. Every benchmark at the repo root must report
+// 0 allocs/op under
 //
-//	go test -bench=. -benchmem
+//	make bench-hotpath
 //
-// prints the reproduced series alongside the usual ns/op. Full-length runs
-// (3600 frames, the paper's one-minute experiments) execute in well under a
-// second each thanks to the virtual-time testbed; use -short for a coarser,
-// faster pass.
+// and each one has a tier-1 testing.AllocsPerRun twin, so `go test ./...`
+// catches a new allocation too. Their ns/op are for local comparison only:
+// the performance record is bench/ (BENCHMARK.json), compared in same-host
+// pairs, and the paper's figures come from cmd/experiment.
 package retrolock_test
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"retrolock/internal/capture"
 	"retrolock/internal/core"
 	"retrolock/internal/flight"
-	"retrolock/internal/harness"
-	"retrolock/internal/netem"
 	"retrolock/internal/obs"
-	"retrolock/internal/replay"
 	"retrolock/internal/rom/games"
 	"retrolock/internal/simnet"
 	"retrolock/internal/transport"
 	"retrolock/internal/vclock"
 )
 
-// benchFrames returns the experiment length: the paper's 3600 frames, or
-// 600 under -short.
-func benchFrames(b *testing.B) int {
-	if testing.Short() {
-		return 600
-	}
-	return harness.DefaultFrames
-}
-
-func paperCfg(b *testing.B) harness.Config {
-	cfg := harness.PaperCalibration()
-	cfg.Frames = benchFrames(b)
-	cfg.Seed = 2009
-	return cfg
-}
-
-// benchRTTs is the sweep used by the figure benchmarks: dense around the
-// paper's 140 ms threshold, sparse elsewhere.
-var benchRTTs = []time.Duration{
-	0,
-	60 * time.Millisecond,
-	100 * time.Millisecond,
-	120 * time.Millisecond,
-	140 * time.Millisecond,
-	160 * time.Millisecond,
-	180 * time.Millisecond,
-	200 * time.Millisecond,
-	300 * time.Millisecond,
-	400 * time.Millisecond,
-}
-
-// BenchmarkFigure1 reproduces Figure 1: average frame time and average
-// deviation (mean absolute deviation) per RTT, on site 0.
-func BenchmarkFigure1(b *testing.B) {
-	for _, rtt := range benchRTTs {
-		rtt := rtt
-		b.Run(fmt.Sprintf("rtt=%dms", rtt/time.Millisecond), func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = rtt
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			s := last.Sites[0]
-			b.ReportMetric(s.FrameTimes.Mean, "frame-ms")
-			b.ReportMetric(s.FrameTimes.MAD, "deviation-ms")
-			b.ReportMetric(s.FPS, "fps")
-		})
-	}
-}
-
-// BenchmarkFigure2 reproduces Figure 2: the average absolute frame-begin
-// difference between the two sites per RTT.
-func BenchmarkFigure2(b *testing.B) {
-	for _, rtt := range benchRTTs {
-		rtt := rtt
-		b.Run(fmt.Sprintf("rtt=%dms", rtt/time.Millisecond), func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = rtt
-				cfg.Seed = 2010 // series 2 was a separate experiment run
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sync.AbsMean, "sync-ms")
-		})
-	}
-}
-
-// BenchmarkAblationNaiveTimer quantifies §3.2's motivation: without
-// Algorithm 4, the earlier-starting site suffers persistent frame-time
-// fluctuation.
-func BenchmarkAblationNaiveTimer(b *testing.B) {
-	for _, naive := range []bool{false, true} {
-		naive := naive
-		name := "algorithm4"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 80 * time.Millisecond
-				cfg.StartOffset = 120 * time.Millisecond
-				cfg.SkipHandshake = true
-				cfg.NaivePacer = naive
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sites[0].FrameTimes.MAD, "earlier-site-MAD-ms")
-			b.ReportMetric(last.Sync.AbsMean, "sync-ms")
-		})
-	}
-}
-
-// BenchmarkAblationTransport contrasts the paper's UDP lockstep with a
-// reliable in-order (TCP-like) transport under loss (§3.1).
-func BenchmarkAblationTransport(b *testing.B) {
-	for _, arq := range []bool{false, true} {
-		arq := arq
-		name := "udp-lockstep"
-		if arq {
-			name = "reliable-arq"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 60 * time.Millisecond
-				cfg.Loss = 0.05
-				cfg.ARQ = arq
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sites[0].FrameTimes.MAD, "deviation-ms")
-			b.ReportMetric(last.Sites[0].FrameTimes.Max, "worst-frame-ms")
-		})
-	}
-}
-
-// BenchmarkLossSweep is the journal version's packet-loss experiment.
-func BenchmarkLossSweep(b *testing.B) {
-	for _, loss := range []float64{0, 0.02, 0.05, 0.10, 0.20} {
-		loss := loss
-		b.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 60 * time.Millisecond
-				cfg.Loss = loss
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Fatal("diverged under loss")
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sites[0].FrameTimes.Mean, "frame-ms")
-			b.ReportMetric(last.Sync.AbsMean, "sync-ms")
-		})
-	}
-}
-
-// BenchmarkMultisite is the journal version's observers experiment.
-func BenchmarkMultisite(b *testing.B) {
-	for _, obs := range []int{0, 1, 2, 4} {
-		obs := obs
-		b.Run(fmt.Sprintf("observers=%d", obs), func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 60 * time.Millisecond
-				cfg.Observers = obs
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Fatal("observer diverged")
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sites[0].FPS, "player-fps")
-		})
-	}
-}
-
-// BenchmarkLocalLagSensitivity sweeps BufFrame, the design constant §4.2
-// argues should stay fixed at 6 (~100 ms): shorter lags shrink the tolerable
-// RTT, longer ones tax responsiveness for nothing.
-func BenchmarkLocalLagSensitivity(b *testing.B) {
-	for _, lag := range []int{2, 4, 6, 9, 12} {
-		lag := lag
-		b.Run(fmt.Sprintf("bufframe=%d", lag), func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 120 * time.Millisecond
-				cfg.BufFrame = lag
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sites[0].FrameTimes.MAD, "deviation-ms")
-			b.ReportMetric(last.Sites[0].FPS, "fps")
-		})
-	}
-}
-
-// BenchmarkDeterminism measures pure replay speed: how fast the console
-// re-executes a recorded session (the §5 determinism assumption, exercised
-// at full tilt).
-func BenchmarkDeterminism(b *testing.B) {
-	for _, name := range games.Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			console, err := games.MustLoad(name).Boot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rec := replay.NewRecorder(name, console, 0)
-			rng := rand.New(rand.NewSource(1))
-			for f := 0; f < 600; f++ {
-				in := uint16(rng.Intn(0x10000))
-				console.StepFrame(in)
-				rec.OnFrame(in)
-			}
-			log := rec.Log()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fresh, err := games.MustLoad(name).Boot()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := log.Verify(fresh); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Microbenchmarks of the building blocks --------------------------------
-
-// BenchmarkVMStepFrame measures raw emulation speed of one game frame.
-func BenchmarkVMStepFrame(b *testing.B) {
-	for _, name := range games.Names() {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			console, err := games.MustLoad(name).Boot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				console.StepFrame(uint16(i))
-			}
-		})
-	}
-}
-
-// BenchmarkStateHash measures the convergence digest over the full 64 KiB
-// machine state.
-func BenchmarkStateHash(b *testing.B) {
-	console, err := games.MustLoad("pong").Boot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	console.StepFrame(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = console.StateHash()
-	}
-}
-
-// BenchmarkSavestate measures snapshot serialization (late-join cost).
-func BenchmarkSavestate(b *testing.B) {
-	console, err := games.MustLoad("duel").Boot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	console.StepFrame(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = console.Save()
-	}
-}
-
 // BenchmarkStateHashIncremental measures the digest in its per-frame shape:
 // one emulated frame dirties a handful of pages and the hash recomputes only
-// those, instead of folding the full 64 KiB (BenchmarkStateHash's first-call
-// cost).
+// those, instead of folding the full 64 KiB.
 func BenchmarkStateHashIncremental(b *testing.B) {
 	console, err := games.MustLoad("pong").Boot()
 	if err != nil {
@@ -630,155 +340,6 @@ func BenchmarkSyncHotPathFlight(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
-	}
-}
-
-// BenchmarkNetemPlan measures the shaper's per-packet decision cost.
-func BenchmarkNetemPlan(b *testing.B) {
-	e := netem.New(netem.Config{
-		Delay: 70 * time.Millisecond, Jitter: 5 * time.Millisecond,
-		Loss: 0.05, Duplicate: 0.01, ProcDelay: 10 * time.Millisecond, Seed: 1,
-	})
-	now := time.Unix(0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Plan(now, 64)
-	}
-}
-
-// BenchmarkHarnessRun measures a complete 600-frame two-site experiment —
-// the unit of every figure point.
-func BenchmarkHarnessRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := harness.PaperCalibration()
-		cfg.Frames = 600
-		cfg.RTT = 100 * time.Millisecond
-		cfg.Seed = int64(i)
-		if _, err := harness.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationRollback contrasts the paper's lockstep with the timewarp
-// baseline it rejects in §5, quantifying the rollback costs (replayed
-// frames, snapshot volume) that motivate that rejection — and the input
-// latency rollback buys in exchange.
-func BenchmarkAblationRollback(b *testing.B) {
-	for _, rb := range []bool{false, true} {
-		rb := rb
-		name := "lockstep"
-		if rb {
-			name = "rollback"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 120 * time.Millisecond
-				cfg.Rollback = rb
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Fatal("diverged")
-				}
-				last = res
-			}
-			s := last.Sites[0]
-			b.ReportMetric(s.FPS, "fps")
-			b.ReportMetric(float64(s.Rollback.ReplayedFrames), "replayed-frames")
-			b.ReportMetric(float64(s.Rollback.SnapshotBytes)/1e6, "snapshot-MB")
-		})
-	}
-}
-
-// BenchmarkAblationAdaptiveLag quantifies §4.2's fixed-vs-adaptive local lag
-// argument at a steady WAN RTT.
-func BenchmarkAblationAdaptiveLag(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		adaptive := adaptive
-		name := "fixed-100ms"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 200 * time.Millisecond
-				cfg.AdaptiveLag = adaptive
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			s := last.Sites[0]
-			b.ReportMetric(s.FPS, "fps")
-			b.ReportMetric(s.FrameTimes.MAD, "deviation-ms")
-			if adaptive {
-				b.ReportMetric(s.AvgLag, "avg-lag-frames")
-			}
-		})
-	}
-}
-
-// BenchmarkBurstLoss contrasts independent and Gilbert-Elliott loss at the
-// same long-run rate (journal extension).
-func BenchmarkBurstLoss(b *testing.B) {
-	for _, burst := range []bool{false, true} {
-		burst := burst
-		name := "independent"
-		if burst {
-			name = "bursty"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 60 * time.Millisecond
-				cfg.Loss = 0.05
-				cfg.BurstLoss = burst
-				cfg.MeanBurst = 6
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Fatal("diverged")
-				}
-				last = res
-			}
-			b.ReportMetric(last.Sites[0].FrameTimes.MAD, "deviation-ms")
-			b.ReportMetric(last.Sites[0].FrameTimes.Max, "worst-frame-ms")
-		})
-	}
-}
-
-// BenchmarkBandwidth reports the uplink cost of the paper's 20ms message
-// pacing (§4.2, §5: "the amount of data is not excessive").
-func BenchmarkBandwidth(b *testing.B) {
-	for _, ivl := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond} {
-		ivl := ivl
-		b.Run(fmt.Sprintf("interval=%v", ivl), func(b *testing.B) {
-			var last *harness.Result
-			for i := 0; i < b.N; i++ {
-				cfg := paperCfg(b)
-				cfg.RTT = 150 * time.Millisecond
-				cfg.SendInterval = ivl
-				res, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			s := last.Sites[0]
-			secs := last.Elapsed.Seconds()
-			b.ReportMetric(float64(s.Stats.BytesSent)/1024/secs, "KB-per-s")
-			b.ReportMetric(s.FrameTimes.MAD, "deviation-ms")
-		})
 	}
 }
 

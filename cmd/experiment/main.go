@@ -18,7 +18,6 @@
 //	experiment -series multisite            # observers (journal extension)
 //	experiment -series seeds                # seed-sensitivity spread
 //	experiment -series chaos                # deterministic fault-injection soak
-//	experiment -series soak                 # headless emulation frames/sec per game
 //	experiment -series relayload            # real-clock relayd hosting capacity (sessions/core)
 //	experiment -series qoeload              # per-profile QoE verdicts under modeled session load
 //	experiment -series all                  # everything
@@ -138,7 +137,6 @@ func main() {
 	run("multisite", multisite)
 	run("seeds", seedSensitivity)
 	run("chaos", chaosSeries)
-	run("soak", soak)
 	run("relayload", relayload)
 	run("qoeload", qoeload)
 }

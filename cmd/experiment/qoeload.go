@@ -23,7 +23,7 @@ import (
 //     loss) — connecting the load generator's verdicts back to the paper's
 //     frame-time metrics.
 //  3. A real-clock trafficgen run per profile over the wall clock
-//     (StartPolled relay loops), confirming the virtual figures live.
+//     (StartPolled relay loop), confirming the virtual figures live.
 func qoeload(base harness.Config) error {
 	sessions, hz, _ := relayloadParams()
 

@@ -1,9 +1,10 @@
-// Benchmark for the history retention tick, gated by benchcmp alongside the
-// sync and relay hot paths: one Store.Sample + Engine.Evaluate over a
-// registry-sized series population. The tick rides daemon cadences (the
-// frame loop in retroplay, the shard loop's ticker in relayd), so it must
-// stay allocation-free in steady state — a regression here taxes every
-// hosted session once per second.
+// Benchmark for the history retention tick, part of make bench-hotpath's
+// 0-allocs/op gate beside the sync and relay hot paths: one Store.Sample +
+// Engine.Evaluate over a registry-sized series population. The tick rides
+// daemon cadences (the frame loop in retroplay, the ticker in relayd), so it
+// must stay allocation-free in steady state — a regression here taxes every
+// hosted session once per second. Its tier-1 twin is
+// TestSampleSteadyStateAllocs in internal/obs/history.
 package retrolock_test
 
 import (

@@ -180,16 +180,36 @@ func TestSweepRTTProducesMonotonicThreshold(t *testing.T) {
 
 func TestSweepLoss(t *testing.T) {
 	out, err := SweepLoss(Config{RTT: 60 * time.Millisecond, Frames: 300, Seed: 9},
-		[]float64{0, 0.05}, nil)
+		[]float64{0, 0.05, 0.20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("results = %d, want 2", len(out))
+	if len(out) != 3 {
+		t.Fatalf("results = %d, want 3", len(out))
 	}
 	for loss, res := range out {
 		if !res.Converged {
 			t.Errorf("loss %.2f diverged", loss)
+		}
+	}
+}
+
+// TestLocalLagKnee asserts §4.2's argument for a fixed 100 ms local lag: at
+// RTT 120 ms under the paper calibration, BufFrame 6 and above hold 60 FPS
+// and shorter lags do not. With -v it prints EXPERIMENTS.md's local-lag
+// table.
+func TestLocalLagKnee(t *testing.T) {
+	for _, lag := range []int{2, 4, 6, 9, 12} {
+		cfg := PaperCalibration()
+		cfg.RTT, cfg.BufFrame, cfg.Frames, cfg.Seed = 120*time.Millisecond, lag, DefaultFrames, 2009
+		res := run(t, cfg)
+		s := res.Sites[0]
+		t.Logf("| %d | %.0f ms | %.2f | %.1f |", lag, float64(lag)*1000/60, s.FrameTimes.MAD, s.FPS)
+		if !res.Converged {
+			t.Errorf("BufFrame %d: replicas diverged", lag)
+		}
+		if holds := s.FPS >= 59.5; holds != (lag >= 6) {
+			t.Errorf("BufFrame %d: %.1f FPS at RTT 120 ms, want 60 exactly when BufFrame >= 6", lag, s.FPS)
 		}
 	}
 }

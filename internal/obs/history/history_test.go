@@ -149,9 +149,10 @@ func TestCounterResetClamps(t *testing.T) {
 	}
 }
 
-// TestSampleSteadyStateAllocs is the benchcmp alloc gate's unit twin: once
-// the rings exist, folding a base tick — including the burn-rate evaluation
-// that rides it — allocates nothing.
+// TestSampleSteadyStateAllocs is the tier-1 twin of BenchmarkHistorySample
+// (repo root, make bench-hotpath): once the rings exist, folding a base
+// tick — including the burn-rate evaluation that rides it — allocates
+// nothing.
 func TestSampleSteadyStateAllocs(t *testing.T) {
 	store := NewStore(Config{})
 	var c, g float64

@@ -37,9 +37,6 @@ type Config struct {
 	// is the sweep cadence (default 10 s). Zero TTL disables expiry.
 	SessionTTL time.Duration
 	SweepEvery time.Duration
-	// PollInterval paces the virtual-mode reader/shard actors (default
-	// 200 µs of virtual time).
-	PollInterval time.Duration
 	// TickEvery paces the real-mode ticker that runs every shard (default 50 ms).
 	TickEvery time.Duration
 	// Clock defaults to vclock.System; virtual-time runs inject their
@@ -100,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepEvery <= 0 {
 		c.SweepEvery = 10 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 200 * time.Microsecond
 	}
 	if c.TickEvery <= 0 {
 		c.TickEvery = 50 * time.Millisecond
@@ -334,68 +328,49 @@ func (d *Daemon) tick() {
 	}
 }
 
-// StartVirtual launches the same topology as virtual-clock actors: readers
-// and shards poll their queues and park on the clock, so a CI soak drives
-// tens of thousands of sessions through real shard code in milliseconds of
-// wall time. The caller's Scenario must use the same clock, and calls this
-// from its root actor (see vclock.Virtual) so no loop runs before all exist.
-// Readers are registered before shards and all poll on one grid, so at every
-// instant each reader's pushes precede each shard's step: "this step or the
-// next" is decided by that order, not by the host.
+// pollEvery paces the polled loop of StartVirtual and StartPolled.
+const pollEvery = 200 * time.Microsecond
+
+// StartVirtual runs the daemon as one virtual-clock actor: each poll reads
+// every front and routes what it got, then steps every shard, in order, then
+// sleeps pollEvery. So at every instant all of a poll's pushes precede all of
+// its steps: "this step or the next" is decided by that order, not by the
+// host. A CI soak drives tens of thousands of sessions through real shard
+// code this way in milliseconds of wall time. The caller's Scenario must use
+// the same clock, and calls this from its root actor (see vclock.Virtual).
 func (d *Daemon) StartVirtual(v *vclock.Virtual) {
-	for _, f := range d.fronts {
-		f := f
-		d.wg.Add(1)
-		v.Go(func() {
-			defer d.wg.Done()
-			ms := newBatch(d.cfg.WriteBatch)
-			for !d.closed.Load() {
-				n, err := f.Recv(ms)
-				if err == nil && n > 0 {
-					d.Route(ms, n)
-				}
-				v.Sleep(d.cfg.PollInterval)
-			}
-		})
-	}
-	for _, s := range d.shards {
-		s := s
-		d.wg.Add(1)
-		v.Go(func() {
-			defer d.wg.Done()
-			s.runVirtual(&d.closed)
-		})
-	}
+	d.wg.Add(1)
+	v.Go(func() { d.poll(v) })
 }
 
-// StartPolled runs the StartVirtual topology on plain goroutines against the
-// configured clock: readers and shards poll at PollInterval and park with
-// Clock.Sleep. This is how a real-time run drives simnet fronts (whose Recv
-// never blocks) over the wall clock — the path `experiment -series qoeload`
-// uses to shape live generator traffic with netem profiles.
+// StartPolled runs the StartVirtual loop on a plain goroutine against the
+// configured clock. This is how a real-time run drives simnet fronts (whose
+// Recv never blocks) over the wall clock — the path `experiment -series
+// qoeload` uses to shape live generator traffic with netem profiles.
 func (d *Daemon) StartPolled() {
-	for _, f := range d.fronts {
-		f := f
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			ms := newBatch(d.cfg.WriteBatch)
-			for !d.closed.Load() {
-				n, err := f.Recv(ms)
-				if err == nil && n > 0 {
-					d.Route(ms, n)
-				}
-				d.cfg.Clock.Sleep(d.cfg.PollInterval)
+	d.wg.Add(1)
+	go d.poll(d.cfg.Clock)
+}
+
+// poll is the StartVirtual/StartPolled loop. After Close it steps and
+// flushes every shard once more.
+func (d *Daemon) poll(clk vclock.Clock) {
+	defer d.wg.Done()
+	ms := newBatch(d.cfg.WriteBatch)
+	for !d.closed.Load() {
+		for _, f := range d.fronts {
+			if n, err := f.Recv(ms); err == nil && n > 0 {
+				d.Route(ms, n)
 			}
-		}()
+		}
+		for _, s := range d.shards {
+			s.Step()
+		}
+		clk.Sleep(pollEvery)
 	}
 	for _, s := range d.shards {
-		s := s
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			s.runVirtual(&d.closed)
-		}()
+		s.Step()
+		s.flush()
 	}
 }
 

@@ -468,7 +468,7 @@ func (f *Fleet) Start() {
 }
 
 // StartVirtual launches the tick loop as a virtual-clock actor, phase-
-// aligned with the daemon's shard actors (same clock).
+// aligned with the daemon's poll loop (same clock).
 func (f *Fleet) StartVirtual(v *vclock.Virtual) {
 	f.wg.Add(1)
 	v.Go(func() {

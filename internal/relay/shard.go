@@ -408,13 +408,3 @@ func (s *Shard) drive(step *obs.Histogram) {
 		s.mu.Unlock()
 	}
 }
-
-// runVirtual is the shard loop as a virtual-clock actor: poll, step, park.
-func (s *Shard) runVirtual(closed *atomic.Bool) {
-	for !closed.Load() {
-		s.Step()
-		s.clock.(interface{ Sleep(time.Duration) }).Sleep(s.cfg.PollInterval)
-	}
-	s.Step()
-	s.flush()
-}

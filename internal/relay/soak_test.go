@@ -325,6 +325,11 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 	}
 	var warmupSnap, healStart, healEnd snapshot
 	var partEndCensus, healEndCensus census
+	var (
+		flushed, fleetTracked, tableSessions int
+		fleetSnap                            *FleetSnapshot
+		elapsed                              time.Duration
+	)
 	// The heal phase is 10 grading windows long: the first window after the
 	// partition grades degraded (its mean gap includes one partition-length
 	// hole per site), recovery needs RecoverAfter=3 strictly-better windows
@@ -377,6 +382,20 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 				}
 			}
 			stop.Store(true)
+			// Read the end state here, at a fixed virtual instant between
+			// two fleet ticks (the sampler's phase) after the drivers and
+			// the sampler have exited: the relay and fleet loops keep
+			// running until Close, so a read from the test goroutine would
+			// race them. The capture limit was already hit, so
+			// FlushPending must emit nothing.
+			v.Sleep(gradeWindow + gradeWindow/2)
+			flushed = fl.FlushPending(v.Now())
+			fleetTracked = fl.Tracked()
+			fleetSnap = fl.Snapshot()
+			for _, sh := range d.Shards() {
+				tableSessions += len(sh.sessionTable())
+			}
+			elapsed = v.Elapsed()
 		})
 
 		d.StartVirtual(v)
@@ -401,15 +420,6 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		<-done
 	}
 	<-samplerDone
-	// Grab the fleet's end-of-run state before tearing anything down: the
-	// capture limit was already hit, so FlushPending must emit nothing.
-	flushed := fl.FlushPending(v.Now())
-	fleetTracked := fl.Tracked()
-	fleetSnap := fl.Snapshot()
-	var tableSessions int
-	for _, sh := range d.Shards() {
-		tableSessions += len(sh.sessionTable())
-	}
 	fl.Close()
 	_ = d.Close()
 
@@ -637,7 +647,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 	// The alert series are themselves retained: the firing gauge's history
 	// must show both the firing and the quiet state.
 	firingKey := obs.Key(history.MetricAlertFiring, obs.Labels{"alert": "fleet-session-health"})
-	pts, _, ok := svc.Store.QueryScalar(firingKey, 0, v.Elapsed())
+	pts, _, ok := svc.Store.QueryScalar(firingKey, 0, elapsed)
 	if !ok {
 		t.Fatalf("alert firing gauge %s not retained by the history store", firingKey)
 	}
@@ -670,7 +680,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		sent += s.sent[0].Load() + s.sent[1].Load()
 	}
 	t.Logf("soak: %d sessions, %d drivers, %d shards: sent=%d relayed-in=%d forwarded=%d queue-drops=%d virtual=%v",
-		nSessions, nDrivers, *soakShards, sent, totalIn, totalFwd, totalDropQ, v.Elapsed())
+		nSessions, nDrivers, *soakShards, sent, totalIn, totalFwd, totalDropQ, elapsed)
 	if totalFwd == 0 {
 		t.Fatal("soak forwarded nothing")
 	}

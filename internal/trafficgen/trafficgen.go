@@ -217,9 +217,9 @@ func (r *Result) DeliveryBp() int64 {
 const driverTick = 2 * time.Millisecond
 
 // driverStagger phase-offsets driver j's wake grid. 501 µs is coprime to the
-// relay's 200 µs reader/shard poll grids and to driverTick, so no driver
-// ever wakes at the same virtual instant as a relay actor (or another
-// driver) — the ordering hazard that would make virtual runs scheduling-
+// relay's 200 µs poll grid and to driverTick, so no driver ever wakes at the
+// same virtual instant as the relay's poll loop (or another driver) — the
+// ordering hazard that would make virtual runs scheduling-
 // dependent (see Daemon.StartVirtual).
 func driverStagger(j int) time.Duration {
 	return time.Duration(j+1) * 501 * time.Microsecond
@@ -284,7 +284,7 @@ func Run(cfg RunConfig) (*Result, error) {
 }
 
 // RunReal executes one generator run against the wall clock: same model,
-// same emulated links, relay loops polling on real time (StartPolled).
+// same emulated links, the relay loop polling on real time (StartPolled).
 func RunReal(cfg RunConfig) (*Result, error) {
 	clock := vclock.Real{}
 	return run(cfg, clock, clock,

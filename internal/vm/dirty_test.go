@@ -177,6 +177,26 @@ func TestDeltaChainMatchesFullSave(t *testing.T) {
 	}
 }
 
+// TestIncrementalPathsDoNotAllocate pins the per-frame digest and delta
+// savestate at zero allocations once their buffers exist: the tier-1 twin
+// of BenchmarkStateHashIncremental and BenchmarkSavestateDelta.
+func TestIncrementalPathsDoNotAllocate(t *testing.T) {
+	c := newScribbler(t, 1)
+	c.StepFrame(0)
+	buf := c.AppendSaveBase(nil)
+	f := 0
+	step := func() {
+		f++
+		c.StepFrame(uint16(f))
+		c.StateHash()
+		buf = c.AppendSaveDelta(buf[:0])
+	}
+	step()
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("StepFrame + StateHash + AppendSaveDelta allocates %v per frame, want 0", allocs)
+	}
+}
+
 func TestDeltaAfterQuietFrameIsSmall(t *testing.T) {
 	c := boot(t, program(Instr{Op: OpYIELD}))
 	c.StepFrame(0)

@@ -1,9 +1,10 @@
-// Benchmarks for the relayd packet path, gated by benchcmp alongside the
-// sync hot path: Route (token demux onto shard queues) and Shard.Step (the
-// per-shard forward/flush cycle). Both report per-datagram cost and are
-// expected to stay allocation-free in steady state — buffers recycle through
-// the relay's pool, so a regression here shows up as allocs/op before it
-// shows up as p99 frame time in production.
+// Benchmarks for the relayd packet path, part of make bench-hotpath's
+// 0-allocs/op gate beside the sync hot path: Route (token demux onto shard
+// queues) and Shard.Step (the per-shard forward/flush cycle). Both report
+// per-datagram cost and must stay allocation-free in steady state — buffers
+// recycle through the relay's pool, so a regression here shows up as
+// allocs/op before it shows up as p99 frame time in production.
+// TestRelayShardStepStatsDoesNotAllocate is their tier-1 twin.
 package retrolock_test
 
 import (
@@ -208,38 +209,69 @@ func BenchmarkRelayShardStepStatsRing(b *testing.B) {
 	}
 }
 
-// TestRelayShardStepStatsDoesNotAllocate pins the acceptance criterion
-// directly: Route + Step with per-session stats AND the anomaly ring
-// attached allocates nothing in steady state. (The one churn-time
-// allocation — republishing a shard's session table — happens only on
+// TestRelayShardStepStatsDoesNotAllocate is the tier-1 twin of every relay
+// benchmark above and below: Route + Step over the same daemons, with
+// nothing attached, with a capture tap, with per-session stats, with stats
+// and the anomaly ring, and with the history cadence riding each step, must
+// allocate nothing in steady state. (The one churn-time allocation —
+// republishing a shard's session table — happens only on
 // register/close/expire, which the loop below never does.)
 func TestRelayShardStepStatsDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops sync.Pool puts at random, so the pooled buffer path allocates under -race by design")
 	}
 	const batch = 64
-	d, toks, addrs := benchRelayDaemon(t,
-		relay.Config{Shards: 1, Stats: true, AutoCaptureRecords: 64, AutoCaptureBytes: 8 << 10}, 64)
-	defer d.Close()
-	ms := benchRelayBatch(batch)
-	sh := d.Shards()[0]
-	round := 0
-	step := func() {
-		stampRelayBatch(ms, toks, addrs, round)
-		round++
-		d.Route(ms, batch)
-		sh.Step()
+	tap := capture.NewRecorder(1<<17, 1<<22) // holds every datagram below
+	for _, tc := range []struct {
+		name     string
+		cfg      relay.Config
+		sessions int
+		history  bool
+	}{
+		{"Demux", relay.Config{Shards: 8}, 256, false},
+		{"Step", relay.Config{Shards: 1}, 64, false},
+		{"StepCaptured", relay.Config{Shards: 1, Tap: tap}, 64, false},
+		{"StepStats", relay.Config{Shards: 1, Stats: true}, 64, false},
+		{"StepStatsRing", relay.Config{Shards: 1, Stats: true, AutoCaptureRecords: 64, AutoCaptureBytes: 8 << 10}, 64, false},
+		{"StepHistory", relay.Config{Shards: 1, Stats: true}, 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, toks, addrs := benchRelayDaemon(t, tc.cfg, tc.sessions)
+			defer d.Close()
+			var sample func(time.Time)
+			if tc.history {
+				sample = benchRelayHistory(t, d)
+			}
+			ms := benchRelayBatch(batch)
+			now := time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
+			round := 0
+			step := func() {
+				stampRelayBatch(ms, toks, addrs, round)
+				round++
+				d.Route(ms, batch)
+				for _, sh := range d.Shards() {
+					sh.Step()
+				}
+				if sample != nil {
+					now = now.Add(time.Second)
+					sample(now)
+				}
+			}
+			for i := 0; i < 100; i++ { // reach steady-state pool/arena occupancy
+				step()
+			}
+			if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+				t.Fatalf("relay packet path (%s) allocates %v per batch, want 0", tc.name, allocs)
+			}
+		})
 	}
-	for i := 0; i < 100; i++ { // reach steady-state pool/arena occupancy
-		step()
-	}
-	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
-		t.Fatalf("relay packet path with stats+ring allocates %v per batch, want 0", allocs)
+	if tap.Len() == 0 || tap.Dropped() != 0 {
+		t.Fatalf("capture tap recorded %d datagrams and dropped %d, want all recorded", tap.Len(), tap.Dropped())
 	}
 }
 
 // BenchmarkRelayShardStepHistory is BenchmarkRelayShardStepStats with the
-// full PR-10 observability cadence riding each step: the fleet grader's
+// full history/alerting cadence riding each step: the fleet grader's
 // verdict gauges registered on an obs registry, the history store retaining
 // them at three resolutions, and a burn-rate rule evaluated every tick. In
 // production the retention tick fires once per second, not once per batch —
@@ -250,9 +282,36 @@ func BenchmarkRelayShardStepHistory(b *testing.B) {
 	const batch = 64
 	d, toks, addrs := benchRelayDaemon(b, relay.Config{Shards: 1, Stats: true}, 64)
 	defer d.Close()
+	sample := benchRelayHistory(b, d)
+	ms := benchRelayBatch(batch)
+	sh := d.Shards()[0]
+	now := time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 64; i++ { // warm the rings past their first slot seals
+		now = now.Add(time.Second)
+		sample(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n, round := 0, 0; n < b.N; n, round = n+batch, round+1 {
+		b.StopTimer()
+		stampRelayBatch(ms, toks, addrs, round)
+		d.Route(ms, batch)
+		now = now.Add(time.Second)
+		b.StartTimer()
+		sh.Step()
+		sample(now)
+	}
+}
+
+// benchRelayHistory wires the history/alerting cadence onto d — the fleet
+// grader's verdict gauges on an obs registry, the history store
+// retaining them at three resolutions, and one burn-rate rule — and
+// returns its retention tick.
+func benchRelayHistory(tb testing.TB, d *relay.Daemon) func(time.Time) {
+	tb.Helper()
 	fl, err := relay.NewFleet(d, relay.FleetConfig{Window: time.Second})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	fl.Register(reg)
@@ -270,22 +329,5 @@ func BenchmarkRelayShardStepHistory(b *testing.B) {
 			SlowWindow: 5 * time.Minute,
 		}},
 	})
-	ms := benchRelayBatch(batch)
-	sh := d.Shards()[0]
-	now := time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 64; i++ { // warm the rings past their first slot seals
-		now = now.Add(time.Second)
-		svc.Sample(now)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n, round := 0, 0; n < b.N; n, round = n+batch, round+1 {
-		b.StopTimer()
-		stampRelayBatch(ms, toks, addrs, round)
-		d.Route(ms, batch)
-		now = now.Add(time.Second)
-		b.StartTimer()
-		sh.Step()
-		svc.Sample(now)
-	}
+	return svc.Sample
 }
