@@ -21,10 +21,13 @@ verify-race:
 # detector (which checks that the baton hand-off orders the actors' shared
 # state). Then the event-driven wait's differential test (each configuration
 # run as built and with its conns forced onto the polling path) 20 times
-# under the race detector and 20 times at one proc. Last, the relay's
+# under the race detector and 20 times at one proc. Then the relay's
 # real-clock tests 20 times under the race detector: several goroutines feed
-# and run each shard.
+# and run each shard. Last, the VM and the packages whose goldens pin its
+# hashes on a 32-bit word size, where the compiler lowers the VM's 64-bit
+# page-bitmap masks and digest arithmetic to 32-bit instructions.
 SCHED_PKGS = ./internal/vclock/ ./internal/harness/ ./internal/chaos/ ./internal/trafficgen/
+WORD_PKGS = ./internal/vm ./internal/rom/games ./internal/core ./internal/harness ./internal/chaos ./internal/container ./internal/capture
 verify-sched:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
 	GOMAXPROCS=2 $(GO) test -count=1 ./...
@@ -34,6 +37,7 @@ verify-sched:
 	$(GO) test -race -count=20 -run 'EventWait' ./internal/harness/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'EventWait' ./internal/harness/
 	$(GO) test -race -count=20 -run 'UDP|RealMode|FrontsAgree|Close' ./internal/relay/
+	GOARCH=386 $(GO) test -count=1 $(WORD_PKGS)
 
 # The long chaos soak: every scenario across CHAOS_SEEDS seeds, each run
 # twice to prove per-phase stats are bit-identical, 10k frames per run,
@@ -54,7 +58,7 @@ RELAY_SESSIONS ?= 10000
 RELAY_CAPTURE_DIR ?= relay-captures
 relay-soak:
 	mkdir -p $(RELAY_CAPTURE_DIR)
-	RETROLOCK_RELAY_CAPTURE_DIR=$(RELAY_CAPTURE_DIR) \
+	RETROLOCK_RELAY_CAPTURE_DIR=$(abspath $(RELAY_CAPTURE_DIR)) \
 		$(GO) test ./internal/relay/ -run 'TestRelaySoak' -count 1 \
 		-relay.sessions $(RELAY_SESSIONS) -v
 
@@ -113,7 +117,7 @@ sloc:
 # intentional QoE change with `make qoe-update`.
 QOE_DIR ?= qoe-artifacts
 qoe:
-	RETROLOCK_QOE_DIR=$(QOE_DIR) $(GO) test ./internal/trafficgen/ \
+	RETROLOCK_QOE_DIR=$(abspath $(QOE_DIR)) $(GO) test ./internal/trafficgen/ \
 		-run 'TestQoESweep' -count 1 -v
 
 qoe-update:

@@ -9,10 +9,11 @@
 package timeserver
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,27 +49,34 @@ type Sample struct {
 	At    time.Time
 }
 
-// recorder accumulates samples per site. Duplicate reports for a frame keep
-// the first arrival (retransmissions must not skew timing).
+// recorder accumulates samples per site in arrival order. Duplicate reports
+// for a frame keep the first arrival (retransmissions must not skew timing).
 type recorder struct {
 	mu    sync.Mutex
-	sites map[int]map[int]time.Time
+	sites map[int]*siteLog
+}
+
+// siteLog is one site's samples in arrival order, with the frames seen.
+type siteLog struct {
+	seen    map[int]struct{}
+	samples []Sample
 }
 
 func newRecorder() *recorder {
-	return &recorder{sites: make(map[int]map[int]time.Time)}
+	return &recorder{sites: make(map[int]*siteLog)}
 }
 
 func (r *recorder) record(site, frame int, at time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.sites[site]
+	l, ok := r.sites[site]
 	if !ok {
-		m = make(map[int]time.Time)
-		r.sites[site] = m
+		l = &siteLog{seen: make(map[int]struct{})}
+		r.sites[site] = l
 	}
-	if _, dup := m[frame]; !dup {
-		m[frame] = at
+	if _, dup := l.seen[frame]; !dup {
+		l.seen[frame] = struct{}{}
+		l.samples = append(l.samples, Sample{Frame: frame, At: at})
 	}
 }
 
@@ -77,21 +85,25 @@ func (r *recorder) record(site, frame int, at time.Time) {
 func (r *recorder) total() (reports, sites int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, m := range r.sites {
-		reports += len(m)
+	for _, l := range r.sites {
+		reports += len(l.samples)
 	}
 	return reports, len(r.sites)
 }
 
+// samples returns a site's samples ordered by frame. Reports usually arrive
+// in frame order, so the sort runs only when they did not.
 func (r *recorder) samples(site int) []Sample {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.sites[site]
-	out := make([]Sample, 0, len(m))
-	for f, at := range m {
-		out = append(out, Sample{Frame: f, At: at})
+	var out []Sample
+	if l := r.sites[site]; l != nil {
+		out = slices.Clone(l.samples)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Frame < out[j].Frame })
+	r.mu.Unlock()
+	byFrame := func(a, b Sample) int { return cmp.Compare(a.Frame, b.Frame) }
+	if !slices.IsSortedFunc(out, byFrame) {
+		slices.SortFunc(out, byFrame)
+	}
 	return out
 }
 
@@ -163,7 +175,7 @@ func SyncDiffs(a, b []Sample) []time.Duration {
 	for _, s := range a {
 		byFrame[s.Frame] = s.At
 	}
-	var out []time.Duration
+	out := make([]time.Duration, 0, min(len(a), len(b)))
 	for _, s := range b {
 		if at, ok := byFrame[s.Frame]; ok {
 			out = append(out, s.At.Sub(at))

@@ -86,6 +86,31 @@ func TestDuplicateReportsKeepFirst(t *testing.T) {
 	}
 }
 
+func TestOutOfOrderReportsComeBackFrameSorted(t *testing.T) {
+	r := newRecorder()
+	for i, f := range []int{2, 0, 1, 0} { // the second 0 is a late duplicate
+		r.record(0, f, epoch.Add(time.Duration(i)*time.Millisecond))
+	}
+	want := []Sample{
+		{Frame: 0, At: epoch.Add(1 * time.Millisecond)},
+		{Frame: 1, At: epoch.Add(2 * time.Millisecond)},
+		{Frame: 2, At: epoch},
+	}
+	got := r.samples(0)
+	if len(got) != len(want) {
+		t.Fatalf("samples = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i].Frame != want[i].Frame || !got[i].At.Equal(want[i].At) {
+			t.Fatalf("samples = %+v, want %+v", got, want)
+		}
+	}
+	// Sorting the returned copy must not reorder the recorder's log.
+	if log := r.sites[0].samples; log[0].Frame != 2 {
+		t.Fatalf("recorder log reordered: %+v", log)
+	}
+}
+
 func TestFrameTimesSkipGaps(t *testing.T) {
 	samples := []Sample{
 		{Frame: 0, At: epoch},

@@ -33,8 +33,12 @@ func (c *Console) blit() {
 		h = ScreenH - y
 	}
 
-	// Fill the first row by doubling, then replicate it down.
+	// Fill the first row by doubling, then replicate it down. Full-width
+	// rows are one contiguous span, filled as a single row.
 	first := VRAMBase + y*ScreenW + x
+	if w == ScreenW {
+		w, h = w*h, 1
+	}
 	row := c.mem[first : first+w]
 	row[0] = col
 	for filled := 1; filled < w; filled *= 2 {

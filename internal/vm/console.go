@@ -47,14 +47,18 @@ type Console struct {
 	// dirty is the live page bitmap: every store path marks the touched
 	// pages here, and drainDirty folds it into the consumer accumulators.
 	dirty PageBitmap
-	// hashDirty accumulates pages changed since the last StateHash; only
-	// those page hashes are recomputed.
+	// hashDirty accumulates pages marked since the last StateHash; only
+	// those pages are compared with hashShadow.
 	hashDirty PageBitmap
 	// snapDirty accumulates pages changed since the last AppendSaveBase /
 	// AppendSaveDelta capture — the delta-savestate chain.
 	snapDirty PageBitmap
-	// pageHash caches the per-page digest behind the incremental StateHash.
+	// pageHash caches the per-page digest behind the incremental StateHash:
+	// pageHash[p] is always the digest of page p of hashShadow.
 	pageHash [NumPages]uint64
+	// hashShadow is memory as of the last StateHash. A marked page whose
+	// bytes match its shadow keeps its cached digest.
+	hashShadow [MemSize]byte
 
 	// pendingCycles is the extra instruction-budget cost charged by the
 	// blitter; the interpreter folds it into the frame's cycle count right
@@ -96,8 +100,13 @@ func New(p Params) (*Console, error) {
 	if c.lfsr == 0 {
 		c.lfsr = 0xACE1 // any nonzero tap state
 	}
-	// A fresh console is entirely "modified": both incremental consumers
-	// must start from a full recompute.
+	// The shadow starts zeroed, so every cached digest starts as the zero
+	// page's. A fresh console is entirely "modified": both incremental
+	// consumers must start from a full pass.
+	zero := pageDigest(c.hashShadow[:PageSize])
+	for p := range c.pageHash {
+		c.pageHash[p] = zero
+	}
 	c.markAllDirty()
 	return c, nil
 }

@@ -11,8 +11,9 @@ package vm
 // one for the delta-savestate chain — and clears it. Marking is conservative:
 // a page may be marked without actually changing (a store that rewrites the
 // same value still marks), but a changed page is never missed. That one-way
-// error is what makes the incremental paths safe: recomputing a falsely-dirty
-// page is wasted work, never a wrong answer.
+// error is what makes the incremental paths safe: a falsely-dirty page costs
+// StateHash a 256-byte compare and the delta chain a shipped page, never a
+// wrong answer.
 const (
 	// PageSize is the dirty-tracking granularity in bytes.
 	PageSize = 256
@@ -81,10 +82,19 @@ func (c *Console) markAddr(a uint16) {
 
 // markRange marks every page from the one containing lo to the one
 // containing hi (inclusive; lo <= hi). Used by the blitter, whose fills are
-// page-contiguous in the worst case.
+// page-contiguous in the worst case. It sets each bitmap word's run of bits
+// with one mask.
 func (c *Console) markRange(lo, hi uint16) {
-	for p := int(lo >> pageShift); p <= int(hi>>pageShift); p++ {
-		c.dirty.Set(p)
+	p, q := int(lo>>pageShift), int(hi>>pageShift)
+	for w := p >> 6; w <= q>>6; w++ {
+		m := ^uint64(0)
+		if w == p>>6 {
+			m <<= uint(p) & 63
+		}
+		if w == q>>6 {
+			m &= ^uint64(0) >> (63 - uint(q)&63)
+		}
+		c.dirty[w] |= m
 	}
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -133,11 +134,24 @@ var scribblerProg = program(
 	Instr{Op: OpJMP, Imm: 0},
 )
 
+// uncachedHash is StateHash with no page cache and no shadow: pageDigest of
+// every page straight from memory, folded with the header fields.
+func uncachedHash(c *Console) uint64 {
+	var pages [NumPages]uint64
+	for p := range pages {
+		pages[p] = pageDigest(c.mem[p<<pageShift : p<<pageShift+PageSize])
+	}
+	return c.digest(&pages)
+}
+
 func TestIncrementalHashMatchesFullRecompute(t *testing.T) {
 	c := boot(t, scribblerProg)
 	for frame := 0; frame < 8; frame++ {
 		c.StepFrame(uint16(frame * 7))
 		got := c.StateHash()
+		if want := uncachedHash(c); got != want {
+			t.Fatalf("frame %d: incremental hash %016x != uncached %016x", frame, got, want)
+		}
 		// A console restored from the full image recomputes every page
 		// digest from scratch.
 		fresh, err := New(Params{})
@@ -149,6 +163,135 @@ func TestIncrementalHashMatchesFullRecompute(t *testing.T) {
 		}
 		if want := fresh.StateHash(); got != want {
 			t.Fatalf("frame %d: incremental hash %016x != full recompute %016x", frame, got, want)
+		}
+	}
+}
+
+// redrawProg clears the whole screen with the blitter every frame, then
+// draws an 8x8 sprite at x = y = pad 0: most pages it marks end the frame
+// with the bytes they started with, and when the sprite moves the pages it
+// leaves return to all zeros.
+var redrawProg = program(
+	Instr{Op: OpMOVI, Rd: 8, Imm: AddrBlitX},
+	Instr{Op: OpSTB, Rd: 0, Ra: 8, Imm: 0},
+	Instr{Op: OpSTB, Rd: 0, Ra: 8, Imm: 1},
+	Instr{Op: OpMOVI, Rd: 1, Imm: ScreenW},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 2},
+	Instr{Op: OpMOVI, Rd: 1, Imm: ScreenH},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 3},
+	Instr{Op: OpSTB, Rd: 0, Ra: 8, Imm: 4},
+	Instr{Op: OpSTB, Rd: 0, Ra: 8, Imm: 5}, // clear
+	Instr{Op: OpMOVI, Rd: 4, Imm: AddrPad0},
+	Instr{Op: OpLDB, Rd: 1, Ra: 4, Imm: 0},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 0},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 1},
+	Instr{Op: OpMOVI, Rd: 1, Imm: 8},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 2},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 3},
+	Instr{Op: OpMOVI, Rd: 1, Imm: 5},
+	Instr{Op: OpSTB, Rd: 1, Ra: 8, Imm: 4},
+	Instr{Op: OpSTB, Rd: 0, Ra: 8, Imm: 5}, // sprite
+	Instr{Op: OpYIELD},
+	Instr{Op: OpJMP, Imm: 0},
+)
+
+// unchangedMarked counts the pages StateHash will find marked but equal to
+// its shadow.
+func unchangedMarked(c *Console) int {
+	c.drainDirty()
+	n := 0
+	for p := 0; p < NumPages; p++ {
+		lo := p << pageShift
+		if c.hashDirty.Test(p) && bytes.Equal(c.mem[lo:lo+PageSize], c.hashShadow[lo:lo+PageSize]) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStateHashMatchesUncachedDigest checks the content-checked cache
+// against uncachedHash after every path that changes memory: frames whose
+// marked pages mostly end unchanged, Restore of an older image, a delta
+// chain materialized and restored, and Poke.
+func TestStateHashMatchesUncachedDigest(t *testing.T) {
+	c := boot(t, redrawProg)
+	check := func(what string) {
+		t.Helper()
+		if got, want := c.StateHash(), uncachedHash(c); got != want {
+			t.Fatalf("%s: StateHash %016x != uncached %016x", what, got, want)
+		}
+	}
+	var old, base []byte
+	skipped := 0
+	for f := 0; f < 40; f++ {
+		c.StepFrame(uint16(f / 8 * 13)) // the sprite moves every 8th frame
+		if f > 0 {
+			skipped += unchangedMarked(c)
+		}
+		check(fmt.Sprintf("frame %d", f))
+		switch f {
+		case 10:
+			old = c.Save()
+		case 20:
+			base = c.AppendSaveBase(nil)
+		}
+	}
+	if skipped < 39*40 {
+		t.Fatalf("only %d marked pages ended unchanged over 39 frames; the program does not exercise the shadow compare", skipped)
+	}
+
+	if err := c.Restore(old); err != nil {
+		t.Fatal(err)
+	}
+	check("Restore of frame 10")
+
+	// Replay frames 21.. from the base, capture a delta, and restore the
+	// materialized image over the diverged console.
+	other := boot(t, redrawProg)
+	if err := other.Restore(base); err != nil {
+		t.Fatal(err)
+	}
+	other.AppendSaveBase(nil)
+	for f := 21; f < 30; f++ {
+		other.StepFrame(uint16(f / 8 * 13))
+	}
+	image := append([]byte(nil), base...)
+	if err := ApplyDeltaToImage(image, other.AppendSaveDelta(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restore(image); err != nil {
+		t.Fatal(err)
+	}
+	check("Restore of a delta-patched image")
+	if got, want := c.StateHash(), other.StateHash(); got != want {
+		t.Fatalf("delta-patched console hash %016x != source %016x", got, want)
+	}
+
+	c.Poke(0x4321, c.Peek(0x4321)^0xA5)
+	check("Poke")
+	c.Poke(0x4321, c.Peek(0x4321)) // marked, unchanged
+	check("Poke of the same value")
+}
+
+// TestMarkRangeMatchesPageLoop pins the word-mask markRange to marking each
+// page in turn, across bitmap word boundaries.
+func TestMarkRangeMatchesPageLoop(t *testing.T) {
+	for _, r := range [][2]uint16{
+		{0, 0}, {0, 0xFFFF}, {0x3F00, 0x40FF}, {0x3FFF, 0x4000}, {0x0100, 0x3EFF},
+		{0x4000, 0x7FFF}, {0xC000, 0xEFFF}, {0xC280, 0xC2FF}, {0x1234, 0xBA98},
+	} {
+		c, err := New(Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.dirty.Clear()
+		c.markRange(r[0], r[1])
+		var want PageBitmap
+		for p := int(r[0] >> pageShift); p <= int(r[1]>>pageShift); p++ {
+			want.Set(p)
+		}
+		if c.dirty != want {
+			t.Errorf("markRange(%#04x, %#04x) = %x, want %x", r[0], r[1], c.dirty, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -63,22 +64,36 @@ func pageDigest(p []byte) uint64 {
 // the audio oscillator. Two replicas that stay logically consistent report
 // equal hashes after every frame (§3's convergence condition).
 //
-// The digest is incremental: a per-page hash cache is kept current via the
-// dirty-page bitmap, so a frame that mutated k pages recomputes k page
-// digests (k is single digits for a typical game frame) and then folds the
-// 256 cached digests with the small header fields.
+// The digest is incremental: a per-page hash cache folds with the small
+// header fields, and only pages whose bytes changed since the last call are
+// re-digested. The dirty-page bitmap names the candidates, but marking is
+// conservative and most games clear the whole screen with the blitter every
+// frame, so about 51 of the 256 pages are marked while only 3 to 16 end the
+// frame with different bytes (EXPERIMENTS.md, "Content-checked StateHash").
+// Each marked page is therefore compared with hashShadow, memory as of the
+// last call, and digested only if it differs. The cache keeps the invariant
+// pageHash[p] == pageDigest(hashShadow page p) from New onwards.
 func (c *Console) StateHash() uint64 {
 	c.drainDirty()
-	if c.hashDirty.Any() {
-		for wi, wv := range c.hashDirty {
-			for wv != 0 {
-				p := wi<<6 + bits.TrailingZeros64(wv)
-				wv &= wv - 1
-				c.pageHash[p] = pageDigest(c.mem[p<<pageShift : p<<pageShift+PageSize])
+	for wi, wv := range c.hashDirty {
+		for wv != 0 {
+			p := wi<<6 + bits.TrailingZeros64(wv)
+			wv &= wv - 1
+			lo := p << pageShift
+			live, shadow := c.mem[lo:lo+PageSize], c.hashShadow[lo:lo+PageSize]
+			if !bytes.Equal(live, shadow) {
+				c.pageHash[p] = pageDigest(live)
+				copy(shadow, live)
 			}
 		}
-		c.hashDirty.Clear()
 	}
+	c.hashDirty.Clear()
+	return c.digest(&c.pageHash)
+}
+
+// digest folds the header fields and the given per-page digests into the
+// state hash.
+func (c *Console) digest(pages *[NumPages]uint64) uint64 {
 	h := hashOffset
 	for _, r := range c.regs {
 		h = (h ^ uint64(r)) * hashPrime
@@ -95,7 +110,7 @@ func (c *Console) StateHash() uint64 {
 	h = (h ^ flags) * hashPrime
 	h = (h ^ uint64(c.lfsr)) * hashPrime
 	h = (h ^ uint64(c.audio.phase)) * hashPrime
-	for _, ph := range c.pageHash {
+	for _, ph := range pages {
 		h = (h ^ ph) * hashPrime
 	}
 	return h
