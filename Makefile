@@ -23,7 +23,11 @@ verify-race:
 # run as built and with its conns forced onto the polling path) 20 times
 # under the race detector and 20 times at one proc. Then the relay's
 # real-clock tests 20 times under the race detector: several goroutines feed
-# and run each shard. Last, the VM and the packages whose goldens pin its
+# and run each shard. That line also carries the capture recorder's
+# shared-tap proof (TestRealModeSharedTapUnderLoad: two readers' goroutines
+# recording into one bounded tap), which trafficgen's wall-clock storm test
+# used to give; trafficgen stays in SCHED_PKGS for its virtual-time tests.
+# Last, the VM and the packages whose goldens pin its
 # hashes on a 32-bit word size, where the compiler lowers the VM's 64-bit
 # page-bitmap masks and digest arithmetic to 32-bit instructions.
 SCHED_PKGS = ./internal/vclock/ ./internal/harness/ ./internal/chaos/ ./internal/trafficgen/

@@ -10,9 +10,9 @@
 //	experiment -series journey              # input-journey latency + health verdict vs RTT
 //	experiment -series ablation-timer       # Algorithm 4 vs naive pacing
 //	experiment -series ablation-transport   # UDP lockstep vs reliable (TCP-like) transport
-//	experiment -series loss                 # packet-loss sweep (journal extension)
 //	experiment -series ablation-rollback    # local lag vs timewarp rollback
 //	experiment -series ablation-adaptivelag # fixed vs adaptive local lag
+//	experiment -series loss                 # packet-loss sweep (journal extension)
 //	experiment -series burstloss            # Gilbert-Elliott vs independent loss
 //	experiment -series bandwidth            # uplink cost vs send pacing
 //	experiment -series multisite            # observers (journal extension)
@@ -20,7 +20,9 @@
 //	experiment -series chaos                # deterministic fault-injection soak
 //	experiment -series relayload            # real-clock relayd hosting capacity (sessions/core)
 //	experiment -series qoeload              # per-profile QoE verdicts under modeled session load
-//	experiment -series all                  # everything
+//	experiment -series all                  # everything, in the order above
+//
+// Any other -series value is a usage error (exit status 2).
 //
 // -frames, -seed, -game and -procdelay override the defaults; -quick trims
 // the sweep for smoke runs. -calibrated (default true) applies the paper
@@ -32,15 +34,49 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"retrolock/internal/harness"
 	"retrolock/internal/metrics"
 )
 
+// seriesTable is every -series name, in the order -series all runs them. It
+// drives both the dispatch and the flag's help text.
+var seriesTable = []struct {
+	name string
+	fn   func(harness.Config) error
+}{
+	{"figure1", fromSweep(printFigure1)},
+	{"figure2", fromSweep(printFigure2)},
+	{"threshold", fromSweep(printThreshold)},
+	{"journey", fromSweep(printJourney)},
+	{"ablation-timer", ablationTimer},
+	{"ablation-transport", ablationTransport},
+	{"ablation-rollback", ablationRollback},
+	{"ablation-adaptivelag", ablationAdaptiveLag},
+	{"loss", lossSweep},
+	{"burstloss", burstLoss},
+	{"bandwidth", bandwidth},
+	{"multisite", multisite},
+	{"seeds", seedSensitivity},
+	{"chaos", chaosSeries},
+	{"relayload", relayload},
+	{"qoeload", qoeload},
+}
+
+// seriesNames lists the valid -series values: every series, then "all".
+func seriesNames() string {
+	names := make([]string, 0, len(seriesTable)+1)
+	for _, s := range seriesTable {
+		names = append(names, s.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
 func main() {
 	var (
-		series     = flag.String("series", "all", "which series to run (figure1, figure2, threshold, ablation-timer, ablation-transport, loss, multisite, all)")
+		series     = flag.String("series", "all", "which series to run: "+seriesNames())
 		frames     = flag.Int("frames", harness.DefaultFrames, "frames per experiment (paper: 3600)")
 		seed       = flag.Int64("seed", 2009, "experiment seed (results are deterministic per seed)")
 		game       = flag.String("game", "pong", "ROM to run (pong, duel, tanks, cycles, breakout, goldrush)")
@@ -53,6 +89,15 @@ func main() {
 	flag.Parse()
 	chartOn, csvTo = *chart, *csvDir
 
+	known := *series == "all"
+	for _, s := range seriesTable {
+		known = known || s.name == *series
+	}
+	if !known {
+		fmt.Fprintf(os.Stderr, "experiment: unknown -series %q; valid names: %s\n", *series, seriesNames())
+		os.Exit(2)
+	}
+
 	base := harness.Config{Frames: *frames, Seed: *seed, Game: *game}
 	if *calibrated {
 		base.ProcDelay = harness.PaperCalibration().ProcDelay
@@ -64,87 +109,51 @@ func main() {
 		base.Frames = 600
 	}
 
-	run := func(name string, fn func(harness.Config) error) {
-		if *series != "all" && *series != name {
-			return
+	sweepRTTs = harness.PaperRTTs()
+	if *quick {
+		sweepRTTs = nil
+		for ms := 0; ms <= 400; ms += 40 {
+			sweepRTTs = append(sweepRTTs, time.Duration(ms)*time.Millisecond)
 		}
-		if err := fn(base); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", name, err)
+	}
+
+	for _, s := range seriesTable {
+		if *series != "all" && *series != s.name {
+			continue
+		}
+		if err := s.fn(base); err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", s.name, err)
 			os.Exit(1)
 		}
 	}
-
-	rtts := harness.PaperRTTs()
-	if *quick {
-		rtts = nil
-		for ms := 0; ms <= 400; ms += 40 {
-			rtts = append(rtts, time.Duration(ms)*time.Millisecond)
-		}
-	}
-
-	// Figures 1 and 2 come from the same sweep; cache it across series.
-	var sweep []harness.SweepPoint
-	getSweep := func(cfg harness.Config) ([]harness.SweepPoint, error) {
-		if sweep != nil {
-			return sweep, nil
-		}
-		var err error
-		sweep, err = harness.SweepRTT(cfg, rtts, func(p harness.SweepPoint) {
-			fmt.Fprintf(os.Stderr, "  rtt %v done (%d frames)\n", p.RTT, p.Result.Sites[0].Frames)
-		})
-		return sweep, err
-	}
-
-	run("figure1", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printFigure1(points)
-		return nil
-	})
-	run("figure2", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printFigure2(points)
-		return nil
-	})
-	run("threshold", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printThreshold(points)
-		return nil
-	})
-	run("journey", func(cfg harness.Config) error {
-		points, err := getSweep(cfg)
-		if err != nil {
-			return err
-		}
-		printJourney(points)
-		return nil
-	})
-	run("ablation-timer", ablationTimer)
-	run("ablation-transport", ablationTransport)
-	run("ablation-rollback", ablationRollback)
-	run("ablation-adaptivelag", ablationAdaptiveLag)
-	run("loss", lossSweep)
-	run("burstloss", burstLoss)
-	run("bandwidth", bandwidth)
-	run("multisite", multisite)
-	run("seeds", seedSensitivity)
-	run("chaos", chaosSeries)
-	run("relayload", relayload)
-	run("qoeload", qoeload)
 }
 
 var (
 	chartOn bool
 	csvTo   string
+
+	// Figures 1 and 2, the threshold analysis and the input journey all
+	// read one RTT sweep over sweepRTTs, run once and cached in sweep.
+	sweepRTTs []time.Duration
+	sweep     []harness.SweepPoint
 )
+
+// fromSweep makes a series that prints the shared RTT sweep.
+func fromSweep(print func([]harness.SweepPoint)) func(harness.Config) error {
+	return func(cfg harness.Config) error {
+		if sweep == nil {
+			var err error
+			sweep, err = harness.SweepRTT(cfg, sweepRTTs, func(p harness.SweepPoint) {
+				fmt.Fprintf(os.Stderr, "  rtt %v done (%d frames)\n", p.RTT, p.Result.Sites[0].Frames)
+			})
+			if err != nil {
+				return err
+			}
+		}
+		print(sweep)
+		return nil
+	}
+}
 
 // rttLabels renders sparse x-axis labels (every other point).
 func rttLabels(points []harness.SweepPoint) []string {

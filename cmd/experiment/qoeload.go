@@ -13,22 +13,19 @@ import (
 // qoeload is the QoE experiment series: what session quality does each
 // access-network profile yield once the traffic goes through a relay?
 //
-// Three tables, three methods:
+// Two tables, two methods, both in virtual time and bit-reproducible:
 //
-//  1. A deterministic virtual-time trafficgen sweep (-sessions modeled
-//     sessions per profile) — the same sweep `make qoe` pins against a
-//     golden baseline.
+//  1. A deterministic trafficgen sweep (-sessions modeled sessions per
+//     profile) — the same sweep `make qoe` pins against a golden baseline.
 //  2. A harness run per profile × sync mode (lockstep vs rollback), with
 //     the relayed path folded into the peer link (double delay, compound
 //     loss) — connecting the load generator's verdicts back to the paper's
 //     frame-time metrics.
-//  3. A real-clock trafficgen run per profile over the wall clock
-//     (StartPolled relay loop), confirming the virtual figures live.
 func qoeload(base harness.Config) error {
 	sessions, hz, _ := relayloadParams()
 
 	fmt.Println()
-	fmt.Println("== qoeload 1/3: virtual-time QoE sweep ==")
+	fmt.Println("== qoeload 1/2: virtual-time QoE sweep ==")
 	fmt.Printf("%d modeled sessions per profile at %d Hz, think-time and churn active\n\n", sessions, hz)
 	_, table, err := trafficgen.Sweep(trafficgen.SweepConfig{
 		Model: trafficgen.Model{
@@ -46,7 +43,7 @@ func qoeload(base harness.Config) error {
 	fmt.Print(table.String())
 
 	fmt.Println()
-	fmt.Println("== qoeload 2/3: harness verdicts, profile x sync mode ==")
+	fmt.Println("== qoeload 2/2: harness verdicts, profile x sync mode ==")
 	fmt.Println("relayed path folded into the peer link: RTT = 4x one-way link delay,")
 	fmt.Println("compound loss; health engine grades the lockstep runs")
 	fmt.Println()
@@ -81,29 +78,5 @@ func qoeload(base harness.Config) error {
 		}
 	}
 	fmt.Print(ht.String())
-
-	fmt.Println()
-	fmt.Println("== qoeload 3/3: real-clock QoE runs ==")
-	fmt.Printf("%d sessions at %d Hz per profile, wall clock, polled relay loops\n\n", sessions, hz)
-	var real []*trafficgen.Result
-	for _, name := range netem.Profiles() {
-		r, err := trafficgen.RunReal(trafficgen.RunConfig{
-			Model: trafficgen.Model{
-				Sessions:      sessions,
-				InputHz:       hz,
-				CadenceJitter: 0.2,
-				Seed:          base.Seed,
-			},
-			Profile: name,
-		})
-		if err != nil {
-			return err
-		}
-		real = append(real, r)
-	}
-	fmt.Print(trafficgen.VerdictTable(real).String())
-	fmt.Println()
-	fmt.Println("(real-clock figures wobble with host scheduling; the virtual table")
-	fmt.Println(" above is the reproducible one — `make qoe` diffs it in CI)")
 	return nil
 }

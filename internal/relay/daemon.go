@@ -328,7 +328,7 @@ func (d *Daemon) tick() {
 	}
 }
 
-// pollEvery paces the polled loop of StartVirtual and StartPolled.
+// pollEvery paces StartVirtual's polled loop.
 const pollEvery = 200 * time.Microsecond
 
 // StartVirtual runs the daemon as one virtual-clock actor: each poll reads
@@ -343,18 +343,9 @@ func (d *Daemon) StartVirtual(v *vclock.Virtual) {
 	v.Go(func() { d.poll(v) })
 }
 
-// StartPolled runs the StartVirtual loop on a plain goroutine against the
-// configured clock. This is how a real-time run drives simnet fronts (whose
-// Recv never blocks) over the wall clock — the path `experiment -series
-// qoeload` uses to shape live generator traffic with netem profiles.
-func (d *Daemon) StartPolled() {
-	d.wg.Add(1)
-	go d.poll(d.cfg.Clock)
-}
-
-// poll is the StartVirtual/StartPolled loop. After Close it steps and
-// flushes every shard once more.
-func (d *Daemon) poll(clk vclock.Clock) {
+// poll is the StartVirtual loop. After Close it steps and flushes every
+// shard once more.
+func (d *Daemon) poll(v *vclock.Virtual) {
 	defer d.wg.Done()
 	ms := newBatch(d.cfg.WriteBatch)
 	for !d.closed.Load() {
@@ -366,7 +357,7 @@ func (d *Daemon) poll(clk vclock.Clock) {
 		for _, s := range d.shards {
 			s.Step()
 		}
-		clk.Sleep(pollEvery)
+		v.Sleep(pollEvery)
 	}
 	for _, s := range d.shards {
 		s.Step()

@@ -4,8 +4,8 @@ import "retrolock/internal/simnet"
 
 // SimFront adapts a simnet endpoint to the Front interface so the exact
 // shard loops that serve real UDP run under the virtual clock. Recv never
-// blocks (simnet is poll-based); the daemon's poll loop (StartVirtual,
-// StartPolled) sleeps on the clock between polls.
+// blocks (simnet is poll-based); the daemon's poll loop (StartVirtual)
+// sleeps on the virtual clock between polls.
 type SimFront struct {
 	ep *simnet.Endpoint
 }

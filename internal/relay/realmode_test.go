@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"retrolock/internal/capture"
 	"retrolock/internal/obs"
 	"retrolock/internal/simnet"
 	"retrolock/internal/vclock"
@@ -478,5 +479,90 @@ func TestRealModeCloseConservesAndLeaksNothing(t *testing.T) {
 		var dump bytes.Buffer
 		_ = pprof.Lookup("goroutine").WriteTo(&dump, 1)
 		t.Fatalf("%d goroutines after Close, %d before Start:\n%s", runtime.NumGoroutine(), before, dump.String())
+	}
+}
+
+// TestRealModeSharedTapUnderLoad shares one bounded capture.Recorder as the
+// tap of a real-clock daemon whose two fronts both feed both shards: every
+// session's sites send to alternating fronts, so both readers' goroutines
+// run shards and record into the tap at once. Under -race this is the
+// recorder's concurrency proof. The tap must hold its bounds, refuse (and
+// count) what does not fit, and keep every record whole: a torn write shows
+// as a header that fails to parse, a payload that contradicts its header, or
+// a snapshot that does not round-trip.
+func TestRealModeSharedTapUnderLoad(t *testing.T) {
+	const maxRecords, maxBytes = 1024, 16 << 10
+	tap := capture.NewRecorder(maxRecords, maxBytes)
+	fronts, addrs := listenUDPFronts(t, 2)
+	d, err := NewDaemon(Config{Shards: 2, Tap: tap}, fronts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	defer d.Close()
+
+	const sessions, rounds = 8, 100
+	pairs := placePairs(t, d, sessions)
+	var wg sync.WaitGroup
+	for i, p := range pairs {
+		i, p := i, p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var msg [2]string
+				for site := 0; site < 2; site++ {
+					msg[site] = fmt.Sprintf("%d:%d:%d", i, site, r)
+					p.send(t, site, addrs[(i+site+r)%2], msg[site])
+				}
+				for site := 0; site < 2; site++ {
+					if err := p.expect(site, msg[1-site], 2*time.Second); err != nil {
+						t.Errorf("session %d round %d: %v", i, r, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	const sent = sessions * 2 * rounds
+	if !waitFor(5*time.Second, func() bool { return ingested(d) == sent }) {
+		t.Fatalf("daemon took in %d of %d datagrams", ingested(d), sent)
+	}
+
+	if tap.Len() == 0 || tap.Dropped() == 0 {
+		t.Fatalf("tap kept %d and refused %d records; want both nonzero", tap.Len(), tap.Dropped())
+	}
+	if tap.Len() > maxRecords {
+		t.Errorf("tap exceeded its record bound: %d > %d", tap.Len(), maxRecords)
+	}
+	if tap.BytesUsed() > maxBytes {
+		t.Errorf("tap exceeded its byte bound: %d > %d", tap.BytesUsed(), maxBytes)
+	}
+	c := tap.Snapshot(capture.Meta{Game: "relay"})
+	for n, rec := range c.Records {
+		if rec.Site > 1 {
+			t.Fatalf("record %d: impossible site %d", n, rec.Site)
+		}
+		tok, from, pl, ok := ParseHeader(rec.Payload)
+		if !ok {
+			t.Fatalf("record %d: torn payload (unparseable relay header, %d bytes)", n, len(rec.Payload))
+		}
+		// A received datagram is recorded against its sender's site, a
+		// forwarded one against its destination, the sender's peer.
+		if want := int(rec.Site); (rec.Dir == capture.DirRecv) != (from == want) {
+			t.Fatalf("record %d: %v record for site %d carries a site-%d header", n, rec.Dir, want, from)
+		}
+		var i, site, r int
+		if _, err := fmt.Sscanf(string(pl), "%d:%d:%d", &i, &site, &r); err != nil ||
+			i >= sessions || pairs[i].tok != tok || site != from || r >= rounds {
+			t.Fatalf("record %d: torn payload %q under token %v, site %d", n, pl, tok, from)
+		}
+	}
+	if _, err := capture.Decode(c.Encode()); err != nil {
+		t.Fatalf("tap snapshot does not round-trip: %v", err)
 	}
 }

@@ -2,10 +2,10 @@
 //
 // It plays the role of the physical LAN + Netem box in the paper's testbed
 // (§4): endpoints exchange UDP-like datagrams whose delivery is shaped by a
-// pluggable per-direction Shaper (see internal/netem). Running it over a
-// virtual clock makes the paper's sixty-second experiments execute in
-// milliseconds and bit-reproducibly; running it over the real clock turns it
-// into an in-memory loopback with live traffic shaping.
+// pluggable per-direction Shaper (see internal/netem). It runs on the
+// virtual clock: every delivery is a vclock.Virtual event, which makes the
+// paper's sixty-second experiments execute in milliseconds and
+// bit-reproducibly.
 //
 // Semantics mirror UDP over a raw link: datagrams may be dropped (by the
 // shaper, or when a receive queue overflows), duplicated, and reordered;
@@ -356,9 +356,8 @@ func (e *Endpoint) growLocked() {
 // still drains packets that were queued before Close.
 //
 // The returned payload borrows the receive ring's buffer: it stays valid
-// until the next TryRecv on the endpoint, even while deliveries run beside
-// the reader (on the real clock they run on timer goroutines). Callers that
-// retain a payload longer must copy it.
+// until the next TryRecv on the endpoint, even when deliveries land while
+// the reader sleeps. Callers that retain a payload longer must copy it.
 func (e *Endpoint) TryRecv() (Datagram, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -113,7 +113,7 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 		epB.SetQueueCap(1 << 14)
 		e.drivers[j] = &driver{idx: j, epA: epA, epB: epB, byToken: make(map[relay.Token]*session)}
 	}
-	if err := e.shapeLinks(frontAddrs, nil); err != nil {
+	if err := e.shapeLinks(frontAddrs); err != nil {
 		d.Close()
 		return nil, err
 	}

@@ -5,11 +5,11 @@
 //
 // The paper's evaluation (§4) measures a handful of sessions on a physical
 // testbed; this package is the scaled-up, repeatable version of that
-// experiment. A virtual-time run (Run, Sweep) executes deterministically:
-// the same model and seed produce bit-identical verdict tables, which is
-// what lets CI diff a QoE sweep against a checked-in baseline. A real-time
-// run (RunReal) applies the same model against the wall clock for live load
-// tests (`experiment -series qoeload`).
+// experiment. Every run (Run, Sweep, Replay) executes in virtual time and
+// deterministically: the same model and seed produce bit-identical verdict
+// tables, which is what lets CI diff a QoE sweep against a checked-in
+// baseline. Load over real sockets and the wall clock is `experiment
+// -series relayload`'s job, not this package's.
 //
 // Sessions speak the relay's native datagram format (token prefix + site
 // byte, relay.PutHeader) with a small generator payload carrying the send
@@ -129,15 +129,6 @@ func (m Model) withDefaults() Model {
 	return m
 }
 
-// Storm overrides the first half of the drivers' links with a harsher netem
-// configuration for a window mid-run — the chaos phase of a load test. In
-// virtual time, pick After/For values off the actors' wake grids (multiples
-// of 1 ms are safe with the default cadences).
-type Storm struct {
-	After, For time.Duration
-	Link       netem.Config
-}
-
 // RunConfig is one generator run against one link profile.
 type RunConfig struct {
 	Model   Model
@@ -157,8 +148,6 @@ type RunConfig struct {
 	// RelayTap, when set, is installed as the daemon's capture tap
 	// (relay.Config.Tap) — the relay-side view of the same traffic.
 	RelayTap *capture.Recorder
-	// Storm optionally injects a chaos window.
-	Storm *Storm
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -260,7 +249,7 @@ type driver struct {
 // engine is the shared run state.
 type engine struct {
 	cfg     RunConfig
-	clock   vclock.Clock
+	clock   *vclock.Virtual
 	net     *simnet.Network
 	epoch   time.Time
 	mStart  time.Time // measure window [mStart, mEnd)
@@ -274,36 +263,12 @@ type engine struct {
 // Run executes one generator run in virtual time. Deterministic: the same
 // RunConfig yields a bit-identical Result (and capture, when attached).
 func Run(cfg RunConfig) (*Result, error) {
-	v := vclock.NewVirtual(Epoch)
-	// The wiring runs as one root actor, so no controller, relay loop or
-	// driver runs (and the clock stands still) until all are registered.
-	return run(cfg, v, v,
-		func(wire func()) { <-v.Go(wire) },
-		func(d *relay.Daemon) { d.StartVirtual(v) },
-		v.Go)
-}
-
-// RunReal executes one generator run against the wall clock: same model,
-// same emulated links, the relay loop polling on real time (StartPolled).
-func RunReal(cfg RunConfig) (*Result, error) {
-	clock := vclock.Real{}
-	return run(cfg, clock, clock,
-		func(wire func()) { wire() },
-		func(d *relay.Daemon) { d.StartPolled() },
-		func(fn func()) <-chan struct{} {
-			ch := make(chan struct{})
-			go func() { defer close(ch); fn() }()
-			return ch
-		})
-}
-
-func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler, root func(wire func()),
-	start func(*relay.Daemon), spawn func(func()) <-chan struct{}) (*Result, error) {
 	cfg = cfg.withDefaults()
 	m := cfg.Model
 
-	e := &engine{cfg: cfg, clock: clock, net: simnet.New(sched), agg: &obs.Histogram{}}
-	e.epoch = clock.Now()
+	v := vclock.NewVirtual(Epoch)
+	e := &engine{cfg: cfg, clock: v, net: simnet.New(v), agg: &obs.Histogram{}}
+	e.epoch = v.Now()
 	e.mStart = e.epoch.Add(cfg.Warmup)
 	e.mEnd = e.mStart.Add(cfg.Measure)
 
@@ -322,7 +287,7 @@ func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler, root func(wi
 		QueueLen:    1 << 14,
 		WriteBatch:  256,
 		SessionTTL:  time.Hour,
-		Clock:       clock,
+		Clock:       v,
 		Seed:        m.Seed,
 		Tap:         cfg.RelayTap,
 	}, fronts)
@@ -346,7 +311,7 @@ func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler, root func(wi
 			buf:     newSendBuf(),
 		}
 	}
-	if err := e.shapeLinks(frontAddrs, nil); err != nil {
+	if err := e.shapeLinks(frontAddrs); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -373,27 +338,18 @@ func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler, root func(wi
 		dr.byToken[s.token] = s
 	}
 
-	// Storm controller (optional) and the stop controller.
 	total := cfg.Warmup + cfg.Measure + cfg.Drain
 	var dones []<-chan struct{}
-	root(func() {
-		if st := cfg.Storm; st != nil {
-			dones = append(dones, spawn(func() {
-				clock.Sleep(st.After)
-				_ = e.shapeStorm(frontAddrs, st)
-				clock.Sleep(st.For)
-				_ = e.shapeLinks(frontAddrs, stormedHalf(m.Drivers))
-			}))
-		}
-		dones = append(dones, spawn(func() {
-			clock.Sleep(total)
+	// The wiring runs as one root actor, so no controller, relay loop or
+	// driver runs (and the clock stands still) until all are registered.
+	<-v.Go(func() {
+		dones = append(dones, v.Go(func() {
+			v.Sleep(total)
 			e.stop.Store(true)
 		}))
-
-		start(d)
+		d.StartVirtual(v)
 		for _, dr := range e.drivers {
-			dr := dr
-			dones = append(dones, spawn(func() { e.runDriver(dr) }))
+			dones = append(dones, v.Go(func() { e.runDriver(dr) }))
 		}
 	})
 	for _, done := range dones {
@@ -404,32 +360,9 @@ func run(cfg RunConfig, clock vclock.Clock, sched vclock.Scheduler, root func(wi
 	return e.grade(sessions, total), nil
 }
 
-// stormedHalf returns the driver indices the storm touches, so the restore
-// pass only reshapes those links.
-func stormedHalf(nDrivers int) []int {
-	half := nDrivers / 2
-	if half == 0 {
-		half = 1
-	}
-	out := make([]int, half)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// shapeLinks installs the run profile on every driver<->front link (or only
-// the listed drivers' links when only != nil).
-func (e *engine) shapeLinks(frontAddrs []string, only []int) error {
-	idxs := only
-	if idxs == nil {
-		idxs = make([]int, len(e.drivers))
-		for i := range idxs {
-			idxs[i] = i
-		}
-	}
-	for _, j := range idxs {
-		dr := e.drivers[j]
+// shapeLinks installs the run profile on every driver<->front link.
+func (e *engine) shapeLinks(frontAddrs []string) error {
+	for j, dr := range e.drivers {
 		for fi, fa := range frontAddrs {
 			seed := e.cfg.Model.Seed + int64(j)*1000 + int64(fi)*4
 			for ei, ep := range []*simnet.Endpoint{dr.epA, dr.epB} {
@@ -439,22 +372,6 @@ func (e *engine) shapeLinks(frontAddrs []string, only []int) error {
 				}
 				e.net.SetLink(ep.Addr(), fa, netem.New(fwd))
 				e.net.SetLink(fa, ep.Addr(), netem.New(rev))
-			}
-		}
-	}
-	return nil
-}
-
-// shapeStorm overrides the first half of the drivers' links with the storm
-// configuration (both directions, per-link seeds).
-func (e *engine) shapeStorm(frontAddrs []string, st *Storm) error {
-	for _, j := range stormedHalf(len(e.drivers)) {
-		dr := e.drivers[j]
-		for fi, fa := range frontAddrs {
-			for ei, ep := range []*simnet.Endpoint{dr.epA, dr.epB} {
-				cfg := st.Link
-				cfg.Seed = e.cfg.Model.Seed + 0x57_0000 + int64(j)*1000 + int64(fi)*4 + int64(ei)
-				e.net.SetLinkBoth(ep.Addr(), fa, netem.New(cfg))
 			}
 		}
 	}

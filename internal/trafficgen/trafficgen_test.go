@@ -9,7 +9,6 @@ import (
 
 	"retrolock/internal/capture"
 	"retrolock/internal/netem"
-	"retrolock/internal/relay"
 )
 
 var (
@@ -246,73 +245,4 @@ func TestReplayDeterministic(t *testing.T) {
 		t.Errorf("replay correctness errors: leak=%d integrity=%d miswire=%d",
 			ra.LeakErrs, ra.IntegrityErrs, ra.MiswireErrs)
 	}
-}
-
-// TestConcurrentTapsUnderStorm drives a real-time run with one shared
-// recorder attached as BOTH the client-side capture and the relay tap while
-// a loss storm reshapes half the links mid-run — many goroutines recording
-// into one Recorder. Run under -race this is the capture pipeline's
-// concurrency proof; the assertions check no record was interleaved or
-// corrupted and the recorder held its memory bounds.
-func TestConcurrentTapsUnderStorm(t *testing.T) {
-	const maxRecords, maxBytes = 8192, 1 << 20
-	shared := capture.NewRecorder(maxRecords, maxBytes)
-	r, err := RunReal(RunConfig{
-		Model:    Model{Sessions: 24, Drivers: 6, InputHz: 120, Seed: 13, JoinSpread: 20 * time.Millisecond},
-		Profile:  "wifi",
-		Warmup:   50 * time.Millisecond,
-		Measure:  250 * time.Millisecond,
-		Drain:    100 * time.Millisecond,
-		Capture:  shared,
-		RelayTap: shared,
-		Storm: &Storm{
-			After: 100 * time.Millisecond,
-			For:   100 * time.Millisecond,
-			Link:  netem.Config{Delay: 2 * time.Millisecond, Loss: 0.4, BurstLoss: true},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Sent == 0 {
-		t.Fatal("real-time run sent nothing")
-	}
-	if r.LeakErrs != 0 || r.IntegrityErrs != 0 || r.MiswireErrs != 0 {
-		t.Errorf("relay correctness errors under storm: leak=%d integrity=%d miswire=%d",
-			r.LeakErrs, r.IntegrityErrs, r.MiswireErrs)
-	}
-
-	if shared.Len() == 0 {
-		t.Fatal("shared recorder captured nothing")
-	}
-	if shared.Len() > maxRecords {
-		t.Errorf("recorder exceeded its record bound: %d > %d", shared.Len(), maxRecords)
-	}
-	if shared.BytesUsed() > maxBytes {
-		t.Errorf("recorder exceeded its byte bound: %d > %d", shared.BytesUsed(), maxBytes)
-	}
-	c := shared.Snapshot(capture.Meta{Game: "trafficgen", Profile: "wifi"})
-	// Every record must be internally consistent — a torn write would show
-	// as a header that fails to parse or a site byte that contradicts the
-	// record's site. (Client DirSend records and relay DirRecv records both
-	// carry the sender's site; client DirRecv and relay DirSend carry the
-	// receiver's, whose datagram came from the peer site.)
-	for i := range c.Records {
-		rec := &c.Records[i]
-		if rec.Site > 1 {
-			t.Fatalf("record %d: impossible site %d", i, rec.Site)
-		}
-		if len(rec.Payload) == 0 {
-			continue
-		}
-		if _, _, _, ok := relay.ParseHeader(rec.Payload); !ok {
-			t.Fatalf("record %d: torn payload (unparseable relay header, %d bytes)", i, len(rec.Payload))
-		}
-	}
-	// And the whole capture must survive an encode/decode round trip.
-	if _, err := capture.Decode(c.Encode()); err != nil {
-		t.Fatalf("storm capture does not round-trip: %v", err)
-	}
-	t.Logf("storm run: sent=%d recv=%d records=%d dropped=%d bytes=%d",
-		r.Sent, r.Recv, shared.Len(), shared.Dropped(), shared.BytesUsed())
 }

@@ -3,25 +3,17 @@ package vclock
 import "time"
 
 // Scheduler extends Clock with the ability to run a callback after a delay.
-// The simulated network and the network emulator use it to schedule packet
-// deliveries, which makes them work identically over virtual time (in the
-// experiment harness) and real time (live shaping in cmd/retroplay).
+// The simulated network (simnet.New) schedules its packet deliveries on it.
+// *Virtual is the only Scheduler in the module, so a simulated world always
+// runs as virtual-clock events, one at a time and in a defined order; the
+// interface remains so that a probe can step a network by hand, with no
+// clock at all.
 type Scheduler interface {
 	Clock
 
 	// ScheduleAfter runs fn once at least d has passed. A non-positive d
-	// schedules fn as soon as possible. fn runs on an unspecified
-	// goroutine and must not block.
+	// schedules fn as soon as possible. fn must not block.
 	ScheduleAfter(d time.Duration, fn func())
 }
 
-// ScheduleAfter implements Scheduler for the real clock using time.AfterFunc.
-func (Real) ScheduleAfter(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	time.AfterFunc(d, fn)
-}
-
-var _ Scheduler = Real{}
 var _ Scheduler = (*Virtual)(nil)
