@@ -171,7 +171,7 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 		}
 	}
 	// One root actor starts every other, so none runs before all exist.
-	var controller, samplerDone <-chan struct{}
+	var controller, samplerDone, relayDone, fleetDone <-chan struct{}
 	<-v.Go(func() {
 		controller = v.Go(func() {
 			v.Sleep(time.Second) // warmup
@@ -189,10 +189,10 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 			setChaos(func(int) simnet.Shaper { return nil })
 			v.Sleep(5 * time.Second) // heal
 			stop.Store(true)
+			_ = d.Close() // the relay and fleet loops exit at their next wake-up
 		})
 
-		d.StartVirtual(v)
-		fl.StartVirtual(v)
+		relayDone, fleetDone = d.StartVirtual(v), fl.StartVirtual(v)
 		samplerDone = v.Go(func() {
 			v.Sleep(gradeWindow + gradeWindow/2)
 			for !stop.Load() {
@@ -209,8 +209,8 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 	<-controller
 	wg.Wait()
 	<-samplerDone
-	fl.Close()
-	_ = d.Close()
+	<-relayDone
+	<-fleetDone
 
 	if tok, ok := captured.Load().(Token); ok {
 		fmt.Fprintf(&digest, "captured %s\n", tok)

@@ -338,15 +338,17 @@ const pollEvery = 200 * time.Microsecond
 // host. A CI soak drives tens of thousands of sessions through real shard
 // code this way in milliseconds of wall time. The caller's Scenario must use
 // the same clock, and calls this from its root actor (see vclock.Virtual).
-func (d *Daemon) StartVirtual(v *vclock.Virtual) {
-	d.wg.Add(1)
-	v.Go(func() { d.poll(v) })
+//
+// The loop runs until Close, which must then come from inside the world (an
+// actor or a clock event), so the last poll lands at a virtual instant the
+// program fixes. The returned channel is closed when the loop has exited.
+func (d *Daemon) StartVirtual(v *vclock.Virtual) <-chan struct{} {
+	return v.Go(func() { d.poll(v) })
 }
 
 // poll is the StartVirtual loop. After Close it steps and flushes every
 // shard once more.
 func (d *Daemon) poll(v *vclock.Virtual) {
-	defer d.wg.Done()
 	ms := newBatch(d.cfg.WriteBatch)
 	for !d.closed.Load() {
 		for _, f := range d.fronts {
@@ -374,7 +376,8 @@ func newBatch(n int) []Message {
 	return ms
 }
 
-// Close stops every loop and socket. Safe to call twice.
+// Close stops every loop and socket. Safe to call twice. It waits for the
+// real-clock goroutines; a StartVirtual loop exits at its next wake-up.
 func (d *Daemon) Close() error {
 	if d.closed.Swap(true) {
 		return nil

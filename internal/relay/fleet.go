@@ -468,11 +468,11 @@ func (f *Fleet) Start() {
 }
 
 // StartVirtual launches the tick loop as a virtual-clock actor, phase-
-// aligned with the daemon's poll loop (same clock).
-func (f *Fleet) StartVirtual(v *vclock.Virtual) {
-	f.wg.Add(1)
-	v.Go(func() {
-		defer f.wg.Done()
+// aligned with the daemon's poll loop (same clock). Like the daemon's, the
+// loop is stopped from inside the world, by Close on the fleet or on its
+// daemon, and exits at its next tick; the returned channel is closed then.
+func (f *Fleet) StartVirtual(v *vclock.Virtual) <-chan struct{} {
+	return v.Go(func() {
 		for !f.closed.Load() && !f.d.closed.Load() {
 			v.Sleep(f.cfg.Window)
 			f.Tick(f.clock.Now())
@@ -480,8 +480,9 @@ func (f *Fleet) StartVirtual(v *vclock.Virtual) {
 	})
 }
 
-// Close stops the tick loop. It does not flush pending captures — call
-// FlushPending first when the evidence matters.
+// Close stops the tick loop, waiting for a real-clock one. It does not
+// flush pending captures — call FlushPending first when the evidence
+// matters.
 func (f *Fleet) Close() {
 	if f.closed.Swap(true) {
 		return

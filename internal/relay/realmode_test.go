@@ -240,12 +240,14 @@ func TestRealAndVirtualFrontsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	vtoks := placeN(t, vd, 3)
+	var polled <-chan struct{}
 	<-v.Go(func() {
-		vd.StartVirtual(v)
+		polled = vd.StartVirtual(v)
 		playFrontScript(vd, vtoks, sim, func(int) { v.Sleep(10 * time.Millisecond) })
+		_ = vd.Close()
 	})
+	<-polled
 	want := counterSnapshot(vd)
-	_ = vd.Close()
 
 	// Real run.
 	fronts, addrs := listenUDPFronts(t, 2)

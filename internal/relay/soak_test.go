@@ -384,9 +384,8 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 			stop.Store(true)
 			// Read the end state here, at a fixed virtual instant between
 			// two fleet ticks (the sampler's phase) after the drivers and
-			// the sampler have exited: the relay and fleet loops keep
-			// running until Close, so a read from the test goroutine would
-			// race them. The capture limit was already hit, so
+			// the sampler have exited, then stop the relay and fleet loops
+			// from inside the world. The capture limit was already hit, so
 			// FlushPending must emit nothing.
 			v.Sleep(gradeWindow + gradeWindow/2)
 			flushed = fl.FlushPending(v.Now())
@@ -396,10 +395,10 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 				tableSessions += len(sh.sessionTable())
 			}
 			elapsed = v.Elapsed()
+			_ = d.Close()
 		})
 
-		d.StartVirtual(v)
-		fl.StartVirtual(v)
+		dones = append(dones, d.StartVirtual(v), fl.StartVirtual(v))
 		// History sampler: one base tick per grading window, phase-offset half a
 		// window behind the fleet tick so every sample reads a freshly published
 		// verdict census (never racing the same virtual instant).
@@ -420,8 +419,6 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		<-done
 	}
 	<-samplerDone
-	fl.Close()
-	_ = d.Close()
 
 	// --- Invariant suite -------------------------------------------------
 

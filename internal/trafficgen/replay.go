@@ -176,11 +176,7 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 
 	var dones []<-chan struct{}
 	<-v.Go(func() { // root actor: nothing runs until all are registered
-		dones = append(dones, v.Go(func() {
-			v.Sleep(total)
-			e.stop.Store(true)
-		}))
-		d.StartVirtual(v)
+		dones = append(dones, v.Go(func() { e.stopAfter(total) }), d.StartVirtual(v))
 		for j, dr := range e.drivers {
 			dr, evs := dr, events[j]
 			dones = append(dones, v.Go(func() { e.runReplayDriver(dr, evs) }))
@@ -189,7 +185,6 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 	for _, done := range dones {
 		<-done
 	}
-	_ = d.Close()
 
 	e.cfg.Model.Sessions = len(sessions)
 	return e.grade(sessions, total), nil

@@ -186,7 +186,8 @@ type Result struct {
 	// payload, or swapped the sites.
 	LeakErrs, IntegrityErrs, MiswireErrs int64
 	// Registry exposes the run's series (latency histogram, delivery
-	// counters) in the observability registry format.
+	// counters, the relay daemon's counters) in the observability registry
+	// format.
 	Registry *obs.Registry
 	// Elapsed is the run duration on the run's own clock.
 	Elapsed time.Duration
@@ -343,11 +344,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// The wiring runs as one root actor, so no controller, relay loop or
 	// driver runs (and the clock stands still) until all are registered.
 	<-v.Go(func() {
-		dones = append(dones, v.Go(func() {
-			v.Sleep(total)
-			e.stop.Store(true)
-		}))
-		d.StartVirtual(v)
+		dones = append(dones, v.Go(func() { e.stopAfter(total) }), d.StartVirtual(v))
 		for _, dr := range e.drivers {
 			dones = append(dones, v.Go(func() { e.runDriver(dr) }))
 		}
@@ -355,9 +352,17 @@ func Run(cfg RunConfig) (*Result, error) {
 	for _, done := range dones {
 		<-done
 	}
-	_ = d.Close()
 
 	return e.grade(sessions, total), nil
+}
+
+// stopAfter is the controller actor: after total it stops the drivers and
+// the relay, inside the world, so the relay's last poll lands at a virtual
+// instant the run fixes and its counters and tap capture repeat exactly.
+func (e *engine) stopAfter(total time.Duration) {
+	e.clock.Sleep(total)
+	e.stop.Store(true)
+	_ = e.daemon.Close()
 }
 
 // shapeLinks installs the run profile on every driver<->front link.
@@ -573,6 +578,7 @@ func (e *engine) grade(sessions []*session, total time.Duration) *Result {
 		r.Sent += s.sent
 		r.Recv += s.recv
 	}
+	relay.RegisterMetrics(r.Registry, e.daemon)
 	labels := obs.Labels{"profile": r.Profile}
 	r.Registry.AddHistogram("qoe_one_way_latency_ns", labels,
 		"measured one-way relay latency across all sessions", e.agg)

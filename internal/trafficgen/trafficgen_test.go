@@ -1,14 +1,18 @@
 package trafficgen
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"retrolock/internal/capture"
 	"retrolock/internal/netem"
+	"retrolock/internal/relay"
 )
 
 var (
@@ -244,5 +248,51 @@ func TestReplayDeterministic(t *testing.T) {
 	if ra.LeakErrs != 0 || ra.IntegrityErrs != 0 || ra.MiswireErrs != 0 {
 		t.Errorf("replay correctness errors: leak=%d integrity=%d miswire=%d",
 			ra.LeakErrs, ra.IntegrityErrs, ra.MiswireErrs)
+	}
+}
+
+// TestRelayViewRepeats runs the same configuration twice in one process with
+// a relay tap: the relay is stopped inside the world, so its last poll lands
+// at the same virtual instant each time, and the relay-side capture, the
+// daemon's counters and the run's virtual duration all repeat exactly.
+func TestRelayViewRepeats(t *testing.T) {
+	run := func() (tap []byte, counters string, elapsed time.Duration) {
+		rec := capture.NewRecorder(1<<17, 1<<24)
+		res, err := Run(RunConfig{
+			Model:    Model{Sessions: 32, Drivers: 4, Seed: 13},
+			Profile:  "wifi",
+			Shards:   2,
+			Warmup:   100 * time.Millisecond,
+			Measure:  300 * time.Millisecond,
+			Drain:    100 * time.Millisecond,
+			RelayTap: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Dropped() != 0 || rec.Len() == 0 {
+			t.Fatalf("relay tap holds %d records, dropped %d", rec.Len(), rec.Dropped())
+		}
+		var b strings.Builder
+		res.Registry.VisitSeries(func(key, _ string, read func() float64) {
+			if strings.HasPrefix(key, "retrolock_relay_") {
+				fmt.Fprintf(&b, "%s %v\n", key, read())
+			}
+		})
+		if !strings.Contains(b.String(), relay.MetricForwarded) {
+			t.Fatalf("run registry carries no relay counters:\n%s", b.String())
+		}
+		return rec.Snapshot(capture.Meta{Game: "trafficgen", Profile: "wifi"}).Encode(), b.String(), res.Elapsed
+	}
+	tapA, ctrA, elA := run()
+	tapB, ctrB, elB := run()
+	if !bytes.Equal(tapA, tapB) {
+		t.Errorf("relay captures differ across runs (%d vs %d bytes)", len(tapA), len(tapB))
+	}
+	if ctrA != ctrB {
+		t.Errorf("relay counters differ across runs:\n%s\nvs:\n%s", ctrA, ctrB)
+	}
+	if elA != elB {
+		t.Errorf("run ended at %v, then at %v of virtual time", elA, elB)
 	}
 }
