@@ -17,20 +17,25 @@ verify-race:
 # The scheduler contract: vclock.Virtual runs one actor at a time in a
 # defined order, so every virtual-time result is the same at any GOMAXPROCS
 # and on every repetition. The whole suite at 1, 2 and 4 procs, then the
-# four packages built on the clock 20 times over and under the race
-# detector (which checks that the baton hand-off orders the actors' shared
-# state). Then the event-driven wait's differential test (each configuration
-# run as built and with its conns forced onto the polling path) 20 times
-# under the race detector and 20 times at one proc. Then the relay's
-# real-clock tests 20 times under the race detector: several goroutines feed
-# and run each shard. That line also carries the capture recorder's
-# shared-tap proof (TestRealModeSharedTapUnderLoad: two readers' goroutines
-# recording into one bounded tap), which trafficgen's wall-clock storm test
-# used to give; trafficgen stays in SCHED_PKGS for its virtual-time tests.
-# Last, the VM and the packages whose goldens pin its
-# hashes on a 32-bit word size, where the compiler lowers the VM's 64-bit
-# page-bitmap masks and digest arithmetic to 32-bit instructions.
-SCHED_PKGS = ./internal/vclock/ ./internal/harness/ ./internal/chaos/ ./internal/trafficgen/
+# packages built on the clock 20 times over and under the race detector.
+# simnet takes no locks: a network and its endpoints may be touched only by
+# the actor holding the baton, by a clock event, or while the world is idle,
+# and the baton hand-off is their only ordering. So the race detector checks
+# that ownership rule in simnet's and transport's own tests and in every
+# harness, chaos and trafficgen world, and then, next line, in the relay's
+# virtual worlds (the soaks at 1000 sessions and the virtual-versus-real
+# front comparison), which must stop their relay and fleet loops from inside
+# the world. Then the event-driven wait's differential test (each
+# configuration run as built and with its conns forced onto the polling
+# path) 20 times under the race detector and 20 times at one proc. Then the
+# relay's real-clock tests 20 times under the race detector: several
+# goroutines feed and run each shard. That line also carries the capture
+# recorder's shared-tap proof (TestRealModeSharedTapUnderLoad: two readers'
+# goroutines recording into one bounded tap). Last, the VM and the packages
+# whose goldens pin its hashes on a 32-bit word size, where the compiler
+# lowers the VM's 64-bit page-bitmap masks and digest arithmetic to 32-bit
+# instructions.
+SCHED_PKGS = ./internal/vclock/ ./internal/simnet/ ./internal/transport/ ./internal/harness/ ./internal/chaos/ ./internal/trafficgen/
 WORD_PKGS = ./internal/vm ./internal/rom/games ./internal/core ./internal/harness ./internal/chaos ./internal/container ./internal/capture
 verify-sched:
 	GOMAXPROCS=1 $(GO) test -count=1 ./...
@@ -38,6 +43,7 @@ verify-sched:
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
 	$(GO) test -count=20 $(SCHED_PKGS)
 	$(GO) test -race -count=1 $(SCHED_PKGS)
+	$(GO) test -race -count=1 -run 'Soak|FrontsAgree|Virtual' ./internal/relay/ -relay.sessions 1000
 	$(GO) test -race -count=20 -run 'EventWait' ./internal/harness/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'EventWait' ./internal/harness/
 	$(GO) test -race -count=20 -run 'UDP|RealMode|FrontsAgree|Close' ./internal/relay/

@@ -96,7 +96,8 @@ func Symmetric(rtt, jitter time.Duration, loss float64, seed int64) (fwd, rev Co
 }
 
 // Emulator shapes packets for one direction of a link. It implements
-// simnet.Shaper. Safe for concurrent use.
+// simnet.Shaper. Safe for concurrent use: simnet calls Plan only from its
+// world's turns, but a real-clock sender calls it from its own goroutine.
 type Emulator struct {
 	mu        sync.Mutex
 	cfg       Config

@@ -7,6 +7,9 @@
 // paper's sixty-second experiments execute in milliseconds and
 // bit-reproducibly.
 //
+// A network belongs to its virtual world, which runs one actor or one event
+// at a time, so it takes no locks: see Network for who may touch it.
+//
 // Semantics mirror UDP over a raw link: datagrams may be dropped (by the
 // shaper, or when a receive queue overflows), duplicated, and reordered;
 // they are never truncated, and they are only corrupted when the link's
@@ -18,7 +21,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"retrolock/internal/vclock"
@@ -68,12 +70,15 @@ func (c ConstantDelay) Plan(time.Time, int) []time.Duration {
 	return []time.Duration{time.Duration(c)}
 }
 
-// Network is a fabric of named endpoints. All methods are safe for
-// concurrent use.
+// Network is a fabric of named endpoints. It belongs to the virtual world
+// its scheduler runs and takes no locks: the network and its endpoints may
+// be touched only by the actor holding the baton, by a clock event callback,
+// or by any goroutine while the world is idle (before its first Go, or after
+// every actor has finished). vclock.Virtual's lock orders those turns, so
+// the race detector flags an access from anywhere else.
 type Network struct {
 	sched vclock.Scheduler
 
-	mu    sync.Mutex
 	nodes map[string]*Endpoint
 	links map[route]Shaper
 
@@ -97,14 +102,10 @@ type flight struct {
 func (f *flight) deliver() {
 	f.dst.enqueue(f.from, f.buf, f.net.sched.Now())
 	f.dst = nil
-	f.net.mu.Lock()
 	f.net.freeFlights = append(f.net.freeFlights, f)
-	f.net.mu.Unlock()
 }
 
 func (n *Network) newFlight() *flight {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if l := len(n.freeFlights); l > 0 {
 		f := n.freeFlights[l-1]
 		n.freeFlights[l-1] = nil
@@ -129,8 +130,6 @@ func New(sched vclock.Scheduler) *Network {
 
 // Bind attaches a new endpoint to addr. Binding an address twice is an error.
 func (n *Network) Bind(addr string) (*Endpoint, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, ok := n.nodes[addr]; ok {
 		return nil, fmt.Errorf("simnet: address %q already bound", addr)
 	}
@@ -153,8 +152,6 @@ func (n *Network) MustBind(addr string) *Endpoint {
 // bidirectional link is configured independently, matching Netem's
 // per-interface shaping in the paper's testbed.
 func (n *Network) SetLink(src, dst string, shaper Shaper) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	r := route{src, dst}
 	if shaper == nil {
 		delete(n.links, r)
@@ -172,25 +169,10 @@ func (n *Network) SetLinkBoth(a, b string, shaper Shaper) {
 }
 
 func (n *Network) shaperFor(src, dst string) Shaper {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if s, ok := n.links[route{src, dst}]; ok {
 		return s
 	}
 	return ConstantDelay(MinDelay)
-}
-
-func (n *Network) lookup(addr string) (*Endpoint, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ep, ok := n.nodes[addr]
-	return ep, ok
-}
-
-func (n *Network) unbind(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.nodes, addr)
 }
 
 // Datagram is a received packet together with its source address and the
@@ -216,7 +198,6 @@ type Endpoint struct {
 	net  *Network
 	addr string
 
-	mu          sync.Mutex
 	ring        []recvSlot // receive queue: ring[head..head+count)
 	head, count int
 	queueCap    int
@@ -237,8 +218,6 @@ func (e *Endpoint) SetQueueCap(c int) {
 	if c < 1 {
 		c = 1
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.queueCap = c
 }
 
@@ -247,15 +226,12 @@ func (e *Endpoint) SetQueueCap(c int) {
 // destinations return ErrNoRoute; packets dropped in flight or at the remote
 // queue are silently lost, like UDP.
 func (e *Endpoint) SendTo(dst string, payload []byte) error {
-	e.mu.Lock()
 	if e.closed {
-		e.mu.Unlock()
 		return ErrClosed
 	}
 	e.sent++
-	e.mu.Unlock()
 
-	dstEp, ok := e.net.lookup(dst)
+	dstEp, ok := e.net.nodes[dst]
 	if !ok {
 		return ErrNoRoute
 	}
@@ -296,16 +272,14 @@ func (e *Endpoint) SendTo(dst string, payload []byte) error {
 }
 
 func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
-	e.mu.Lock()
 	if e.closed || e.count >= e.queueCap {
 		e.dropped++
-		e.mu.Unlock()
 		return
 	}
 	if e.count >= len(e.ring)-1 {
 		// The next free slot would be the one TryRecv returned last, whose
 		// payload its caller may still be reading: grow instead.
-		e.growLocked()
+		e.grow()
 	}
 	s := &e.ring[(e.head+e.count)%len(e.ring)]
 	s.from = from
@@ -313,10 +287,8 @@ func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
 	s.buf = append(s.buf[:0], payload...)
 	e.count++
 	e.delivered++
-	hook := e.onArrival
-	e.mu.Unlock()
-	if hook != nil {
-		hook()
+	if e.onArrival != nil {
+		e.onArrival()
 	}
 }
 
@@ -329,16 +301,14 @@ func (e *Endpoint) OnArrival(v *vclock.Virtual, fn func()) bool {
 	if e.net.sched != vclock.Scheduler(v) {
 		return false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.onArrival = fn
 	return true
 }
 
-// growLocked doubles the receive ring (starting at 16 slots), unwrapping the
+// grow doubles the receive ring (starting at 16 slots), unwrapping the
 // queued entries to the front. The ring never grows past twice the point
 // where count can reach queueCap, checked by the caller.
-func (e *Endpoint) growLocked() {
+func (e *Endpoint) grow() {
 	n := 2 * len(e.ring)
 	if n < 16 {
 		n = 16
@@ -359,8 +329,6 @@ func (e *Endpoint) growLocked() {
 // until the next TryRecv on the endpoint, even when deliveries land while
 // the reader sleeps. Callers that retain a payload longer must copy it.
 func (e *Endpoint) TryRecv() (Datagram, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.count == 0 {
 		return Datagram{}, false
 	}
@@ -373,29 +341,21 @@ func (e *Endpoint) TryRecv() (Datagram, bool) {
 
 // Pending reports how many datagrams are queued for receipt.
 func (e *Endpoint) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.count
 }
 
 // Stats reports lifetime counters: datagrams sent from this endpoint,
 // delivered into its queue, and dropped at its queue (overflow or closed).
 func (e *Endpoint) Stats() (sent, delivered, dropped int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.sent, e.delivered, e.dropped
 }
 
 // Close unbinds the endpoint. In-flight packets addressed to it are dropped
 // on arrival.
 func (e *Endpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
+	if !e.closed {
+		e.closed = true
+		delete(e.net.nodes, e.addr)
 	}
-	e.closed = true
-	e.mu.Unlock()
-	e.net.unbind(e.addr)
 	return nil
 }

@@ -73,12 +73,12 @@ type Virtual struct {
 	handoffs uint64 // batons Sleep and Nap passed to another actor (tests read it)
 	parks    uint64 // Sleep and Nap calls (tests read it)
 	sleepers sleeperQueue
-	events   eventQueue
 
-	// The free list recycles event records so a steady-state simulation —
-	// every frame sleeps once and schedules a few deliveries — settles to
-	// zero allocations per frame. A sleeping actor is its own sleeper record.
-	freeEvents []*event
+	// events holds scheduled callbacks by value, so a steady-state
+	// simulation — every frame sleeps once and schedules a few deliveries —
+	// reuses the heap's array and settles to zero allocations per frame. A
+	// sleeping actor is its own sleeper record.
+	events eventHeap
 }
 
 // NewVirtual returns a virtual clock whose current instant is start.
@@ -259,17 +259,8 @@ func (v *Virtual) scheduleLocked(at int64, fn func()) {
 	if by == nil {
 		by = &v.clock
 	}
-	var e *event
-	if n := len(v.freeEvents); n > 0 {
-		e = v.freeEvents[n-1]
-		v.freeEvents[n-1] = nil
-		v.freeEvents = v.freeEvents[:n-1]
-	} else {
-		e = &event{}
-	}
 	by.nev++
-	e.at, e.by, e.n, e.fn = at, by.id, by.nev, fn
-	heap.Push(&v.events, e)
+	v.events.push(event{at: at, by: by.id, n: by.nev, fn: fn})
 }
 
 // dispatchLocked is called as the baton holder parks or finishes, and by a
@@ -281,15 +272,12 @@ func (v *Virtual) dispatchLocked() *actor {
 	v.cur = &v.clock
 	for len(v.sleepers) > 0 {
 		if len(v.events) > 0 && v.events[0].at <= v.sleepers[0].wake {
-			e := heap.Pop(&v.events).(*event)
+			e := v.events.pop()
 			if e.at > v.now.Load() {
 				v.now.Store(e.at)
 			}
-			fn := e.fn
-			e.fn = nil // release the closure; the record is recycled
-			v.freeEvents = append(v.freeEvents, e)
 			v.mu.Unlock()
-			fn()
+			e.fn()
 			v.mu.Lock()
 			continue
 		}
@@ -346,7 +334,8 @@ func (q *sleeperQueue) Pop() interface{} {
 	return it
 }
 
-// event is one scheduled callback, ordered by (at, by, n).
+// event is one scheduled callback. Events run in (at, by, n) order, a total
+// order: an actor numbers its events, so no two share (by, n).
 type event struct {
 	at int64  // ns since start
 	by uint64 // id of the actor that scheduled it
@@ -354,25 +343,64 @@ type event struct {
 	fn func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if q[i].by != q[j].by {
-		return q[i].by < q[j].by
+	if e.by != o.by {
+		return e.by < o.by
 	}
-	return q[i].n < q[j].n
+	return e.n < o.n
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+// eventHeap is a 4-ary min-heap of events by value: a pop compares up to
+// four siblings per level of a tree half as deep as a binary one, all held
+// in one array with no per-event pointer or interface call.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+// pop removes and returns the earliest event. The heap must not be empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q[n] = event{} // release the closure
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < min(c+4, n); j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
+			}
+			if !q[m].before(&last) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
