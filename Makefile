@@ -23,9 +23,9 @@ verify-race:
 # and the baton hand-off is their only ordering. So the race detector checks
 # that ownership rule in simnet's and transport's own tests and in every
 # harness, chaos and trafficgen world, and then, next line, in the relay's
-# virtual worlds (the soaks at 1000 sessions and the virtual-versus-real
-# front comparison), which must stop their relay and fleet loops from inside
-# the world. Then the event-driven wait's differential test (each
+# virtual worlds (the hosting soak at 1000 sessions, the alert-timeline
+# soak and the virtual-versus-real front comparison), which must stop their
+# relay and fleet loops from inside the world. Then the event-driven wait's differential test (each
 # configuration run as built and with its conns forced onto the polling
 # path) 20 times under the race detector and 20 times at one proc. Then the
 # relay's real-clock tests 20 times under the race detector: several
@@ -43,7 +43,7 @@ verify-sched:
 	GOMAXPROCS=4 $(GO) test -count=1 ./...
 	$(GO) test -count=20 $(SCHED_PKGS)
 	$(GO) test -race -count=1 $(SCHED_PKGS)
-	$(GO) test -race -count=1 -run 'Soak|FrontsAgree|Virtual' ./internal/relay/ -relay.sessions 1000
+	$(GO) test -race -count=1 -run 'Soak|FrontsAgree|Virtual|AlertTimeline' ./internal/relay/ -relay.sessions 1000
 	$(GO) test -race -count=20 -run 'EventWait' ./internal/harness/
 	GOMAXPROCS=1 $(GO) test -count=20 -run 'EventWait' ./internal/harness/
 	$(GO) test -race -count=20 -run 'UDP|RealMode|FrontsAgree|Close' ./internal/relay/

@@ -387,8 +387,8 @@ func (h *eventHeap) pop() event {
 			if c >= n {
 				break
 			}
-			m := c
-			for j := c + 1; j < min(c+4, n); j++ {
+			m, end := c, min(c+4, n)
+			for j := c + 1; j < end; j++ {
 				if q[j].before(&q[m]) {
 					m = j
 				}
