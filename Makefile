@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check qoe lint sloc
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check qoe paper paper-update lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -133,6 +133,36 @@ qoe:
 qoe-update:
 	$(GO) test ./internal/trafficgen/ -run 'TestQoESweepMatchesBaseline' -count 1 \
 		-qoe.update -v
+
+# The paper's numbers: every cmd/experiment series, run at its defaults
+# without charts, diffed byte for byte against testdata/paper/<series>.golden.
+# Each series is its own process, so one series' output cannot depend on
+# another having run first. Progress lines go to stderr and are not
+# compared. The outputs are left in $(PAPER_DIR) for inspection.
+# Regenerate the goldens after an intentional change with
+# `make paper-update`, and say in the commit why each one moved.
+PAPER_SERIES = figure1 figure2 threshold journey ablation-timer ablation-transport \
+	ablation-rollback ablation-adaptivelag loss burstloss bandwidth multisite seeds \
+	chaos qoeload
+PAPER_DIR ?= .paper_build
+paper:
+	mkdir -p $(PAPER_DIR)
+	$(GO) build -o $(PAPER_DIR)/experiment ./cmd/experiment
+	@fail=0; for s in $(PAPER_SERIES); do \
+		$(PAPER_DIR)/experiment -series $$s -chart=false > $(PAPER_DIR)/$$s.txt 2> $(PAPER_DIR)/$$s.err \
+			|| { echo "paper: -series $$s failed:"; cat $(PAPER_DIR)/$$s.err; fail=1; continue; }; \
+		diff -u testdata/paper/$$s.golden $(PAPER_DIR)/$$s.txt || fail=1; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "paper: output differs from testdata/paper"; exit 1; fi; \
+	echo "paper: $(words $(PAPER_SERIES)) series match testdata/paper"
+
+paper-update:
+	mkdir -p $(PAPER_DIR) testdata/paper
+	$(GO) build -o $(PAPER_DIR)/experiment ./cmd/experiment
+	@for s in $(PAPER_SERIES); do \
+		$(PAPER_DIR)/experiment -series $$s -chart=false > testdata/paper/$$s.golden 2> $(PAPER_DIR)/$$s.err \
+			|| { echo "paper-update: -series $$s failed:"; cat $(PAPER_DIR)/$$s.err; exit 1; }; \
+	done
 
 # Static analysis beyond go vet, after a formatting gate: any source file
 # gofmt would rewrite fails it. Staticcheck is fetched on demand — CI runs
