@@ -18,7 +18,6 @@
 //	experiment -series multisite            # observers (journal extension)
 //	experiment -series seeds                # seed-sensitivity spread
 //	experiment -series chaos                # deterministic fault-injection soak
-//	experiment -series relayload            # real-clock relayd hosting capacity (sessions/core)
 //	experiment -series qoeload              # per-profile QoE verdicts under modeled session load
 //	experiment -series all                  # everything, in the order above
 //
@@ -61,7 +60,6 @@ var seriesTable = []struct {
 	{"multisite", multisite},
 	{"seeds", seedSensitivity},
 	{"chaos", chaosSeries},
-	{"relayload", relayload},
 	{"qoeload", qoeload},
 }
 

@@ -2,48 +2,22 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"retrolock/internal/harness"
 	"retrolock/internal/netem"
 	"retrolock/internal/obs"
-	"retrolock/internal/trafficgen"
 )
 
 // qoeload is the QoE experiment series: what session quality does each
-// access-network profile yield once the traffic goes through a relay?
-//
-// Two tables, two methods, both in virtual time and bit-reproducible:
-//
-//  1. A deterministic trafficgen sweep (-sessions modeled sessions per
-//     profile) — the same sweep `make qoe` pins against a golden baseline.
-//  2. A harness run per profile × sync mode (lockstep vs rollback), with
-//     the relayed path folded into the peer link (double delay, compound
-//     loss) — connecting the load generator's verdicts back to the paper's
-//     frame-time metrics.
+// access-network profile yield once the traffic goes through a relay? It
+// runs the harness per profile × sync mode (lockstep vs rollback), with the
+// relayed path folded into the peer link (double delay, compound loss), and
+// so ties the relay's link profiles back to the paper's frame-time metrics.
+// The load generator's own verdicts per profile are `make qoe`'s table
+// (internal/trafficgen/testdata/qoe_baseline.txt).
 func qoeload(base harness.Config) error {
-	sessions, hz, _ := relayloadParams()
-
 	fmt.Println()
-	fmt.Println("== qoeload 1/2: virtual-time QoE sweep ==")
-	fmt.Printf("%d modeled sessions per profile at %d Hz, think-time and churn active\n\n", sessions, hz)
-	_, table, err := trafficgen.Sweep(trafficgen.SweepConfig{
-		Model: trafficgen.Model{
-			Sessions:      sessions,
-			InputHz:       hz,
-			CadenceJitter: 0.2,
-			Think:         trafficgen.ThinkModel{Every: 2 * time.Second, For: 300 * time.Millisecond},
-			Churn:         trafficgen.ChurnModel{LeaveEvery: 5 * time.Second, DownFor: 500 * time.Millisecond},
-			Seed:          base.Seed,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(table.String())
-
-	fmt.Println()
-	fmt.Println("== qoeload 2/2: harness verdicts, profile x sync mode ==")
+	fmt.Println("== qoeload: harness verdicts, profile x sync mode ==")
 	fmt.Println("relayed path folded into the peer link: RTT = 4x one-way link delay,")
 	fmt.Println("compound loss; health engine grades the lockstep runs")
 	fmt.Println()
