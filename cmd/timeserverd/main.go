@@ -67,7 +67,7 @@ func main() {
 		}
 		sum := s.Summarize()
 		log.Printf("site %d: %d frames, avg frame time %.2fms (%.1f FPS), avg deviation %.2fms",
-			site, sum.N+1, sum.Mean, metrics.FPS(sum.Mean), sum.MAD)
+			site, len(srv.Samples(site)), sum.Mean, metrics.FPS(sum.Mean), sum.MAD)
 	}
 	if len(ids) >= 2 {
 		var s metrics.Series
