@@ -56,8 +56,15 @@ const (
 	DefaultBufFrame     = 6
 	DefaultCFPS         = 60
 	DefaultSendInterval = 20 * time.Millisecond
-	DefaultPollInterval = time.Millisecond
 )
+
+// pollInterval is how often a blocked wait re-checks for arrivals, modelling
+// the consumer thread's scheduling quantum. On a vclock.Virtual whose every
+// peer conn stack is a transport.Notifier, SyncInput keeps this grid but
+// skips the re-checks that would find nothing: it wakes at the first grid
+// point at or after an arrival, a paced send, a conn-stack timer or the
+// WaitTimeout deadline.
+const pollInterval = time.Millisecond
 
 // ErrWaitTimeout is returned by SyncInput when remote inputs do not arrive
 // within Config.WaitTimeout. With WaitTimeout zero the paper's behaviour
@@ -91,14 +98,6 @@ type Config struct {
 	// SendInterval is the outbound message pacing (paper §4.2: 20 ms).
 	SendInterval time.Duration
 
-	// PollInterval is how often SyncInput re-checks for arrivals while
-	// blocked, modelling the consumer thread's scheduling quantum. On a
-	// vclock.Virtual whose every peer conn stack is a transport.Notifier,
-	// the wait keeps this grid but skips the re-checks that would find
-	// nothing: it wakes at the first grid point at or after an arrival, a
-	// paced send, a conn-stack timer or the WaitTimeout deadline.
-	PollInterval time.Duration
-
 	// WaitTimeout bounds a single SyncInput wait. Zero waits forever.
 	WaitTimeout time.Duration
 
@@ -130,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SendInterval == 0 {
 		c.SendInterval = DefaultSendInterval
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = DefaultPollInterval
 	}
 	if c.HashInterval == 0 {
 		c.HashInterval = DefaultHashInterval

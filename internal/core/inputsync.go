@@ -58,7 +58,7 @@ type InputSync struct {
 	stats syncCounters
 
 	// bell lets a blocked SyncInput nap past the polls that would find
-	// nothing (see idle). It is nil, and the wait polls every PollInterval,
+	// nothing (see idle). It is nil, and the wait polls every pollInterval,
 	// unless the clock is a vclock.Virtual and every peer's conn stack is a
 	// transport.Notifier; armed counts the peers whose stacks ring it.
 	virt  *vclock.Virtual
@@ -232,7 +232,7 @@ func NewInputSync(cfg Config, clock vclock.Clock, epoch time.Time, peers []Peer)
 		s.peers[p.Site] = ps
 		s.peerList = append(s.peerList, ps)
 	}
-	if v, ok := clock.(*vclock.Virtual); ok && cfg.PollInterval > 0 {
+	if v, ok := clock.(*vclock.Virtual); ok {
 		s.virt, s.bell = v, v.NewBell()
 	}
 	s.lagPub.Store(int64(s.lag))
@@ -444,7 +444,7 @@ func (s *InputSync) SyncInput(input uint16, frame int) (uint16, error) {
 }
 
 // idle parks a blocked SyncInput until its next poll. Polls fall on a grid
-// of PollInterval steps from the wait's start, which is where the paper's
+// of pollInterval steps from the wait's start, which is where the paper's
 // consumer thread would wake. When it can, the site naps on its bell past
 // every grid point at which a poll would find nothing: one is worth making
 // only once a datagram has arrived, a paced send or a timer of some peer's
@@ -455,10 +455,10 @@ func (s *InputSync) SyncInput(input uint16, frame int) (uint16, error) {
 // have seen on the full grid.
 func (s *InputSync) idle(deadline time.Time) {
 	if !s.napReady() {
-		s.clock.Sleep(s.cfg.PollInterval)
+		s.clock.Sleep(pollInterval)
 		return
 	}
-	now, step := s.clock.Now(), s.cfg.PollInterval
+	now, step := s.clock.Now(), pollInterval
 	// steps counts the grid points up to the first at or after at.
 	steps := func(at time.Time) int64 {
 		d := at.Sub(now)

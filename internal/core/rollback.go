@@ -299,7 +299,7 @@ func (s *RollbackSession) RunFrames(n int, localInput func(frame int) uint16, on
 				return fmt.Errorf("%w: frame %d stalled at the prediction window (remote confirmed through %d)",
 					ErrWaitTimeout, frame, s.sync.AuthoritativeThrough())
 			}
-			s.clock.Sleep(s.cfg.PollInterval)
+			s.clock.Sleep(pollInterval)
 			s.sync.Pump()
 			s.reconcile()
 		}
@@ -354,6 +354,6 @@ func (s *RollbackSession) Settle(timeout time.Duration) error {
 			}
 			return fmt.Errorf("%w: settle incomplete (confirmed %d of %d)", ErrWaitTimeout, s.confirmed, last)
 		}
-		s.clock.Sleep(s.cfg.PollInterval)
+		s.clock.Sleep(pollInterval)
 	}
 }

@@ -207,7 +207,7 @@ func (s *Session) Handshake(timeout time.Duration) error {
 					}
 				}
 			}
-			s.clock.Sleep(s.cfg.PollInterval)
+			s.clock.Sleep(pollInterval)
 		}
 		// Everyone is ready: broadcast GO a few times for loss cover.
 		for i := 0; i < 3; i++ {
@@ -251,7 +251,7 @@ func (s *Session) Handshake(timeout time.Duration) error {
 				}
 			}
 		}
-		s.clock.Sleep(s.cfg.PollInterval)
+		s.clock.Sleep(pollInterval)
 	}
 }
 
@@ -451,7 +451,7 @@ func (s *Session) Drain(timeout time.Duration) {
 			s.sync.FlushAcks()
 			return
 		}
-		s.clock.Sleep(s.cfg.PollInterval)
+		s.clock.Sleep(pollInterval)
 	}
 	// Timed out: the protocol pumps above may have batched span stamps that
 	// no SyncInput will ever flush.
@@ -610,7 +610,7 @@ func JoinSession(cfg Config, clock vclock.Clock, epoch time.Time, machine Machin
 		if total > 0 && len(chunks) == total {
 			break
 		}
-		clock.Sleep(time.Millisecond)
+		clock.Sleep(pollInterval)
 	}
 	var comp []byte
 	for i := 0; i < total; i++ {

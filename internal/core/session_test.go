@@ -594,7 +594,7 @@ func TestSetLagManualTransitions(t *testing.T) {
 // A blocked SyncInput naps only on a virtual clock whose every peer conn
 // stack is a transport.Notifier. On the host clock, or once any peer — a
 // late joiner included — sits behind a conn that hides the interface, it
-// polls every PollInterval for the rest of the session.
+// polls every pollInterval for the rest of the session.
 func TestSyncInputNapsOnlyWhenEveryPeerRings(t *testing.T) {
 	v := vclock.NewVirtual(epoch)
 	a, b, err := transport.SimPair(simnet.New(v), "a", "b")

@@ -5,7 +5,7 @@
 // paper's experiments turn — base one-way delay, jitter, random loss,
 // duplication, reordering — plus two the paper's §4.2 analysis accounts for
 // implicitly: a bounded uniform processing delay (the 10 ms sender-thread
-// scheduling quantum, ~5 ms average) and an optional serialization rate.
+// scheduling quantum, ~5 ms average).
 // For the chaos harness it additionally models in-flight bit corruption
 // (the simnet.Corrupter extension).
 //
@@ -14,6 +14,7 @@
 package netem
 
 import (
+	"encoding/json"
 	"math/rand"
 	"sync"
 	"time"
@@ -41,25 +42,24 @@ type Config struct {
 
 	// BurstLoss switches the loss process from independent (Bernoulli) to
 	// a two-state Gilbert-Elliott chain with the same long-run loss rate
-	// but clustered drops: once in the bad state, packets drop with
-	// probability BadLoss until the chain recovers. Real Internet loss is
-	// bursty, which stresses range retransmission much harder than
-	// independent loss of the same rate.
+	// but clustered drops: once in the bad state, every packet drops until
+	// the chain recovers. Real Internet loss is bursty, which stresses
+	// range retransmission much harder than independent loss of the same
+	// rate.
 	BurstLoss bool
 	// MeanBurst is the expected bad-state dwell time in packets (default
 	// 4). Larger values concentrate the same loss rate into longer
 	// outages.
 	MeanBurst float64
-	// BadLoss is the drop probability inside a burst (default 1.0).
-	BadLoss float64
 
 	// Duplicate is the probability that a packet is delivered twice; the
 	// copy gets an independently jittered delay.
 	Duplicate float64
 
-	// Reorder is the probability that a packet is held back by
-	// ReorderExtra, overtaking later traffic. Jitter alone also reorders;
-	// this knob forces it even on jitter-free links.
+	// Reorder is the probability that a packet is held back by an extra
+	// 4*Jitter (10 ms on a jitter-free link), overtaking later traffic.
+	// Jitter alone also reorders; this knob forces it even on jitter-free
+	// links.
 	Reorder float64
 
 	// Corrupt is the per-delivered-copy probability that a single random
@@ -70,18 +70,29 @@ type Config struct {
 	// over their connections so corrupted datagrams are discarded.
 	Corrupt float64
 
-	// ReorderExtra is the extra delay applied to reordered packets. Zero
-	// defaults to 4*Jitter or, if Jitter is zero, 10 ms.
-	ReorderExtra time.Duration
-
-	// Rate, if positive, is the link bandwidth in bits per second. Packets
-	// are serialized through a single queue: a packet's transmission may
-	// not begin before the previous one finished.
-	Rate int64
-
 	// Seed initializes the shaper's PRNG. Two directions of a link should
 	// use different seeds.
 	Seed int64
+}
+
+// MarshalJSON encodes c with the field set RKCP capture metadata has always
+// carried (capture.Meta's Fwd and Rev): the retired BadLoss, ReorderExtra
+// and Rate knobs are written as zeros, so a capture's bytes do not depend
+// on which knobs the emulator still has. Decoding ignores them.
+func (c Config) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Delay, Jitter, ProcDelay    time.Duration
+		Loss                        float64
+		BurstLoss                   bool
+		MeanBurst, BadLoss          float64
+		Duplicate, Reorder, Corrupt float64
+		ReorderExtra                time.Duration
+		Rate, Seed                  int64
+	}{
+		Delay: c.Delay, Jitter: c.Jitter, ProcDelay: c.ProcDelay, Loss: c.Loss,
+		BurstLoss: c.BurstLoss, MeanBurst: c.MeanBurst,
+		Duplicate: c.Duplicate, Reorder: c.Reorder, Corrupt: c.Corrupt, Seed: c.Seed,
+	})
 }
 
 // Symmetric returns per-direction configs for a link with round-trip time
@@ -99,11 +110,10 @@ func Symmetric(rtt, jitter time.Duration, loss float64, seed int64) (fwd, rev Co
 // simnet.Shaper. Safe for concurrent use: simnet calls Plan only from its
 // world's turns, but a real-clock sender calls it from its own goroutine.
 type Emulator struct {
-	mu        sync.Mutex
-	cfg       Config
-	rng       *rand.Rand
-	busyUntil time.Time
-	inBurst   bool
+	mu      sync.Mutex
+	cfg     Config
+	rng     *rand.Rand
+	inBurst bool
 
 	planned    int
 	dropped    int
@@ -118,28 +128,18 @@ func New(cfg Config) *Emulator {
 		if cfg.MeanBurst <= 1 {
 			cfg.MeanBurst = 4
 		}
-		if cfg.BadLoss <= 0 || cfg.BadLoss > 1 {
-			cfg.BadLoss = 1
-		}
 	}
 	return &Emulator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// Reshape retunes the emulator to cfg: configuration, PRNG, rate queue and
-// burst state restart exactly as New(cfg) would, while the lifetime counters
+// Reshape retunes the emulator to cfg: configuration, PRNG and burst state
+// restart exactly as New(cfg) would, while the lifetime counters
 // carry on, so a link reshaped mid-run still reports all of its traffic.
 func (e *Emulator) Reshape(cfg Config) {
 	fresh := New(cfg)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cfg, e.rng, e.busyUntil, e.inBurst = fresh.cfg, fresh.rng, fresh.busyUntil, fresh.inBurst
-}
-
-// Config returns the emulator's configuration.
-func (e *Emulator) Config() Config {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cfg
+	e.cfg, e.rng, e.inBurst = fresh.cfg, fresh.rng, fresh.inBurst
 }
 
 // Plan implements simnet.Shaper.
@@ -160,29 +160,16 @@ func (e *Emulator) Plan(now time.Time, size int) []time.Duration {
 	}
 	offsets := make([]time.Duration, copies)
 	for i := range offsets {
-		offsets[i] = e.deliveryOffsetLocked(now, size)
+		offsets[i] = e.deliveryOffsetLocked()
 	}
 	return offsets
 }
 
 // deliveryOffsetLocked plans one delivered copy of a packet: propagation +
-// processing delay, serialization through the rate queue, and the deliberate
-// reorder knob. Duplicates travel the exact same path as originals — each
-// copy occupies the serialization queue in turn — so on a rate-limited link
-// a duplicate can never arrive before its original could have.
-func (e *Emulator) deliveryOffsetLocked(now time.Time, size int) time.Duration {
+// processing delay and the deliberate reorder knob. A duplicate travels the
+// same path as its original, with its own draws.
+func (e *Emulator) deliveryOffsetLocked() time.Duration {
 	offset := e.oneWayLocked()
-
-	if e.cfg.Rate > 0 {
-		tx := time.Duration(int64(size) * 8 * int64(time.Second) / e.cfg.Rate)
-		start := now
-		if e.busyUntil.After(start) {
-			start = e.busyUntil
-		}
-		e.busyUntil = start.Add(tx)
-		offset += e.busyUntil.Sub(now)
-	}
-
 	if e.cfg.Reorder > 0 && e.rng.Float64() < e.cfg.Reorder {
 		e.reordered++
 		offset += e.reorderExtraLocked()
@@ -199,9 +186,9 @@ func (e *Emulator) dropLocked() bool {
 		return e.rng.Float64() < e.cfg.Loss
 	}
 	// Gilbert-Elliott: choose transition probabilities so the stationary
-	// bad-state share is Loss/BadLoss and the mean bad dwell is MeanBurst
+	// bad-state share is Loss/badLoss and the mean bad dwell is MeanBurst
 	// packets.
-	pBadShare := e.cfg.Loss / e.cfg.BadLoss
+	pBadShare := e.cfg.Loss / badLoss
 	if pBadShare > 1 {
 		pBadShare = 1
 	}
@@ -214,8 +201,11 @@ func (e *Emulator) dropLocked() bool {
 	} else if e.rng.Float64() < pEnter {
 		e.inBurst = true
 	}
-	return e.inBurst && e.rng.Float64() < e.cfg.BadLoss
+	return e.inBurst && e.rng.Float64() < badLoss
 }
+
+// badLoss is the drop probability inside a loss burst.
+const badLoss = 1.0
 
 func (e *Emulator) oneWayLocked() time.Duration {
 	d := e.cfg.Delay
@@ -231,10 +221,8 @@ func (e *Emulator) oneWayLocked() time.Duration {
 	return d
 }
 
+// reorderExtraLocked is the hold-back of a reordered packet.
 func (e *Emulator) reorderExtraLocked() time.Duration {
-	if e.cfg.ReorderExtra > 0 {
-		return e.cfg.ReorderExtra
-	}
 	if e.cfg.Jitter > 0 {
 		return 4 * e.cfg.Jitter
 	}

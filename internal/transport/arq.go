@@ -46,9 +46,9 @@ const DefaultRTO = 200 * time.Millisecond
 //
 // The connection is driven entirely by its Send/TryRecv calls (no internal
 // goroutine): each call checks the retransmission timer against the supplied
-// clock. A blocked SyncInput calls TryRecv every PollInterval (1 ms by
-// default), or, napping on a virtual clock, at the first poll instant at or
-// after an arrival or the deadline NextTimer reports.
+// clock. A blocked SyncInput calls TryRecv every millisecond, or, napping on
+// a virtual clock, at the first poll instant at or after an arrival or the
+// deadline NextTimer reports.
 type ARQConn struct {
 	mu sync.Mutex
 
