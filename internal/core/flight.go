@@ -85,10 +85,6 @@ func (s *Session) SetFlightRecorder(fr FlightRecorder) {
 	}
 }
 
-// Desyncs reports how many divergence incidents the session has declared
-// (0 or 1: the first divergence ends the run). Safe from any goroutine.
-func (s *Session) Desyncs() int { return int(s.desyncs.Load()) }
-
 // incident routes one trigger to the live telemetry and the recorder. The
 // tracer event carries the kind code, so dashboards see what the black box
 // saw; the recorder turns it into a bundle.

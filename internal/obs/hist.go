@@ -3,7 +3,6 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a lock-free monotonic counter. The zero value is ready to use;
@@ -74,9 +73,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
 // Reset zeroes the histogram so it can be pooled and reused (e.g. the
 // relay's per-session stat blocks). Resetting while writers are observing

@@ -3,7 +3,6 @@ package history
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -382,9 +381,4 @@ func BadAbove(bound float64) func(float64) float64 {
 		}
 		return 0
 	}
-}
-
-// RuleName is a helper for building per-site rule names ("session-health-0").
-func RuleName(prefix string, site int) string {
-	return prefix + "-" + strconv.Itoa(site)
 }
