@@ -3,15 +3,12 @@ package trafficgen
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
 	"retrolock/internal/capture"
 	"retrolock/internal/obs"
 	"retrolock/internal/relay"
-	"retrolock/internal/simnet"
-	"retrolock/internal/vclock"
 )
 
 // ReplayConfig shapes a captured-trace replay.
@@ -67,57 +64,18 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 		cfg.Drain = 400 * time.Millisecond
 	}
 
-	v := vclock.NewVirtual(Epoch)
-	e := &engine{
-		cfg: RunConfig{
-			Model:   Model{Drivers: cfg.Drivers, Seed: cfg.Seed}.withDefaults(),
-			Profile: profile,
-			Shards:  cfg.Shards,
-		},
-		clock: v,
-		net:   simnet.New(v),
-		agg:   &obs.Histogram{},
-	}
-	e.epoch = v.Now()
-
-	// Fronts and daemon, same topology rule as Run: one front per shard.
-	frontAddrs := make([]string, cfg.Shards)
-	fronts := make([]relay.Front, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		ep := e.net.MustBind(fmt.Sprintf("relay-%d", i))
-		ep.SetQueueCap(1 << 16)
-		fronts[i] = relay.NewSimFront(ep)
-		frontAddrs[i] = ep.Addr()
-	}
-	d, err := relay.NewDaemon(relay.Config{
-		Shards:      cfg.Shards,
-		MaxSessions: len(c.Records)/cfg.Shards + cfg.Shards,
-		QueueLen:    1 << 14,
-		WriteBatch:  256,
-		SessionTTL:  time.Hour,
-		Clock:       v,
-		Seed:        cfg.Seed,
-	}, fronts)
+	e, err := newEngine(RunConfig{
+		Model:   Model{Drivers: cfg.Drivers, Seed: cfg.Seed},
+		Profile: profile,
+		Shards:  cfg.Shards,
+	}, len(c.Records))
 	if err != nil {
 		return nil, err
 	}
-	e.daemon = d
+	v, d := e.clock, e.daemon
 
 	// Re-admit one session per distinct token, in first-appearance order,
 	// and reconstruct the send schedule.
-	e.drivers = make([]*driver, cfg.Drivers)
-	for j := range e.drivers {
-		epA := e.net.MustBind(fmt.Sprintf("genA-%d", j))
-		epB := e.net.MustBind(fmt.Sprintf("genB-%d", j))
-		epA.SetQueueCap(1 << 14)
-		epB.SetQueueCap(1 << 14)
-		e.drivers[j] = &driver{idx: j, epA: epA, epB: epB, byToken: make(map[relay.Token]*session)}
-	}
-	if err := e.shapeLinks(frontAddrs); err != nil {
-		d.Close()
-		return nil, err
-	}
-
 	var (
 		sessions []*session
 		byOld    = make(map[relay.Token]*session)

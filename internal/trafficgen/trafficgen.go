@@ -267,54 +267,15 @@ func Run(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	m := cfg.Model
 
-	v := vclock.NewVirtual(Epoch)
-	e := &engine{cfg: cfg, clock: v, net: simnet.New(v), agg: &obs.Histogram{}}
-	e.epoch = v.Now()
-	e.mStart = e.epoch.Add(cfg.Warmup)
-	e.mEnd = e.mStart.Add(cfg.Measure)
-
-	// Relay: one front per shard (see RunConfig.Shards).
-	fronts := make([]relay.Front, cfg.Shards)
-	frontAddrs := make([]string, cfg.Shards)
-	for i := range fronts {
-		ep := e.net.MustBind(fmt.Sprintf("relay-%d", i))
-		ep.SetQueueCap(1 << 16)
-		fronts[i] = relay.NewSimFront(ep)
-		frontAddrs[i] = ep.Addr()
-	}
-	d, err := relay.NewDaemon(relay.Config{
-		Shards:      cfg.Shards,
-		MaxSessions: m.Sessions/cfg.Shards + cfg.Shards,
-		QueueLen:    1 << 14,
-		WriteBatch:  256,
-		SessionTTL:  time.Hour,
-		Clock:       v,
-		Seed:        m.Seed,
-		Tap:         cfg.RelayTap,
-	}, fronts)
+	e, err := newEngine(cfg, m.Sessions)
 	if err != nil {
 		return nil, err
 	}
-	e.daemon = d
-
-	// Drivers and links: driver j's endpoints get a per-direction profile
-	// pair against every front, each with its own seed, so every link's
-	// loss/jitter stream is independent and reproducible.
-	e.drivers = make([]*driver, m.Drivers)
-	for j := range e.drivers {
-		epA := e.net.MustBind(fmt.Sprintf("genA-%d", j))
-		epB := e.net.MustBind(fmt.Sprintf("genB-%d", j))
-		epA.SetQueueCap(1 << 14)
-		epB.SetQueueCap(1 << 14)
-		e.drivers[j] = &driver{
-			idx: j, epA: epA, epB: epB,
-			byToken: make(map[relay.Token]*session),
-			buf:     newSendBuf(),
-		}
-	}
-	if err := e.shapeLinks(frontAddrs); err != nil {
-		d.Close()
-		return nil, err
+	v, d := e.clock, e.daemon
+	e.mStart = e.epoch.Add(cfg.Warmup)
+	e.mEnd = e.mStart.Add(cfg.Measure)
+	for _, dr := range e.drivers {
+		dr.buf = newSendBuf()
 	}
 
 	// Admission: place every session up front; session i joins at a
@@ -356,6 +317,54 @@ func Run(cfg RunConfig) (*Result, error) {
 	return e.grade(sessions, total), nil
 }
 
+// newEngine builds the world Run and Replay share, on a fresh virtual clock:
+// one relay front per shard (see RunConfig.Shards), a relay daemon sized for
+// the given number of sessions, cfg.Model.Drivers drivers with two endpoints
+// each, and the run profile on every driver<->front link. The drivers' send
+// buffers are left to the caller.
+func newEngine(cfg RunConfig, sessions int) (*engine, error) {
+	v := vclock.NewVirtual(Epoch)
+	e := &engine{cfg: cfg, clock: v, net: simnet.New(v), agg: &obs.Histogram{}}
+	e.epoch = v.Now()
+
+	fronts := make([]relay.Front, cfg.Shards)
+	frontAddrs := make([]string, cfg.Shards)
+	for i := range fronts {
+		ep := e.net.MustBind(fmt.Sprintf("relay-%d", i))
+		ep.SetQueueCap(1 << 16)
+		fronts[i] = relay.NewSimFront(ep)
+		frontAddrs[i] = ep.Addr()
+	}
+	d, err := relay.NewDaemon(relay.Config{
+		Shards:      cfg.Shards,
+		MaxSessions: sessions/cfg.Shards + cfg.Shards,
+		QueueLen:    1 << 14,
+		WriteBatch:  256,
+		SessionTTL:  time.Hour,
+		Clock:       v,
+		Seed:        cfg.Model.Seed,
+		Tap:         cfg.RelayTap,
+	}, fronts)
+	if err != nil {
+		return nil, err
+	}
+	e.daemon = d
+
+	e.drivers = make([]*driver, cfg.Model.Drivers)
+	for j := range e.drivers {
+		epA := e.net.MustBind(fmt.Sprintf("genA-%d", j))
+		epB := e.net.MustBind(fmt.Sprintf("genB-%d", j))
+		epA.SetQueueCap(1 << 14)
+		epB.SetQueueCap(1 << 14)
+		e.drivers[j] = &driver{idx: j, epA: epA, epB: epB, byToken: make(map[relay.Token]*session)}
+	}
+	if err := e.shapeLinks(frontAddrs); err != nil {
+		d.Close()
+		return nil, err
+	}
+	return e, nil
+}
+
 // stopAfter is the controller actor: after total it stops the drivers and
 // the relay, inside the world, so the relay's last poll lands at a virtual
 // instant the run fixes and its counters and tap capture repeat exactly.
@@ -365,7 +374,10 @@ func (e *engine) stopAfter(total time.Duration) {
 	_ = e.daemon.Close()
 }
 
-// shapeLinks installs the run profile on every driver<->front link.
+// shapeLinks installs the run profile on every driver<->front link. Driver
+// j's endpoints get a per-direction profile pair against every front, each
+// with its own seed, so every link's loss/jitter stream is independent and
+// reproducible.
 func (e *engine) shapeLinks(frontAddrs []string) error {
 	for j, dr := range e.drivers {
 		for fi, fa := range frontAddrs {
