@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check qoe paper paper-update lint sloc
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check qoe qoe-update paper paper-update lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the

@@ -272,6 +272,7 @@ type Report struct {
 
 	Frames        [2]int
 	FinalHashes   [2]uint64
+	Hashes        [2][]uint64 // each site's state hash after every frame
 	Converged     bool
 	MismatchFrame int // first diverging frame, -1 when converged
 
@@ -515,6 +516,7 @@ func Run(sc Scenario) (*Report, error) {
 		Spec:          sc,
 		Lag:           sites[0].Sync().Lag(),
 		Elapsed:       elapsed,
+		Hashes:        hashes,
 		MismatchFrame: -1,
 		Converged:     true,
 	}

@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,5 +174,43 @@ func TestPartitionOutlastingTimeoutFailsLoudly(t *testing.T) {
 	}
 	if _, err := chaos.Run(sc); err == nil {
 		t.Fatal("run with a partition outlasting WaitTimeout succeeded; want a loud failure")
+	}
+}
+
+// TestOracleLocatesCorruption drives the oracle invariant with a corruption
+// late enough that no hash exchange catches it, so the run completes. Verify
+// must report the divergence and no oracle violation; told the wrong frame,
+// or no corruption at all, it must name the frame where site 1 really left
+// the oracle.
+func TestOracleLocatesCorruption(t *testing.T) {
+	sc := chaos.Scenario{
+		Name:    "late-corruption",
+		Seed:    5,
+		Frames:  300,
+		Corrupt: &chaos.Corruption{Site: 1, Frame: 290, Addr: 0x7ABC, XOR: 0x5A},
+	}
+	r, err := chaos.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func() string {
+		err := r.Verify()
+		if err == nil {
+			t.Fatal("Verify passed a corrupted run")
+		}
+		return err.Error()
+	}
+	if got := verify(); !strings.Contains(got, "1 invariant violations") ||
+		!strings.Contains(got, "replicas diverged at frame 290") {
+		t.Errorf("want only the divergence at frame 290, got:\n%s", got)
+	}
+	r.Spec.Corrupt = &chaos.Corruption{Site: 1, Frame: 289}
+	if got := verify(); !strings.Contains(got, "site 1: corrupted at frame 289, first departs from the oracle at 290") {
+		t.Errorf("a misplaced corruption frame went unnoticed:\n%s", got)
+	}
+	r.Spec.Corrupt = nil
+	if got := verify(); !strings.Contains(got, "site 1: hash") || !strings.Contains(got, "at frame 290, the oracle's is") ||
+		strings.Contains(got, "site 0:") {
+		t.Errorf("want site 1 alone off the oracle at frame 290, got:\n%s", got)
 	}
 }

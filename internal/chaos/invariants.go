@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"retrolock/internal/core"
+	"retrolock/internal/harness"
 	"retrolock/internal/transport"
 )
 
@@ -30,11 +31,26 @@ func MaxRingWindow(lag int) int {
 	return 4*lag + core.MaxInputsPerMsg + ringSlack
 }
 
+// departure returns the first frame at which got differs from the oracle's
+// hashes, or -1 when it never does.
+func departure(got, oracle []uint64) int {
+	for f := range min(len(got), len(oracle)) {
+		if got[f] != oracle[f] {
+			return f
+		}
+	}
+	return -1
+}
+
 // Verify asserts the chaos invariant suite over a completed run and returns
 // every violation joined into one error (nil when the run is clean):
 //
 //   - consistency: both sites produced the same state hash at every matched
 //     frame and finished all requested frames
+//   - the oracle: every frame's hash on each site is the one harness.Expect
+//     computes from the input script alone; with Spec.Corrupt, the
+//     corrupted site first departs from it at exactly the corruption frame
+//     and the other site never does
 //   - liveness: every WantProgress phase was entered and executed frames on
 //     both sites
 //   - bounded memory: the input ring window stays under MaxRingWindow and,
@@ -58,6 +74,20 @@ func (r *Report) Verify() error {
 	for site := 0; site < 2; site++ {
 		if r.Frames[site] != r.Spec.Frames {
 			fail("site %d executed %d/%d frames", site, r.Frames[site], r.Spec.Frames)
+		}
+	}
+	oracle := harness.Expect(r.Spec.Game, r.Spec.Seed, r.Spec.Frames, r.Lag)
+	for site, got := range r.Hashes {
+		want := -1
+		if c := r.Spec.Corrupt; c != nil && c.Site == site && c.Frame < len(got) {
+			want = c.Frame
+		}
+		switch f := departure(got, oracle); {
+		case f == want:
+		case want < 0:
+			fail("site %d: hash %x at frame %d, the oracle's is %x", site, got[f], f, oracle[f])
+		default:
+			fail("site %d: corrupted at frame %d, first departs from the oracle at %d", site, want, f)
 		}
 	}
 

@@ -18,7 +18,7 @@ import (
 // change must leave every digest as it is.
 
 // TestGoldenFinalHashes pins both players' final state hash for every
-// shipped game.
+// shipped game, and checks that each is the one the oracle computes.
 func TestGoldenFinalHashes(t *testing.T) {
 	want := map[string]uint64{
 		"breakout": 0xedaeb797bf150779,
@@ -29,12 +29,14 @@ func TestGoldenFinalHashes(t *testing.T) {
 		"tanks":    0xdddd164d953340b1,
 	}
 	for _, game := range games.Names() {
-		res := run(t, Config{RTT: 60 * time.Millisecond, Frames: 300, Seed: 21, Game: game})
+		cfg := Config{RTT: 60 * time.Millisecond, Frames: 300, Seed: 21, Game: game}
+		res := run(t, cfg)
 		for site, s := range res.Sites {
 			if s.FinalHash != want[game] {
 				t.Errorf("%s site %d: final hash %#x, want %#x", game, site, s.FinalHash, want[game])
 			}
 		}
+		checkOracle(t, cfg, res)
 	}
 }
 

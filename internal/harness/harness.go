@@ -1,9 +1,9 @@
 // Package harness reproduces the paper's testbed (§4) in virtual time: two
 // gaming sites running the same ROM under the sync module, connected through
-// a Netem-equivalent emulated link, with a time server on a sub-millisecond
-// LAN recording every frame's begin time. One 3600-frame experiment — a
-// wall-clock minute on the paper's hardware — completes in well under a
-// second and is bit-reproducible for a given seed.
+// a Netem-equivalent emulated link, with every frame's begin time read off
+// the clock the sites share. One 3600-frame experiment — a wall-clock minute
+// on the paper's hardware — completes in well under a second and is
+// bit-reproducible for a given seed.
 package harness
 
 import (
@@ -237,6 +237,33 @@ func PlayerInput(seed int64, site, frame int) uint16 {
 	return uint16(h.Sum64()) & 0x00FF << (8 * (site & 1))
 }
 
+// Expect is the network-free oracle of a lockstep run (logical consistency,
+// §3.1): the state hash after every frame of game when both players feed
+// PlayerInput(seed, ·) at local lag lag. Frame f executes both players'
+// inputs from frame f−lag and the first lag frames carry none, so a run's
+// hashes are a function of the input script alone, whatever its network
+// did. It panics if game does not load or boot.
+func Expect(game string, seed int64, frames, lag int) []uint64 {
+	g, err := games.Load(game)
+	if err != nil {
+		panic(err)
+	}
+	c, err := g.Boot()
+	if err != nil {
+		panic(err)
+	}
+	out := make([]uint64, frames)
+	for f := range out {
+		var in uint16
+		if f >= lag {
+			in = PlayerInput(seed, 0, f-lag) | PlayerInput(seed, 1, f-lag)
+		}
+		c.StepFrame(in)
+		out[f] = c.StateHash()
+	}
+	return out
+}
+
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -311,9 +338,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The measurement LAN: default links (50 µs one way, "under 1 ms"
-	// round trip, §4.1.2).
-	ts := timeserver.NewServer(net.MustBind("timeserver"))
 	totalSites := 2 + cfg.Observers
 
 	// Each player's peers: the other player, then every observer; each
@@ -344,7 +368,7 @@ func Run(cfg Config) (*Result, error) {
 
 	sites := make([]*rig.Site, totalSites)
 	journals := make([]*span.Journal, totalSites)
-	reporters := make([]*simnet.Endpoint, totalSites)
+	begins := make([][]timeserver.Sample, totalSites)
 	for site := range sites {
 		sp := rig.Spec{
 			Clock: v,
@@ -377,7 +401,6 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		journals[site] = sites[site].Journal
-		reporters[site] = net.MustBind(fmt.Sprintf("reporter%d", site))
 	}
 
 	// The site-0 health SLO engine grades the feasibility signals — median
@@ -395,23 +418,19 @@ func Run(cfg Config) (*Result, error) {
 		s := sites[site]
 		defer func() {
 			if running--; running == 0 {
-				// Last site out: let the last reports reach the time
-				// server.
 				elapsed = v.Now().Sub(start)
-				v.Sleep(10 * time.Millisecond)
-				ts.Poll()
 			}
 		}()
 		if site == 1 && cfg.StartOffset > 0 {
 			v.Sleep(cfg.StartOffset)
 		}
 		localInput := func(f int) uint16 {
-			// Frame begin: report to the time server (§4.1). The server
-			// has no actor of its own; each site drains it here, which
-			// costs no wake-up and stamps nothing (a sample's instant is
-			// its datagram's delivery).
-			ts.Poll()
-			_ = reporters[site].SendTo("timeserver", timeserver.EncodeReport(site, f))
+			// Frame begin (§4.1). Real sites share no clock, so the paper
+			// has a LAN time server stamp each one's report. Every site
+			// here runs on v, where that server would stamp this instant
+			// a constant 50 µs later, which every frame time and every
+			// skew cancels. timeserverd is that server for real runs.
+			begins[site] = append(begins[site], timeserver.Sample{Frame: f, At: v.Now()})
 			if site >= 2 {
 				return 0
 			}
@@ -455,7 +474,7 @@ func Run(cfg Config) (*Result, error) {
 	final := reg.Snapshot()
 	for site, s := range sites {
 		var frameTimes metrics.Series
-		for _, d := range ts.FrameTimes(site) {
+		for _, d := range timeserver.FrameTimes(begins[site]) {
 			frameTimes.AddDuration(d)
 		}
 		sl := obs.SiteLabels(site)
@@ -478,7 +497,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	var sync metrics.Series
-	for _, d := range ts.SyncDiffs(0, 1) {
+	for _, d := range timeserver.SyncDiffs(begins[0], begins[1]) {
 		sync.AddDuration(d)
 		if d < 0 {
 			d = -d

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"retrolock/internal/core"
 	"retrolock/internal/netem"
 	"retrolock/internal/obs"
 )
@@ -18,6 +19,27 @@ func run(t *testing.T, cfg Config) *Result {
 		t.Fatalf("Run: %v", err)
 	}
 	return res
+}
+
+// checkOracle asserts that every site of res ended in the state Expect
+// computes from cfg's input script alone (lag 0 for rollback, whose
+// reconciled inputs carry no local lag).
+func checkOracle(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	lag := cfg.BufFrame
+	if lag == 0 {
+		lag = core.DefaultBufFrame
+	}
+	if cfg.Rollback {
+		lag = 0
+	}
+	want := Expect(cfg.Game, cfg.Seed, cfg.Frames, lag)[cfg.Frames-1]
+	for site, s := range res.Sites {
+		if s.FinalHash != want {
+			t.Errorf("%s seed %d site %d: final hash %#x, oracle %#x", cfg.Game, cfg.Seed, site, s.FinalHash, want)
+		}
+	}
 }
 
 func TestLowLatencyRunsAtSixtyFPS(t *testing.T) {
@@ -72,13 +94,15 @@ func TestLossyLinkStillConverges(t *testing.T) {
 }
 
 func TestObserversConverge(t *testing.T) {
-	res := run(t, Config{RTT: 50 * time.Millisecond, Frames: 300, Seed: 4, Observers: 2})
+	cfg := Config{RTT: 50 * time.Millisecond, Frames: 300, Seed: 4, Observers: 2}
+	res := run(t, cfg)
 	if len(res.Sites) != 4 {
 		t.Fatalf("sites = %d, want 4 (2 players + 2 observers)", len(res.Sites))
 	}
 	if !res.Converged {
 		t.Fatal("observer replicas diverged")
 	}
+	checkOracle(t, cfg, res)
 }
 
 // TestObserversRunIsDeterministic covers sites with more than one peer: the
@@ -158,12 +182,16 @@ func TestARQSuffersUnderLoss(t *testing.T) {
 
 func TestSweepRTTProducesMonotonicThreshold(t *testing.T) {
 	rtts := []time.Duration{0, 80 * time.Millisecond, 160 * time.Millisecond, 320 * time.Millisecond}
-	points, err := SweepRTT(Config{Frames: 300, Seed: 8}, rtts, nil)
+	base := Config{Frames: 300, Seed: 8}
+	points, err := SweepRTT(base, rtts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != len(rtts) {
 		t.Fatalf("points = %d, want %d", len(points), len(rtts))
+	}
+	for _, p := range points {
+		checkOracle(t, base, p.Result)
 	}
 	// Below the threshold the frame time stays ~16.7ms; far above it it
 	// must grow.
@@ -240,10 +268,12 @@ func TestUnknownGameFails(t *testing.T) {
 }
 
 func TestRollbackBaselineConvergesAndHoldsFPS(t *testing.T) {
-	res := run(t, Config{RTT: 80 * time.Millisecond, Frames: 400, Seed: 11, Rollback: true})
+	cfg := Config{RTT: 80 * time.Millisecond, Frames: 400, Seed: 11, Rollback: true}
+	res := run(t, cfg)
 	if !res.Converged {
 		t.Fatal("rollback replicas diverged")
 	}
+	checkOracle(t, cfg, res)
 	s := res.Sites[0]
 	if s.FPS < 56 {
 		t.Errorf("rollback FPS = %.1f at RTT 80ms, want ~60 (latency hiding)", s.FPS)

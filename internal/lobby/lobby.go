@@ -29,7 +29,7 @@
 //     sessions) forwards the rebind to the Placer; the relay data path never
 //     re-learns addresses on its own.
 //   - Expiry is clock-driven, not traffic-driven. A background sweep runs on
-//     a ticker (injectable Clock), so abandoned sessions age out even when
+//     a ticker on the host clock, so abandoned sessions age out even when
 //     the socket goes quiet, and the sessions map is capped at MaxSessions.
 package lobby
 
@@ -40,8 +40,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"retrolock/internal/vclock"
 )
 
 // Placement is a relay assignment for one session: the opaque token clients
@@ -75,9 +73,6 @@ type Config struct {
 	// beyond the cap are counted and dropped (the client retries and gets in
 	// once a sweep frees space). Default 65536.
 	MaxSessions int
-	// Clock drives the sweep ticker and all timestamps. Default the system
-	// clock; tests inject short real clocks or a virtual one.
-	Clock vclock.Clock
 	// Placer, when non-nil, turns the lobby into an admission control plane:
 	// paired sessions are placed on the backend and answered with RELAY
 	// instead of PEER.
@@ -93,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 65536
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.System
 	}
 	return c
 }
@@ -241,7 +233,7 @@ func (s *Server) handle(msg string, from net.Addr) {
 	}
 	s.mu.Lock()
 	s.joins++
-	now := s.cfg.Clock.Now()
+	now := time.Now()
 	sess, exists := s.sessions[code]
 	if !exists {
 		if len(s.sessions) >= s.cfg.MaxSessions {
@@ -363,13 +355,13 @@ func (s *Server) replyPlacedLocked(code string, sess *session, site int, from ne
 // sessions (and their relay reservations) live forever.
 func (s *Server) sweepLoop() {
 	for {
-		s.cfg.Clock.Sleep(s.cfg.SweepEvery)
+		time.Sleep(s.cfg.SweepEvery)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			return
 		}
-		released := s.sweepLocked(s.cfg.Clock.Now())
+		released := s.sweepLocked(time.Now())
 		s.mu.Unlock()
 		for _, tok := range released {
 			_ = s.cfg.Placer.Release(tok)

@@ -4,8 +4,11 @@
 // measured without synchronizing the sites' own clocks. The sites are
 // connected to the server over a LAN whose round trip is "safely under 1 ms".
 //
-// Server runs over the in-process simnet (the experiment harness); UDPServer
-// is the equivalent for live measurement over a real network.
+// UDPServer is that server for real runs (cmd/timeserverd). In virtual time
+// the sites share one clock, and a server on the constant-delay LAN would
+// stamp each frame begin the same 50 µs after it happened; so the experiment
+// harness reads each site's frame-begin instant off the shared clock instead
+// and feeds the samples to FrameTimes and SyncDiffs directly.
 package timeserver
 
 import (
@@ -16,8 +19,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"retrolock/internal/simnet"
 )
 
 // Report wire format: type byte, site byte, frame uint32 (little endian).
@@ -107,58 +108,9 @@ func (r *recorder) samples(site int) []Sample {
 	return out
 }
 
-// Server is a time server bound to a simnet endpoint. It owns no actor:
-// whoever drives the simulation calls Poll, at least once before the
-// endpoint's receive queue can fill.
-type Server struct {
-	ep  *simnet.Endpoint
-	rec *recorder
-}
-
-// NewServer creates a server reading reports from ep.
-func NewServer(ep *simnet.Endpoint) *Server {
-	return &Server{ep: ep, rec: newRecorder()}
-}
-
-// Poll records every report that has arrived. Samples are timestamped with
-// each datagram's exact delivery instant, so how often Poll runs does not
-// quantize measurements.
-func (s *Server) Poll() {
-	for {
-		d, ok := s.ep.TryRecv()
-		if !ok {
-			return
-		}
-		site, frame, err := DecodeReport(d.Payload)
-		if err != nil {
-			continue
-		}
-		s.rec.record(site, frame, d.At)
-	}
-}
-
-// Samples returns the recorded frame-begin times of a site, frame-ordered.
-func (s *Server) Samples(site int) []Sample { return s.rec.samples(site) }
-
-// ReportCount returns the number of recorded frame reports across all sites
-// and the number of distinct reporting sites. Safe to call while another
-// goroutine polls.
-func (s *Server) ReportCount() (reports, sites int) { return s.rec.total() }
-
-// FrameTimes returns consecutive frame-begin differences for a site — the
-// per-frame times of experiment series 1. Frames missing a report are
+// FrameTimes computes consecutive frame-begin differences from samples —
+// the per-frame times of experiment series 1. Frames missing a sample are
 // skipped together with their successor.
-func (s *Server) FrameTimes(site int) []time.Duration {
-	return FrameTimes(s.rec.samples(site))
-}
-
-// SyncDiffs returns, per frame, the begin-time difference between two sites
-// (site b minus site a) — the metric of experiment series 2.
-func (s *Server) SyncDiffs(a, b int) []time.Duration {
-	return SyncDiffs(s.rec.samples(a), s.rec.samples(b))
-}
-
-// FrameTimes computes consecutive frame-begin differences from samples.
 func FrameTimes(samples []Sample) []time.Duration {
 	var out []time.Duration
 	for i := 1; i < len(samples); i++ {
@@ -169,7 +121,8 @@ func FrameTimes(samples []Sample) []time.Duration {
 	return out
 }
 
-// SyncDiffs pairs samples by frame number and returns b.At - a.At per frame.
+// SyncDiffs pairs samples by frame number and returns b.At - a.At per frame —
+// the metric of experiment series 2.
 func SyncDiffs(a, b []Sample) []time.Duration {
 	byFrame := make(map[int]time.Time, len(a))
 	for _, s := range a {
@@ -184,8 +137,7 @@ func SyncDiffs(a, b []Sample) []time.Duration {
 	return out
 }
 
-// UDPServer is the live-network time server used by cmd/timeserverd: same
-// recording logic over a real UDP socket.
+// UDPServer is the live-network time server used by cmd/timeserverd.
 type UDPServer struct {
 	pc  net.PacketConn
 	rec *recorder
@@ -238,16 +190,18 @@ func (s *UDPServer) Close() error {
 // Samples returns the recorded frame-begin times of a site.
 func (s *UDPServer) Samples(site int) []Sample { return s.rec.samples(site) }
 
-// ReportCount mirrors Server.ReportCount for the live server. Safe to call
-// while Serve reads.
+// ReportCount returns the number of recorded frame reports across all sites
+// and the number of distinct reporting sites. Safe to call while Serve
+// reads.
 func (s *UDPServer) ReportCount() (reports, sites int) { return s.rec.total() }
 
-// FrameTimes mirrors Server.FrameTimes for the live server.
+// FrameTimes returns a site's frame times (see FrameTimes).
 func (s *UDPServer) FrameTimes(site int) []time.Duration {
 	return FrameTimes(s.rec.samples(site))
 }
 
-// SyncDiffs mirrors Server.SyncDiffs for the live server.
+// SyncDiffs returns the per-frame begin-time differences between two
+// sites, site b minus site a (see SyncDiffs).
 func (s *UDPServer) SyncDiffs(a, b int) []time.Duration {
 	return SyncDiffs(s.rec.samples(a), s.rec.samples(b))
 }

@@ -4,9 +4,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"retrolock/internal/simnet"
-	"retrolock/internal/vclock"
 )
 
 var epoch = time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
@@ -26,52 +23,6 @@ func TestReportRoundTrip(t *testing.T) {
 	bad[0] = 0xFF
 	if _, _, err := DecodeReport(bad); err == nil {
 		t.Error("wrong type accepted")
-	}
-}
-
-func TestServerRecordsOverSimnet(t *testing.T) {
-	v := vclock.NewVirtual(epoch)
-	n := simnet.New(v)
-	tsEP := n.MustBind("ts")
-	site0 := n.MustBind("s0")
-	site1 := n.MustBind("s1")
-
-	srv := NewServer(tsEP)
-	<-v.Go(func() {
-		for f := 0; f < 10; f++ {
-			_ = site0.SendTo("ts", EncodeReport(0, f))
-			v.Sleep(5 * time.Millisecond)
-			_ = site1.SendTo("ts", EncodeReport(1, f))
-			v.Sleep(11666 * time.Microsecond) // ~16.7ms frames
-			if f%4 == 0 {
-				srv.Poll() // any cadence: samples carry their delivery instant
-			}
-		}
-		v.Sleep(10 * time.Millisecond)
-		srv.Poll()
-	})
-
-	s0 := srv.Samples(0)
-	if len(s0) != 10 {
-		t.Fatalf("site 0 samples = %d, want 10", len(s0))
-	}
-	ft := srv.FrameTimes(0)
-	if len(ft) != 9 {
-		t.Fatalf("frame times = %d, want 9", len(ft))
-	}
-	for i, d := range ft {
-		if d < 16*time.Millisecond || d > 18*time.Millisecond {
-			t.Errorf("frame time %d = %v, want ~16.7ms", i, d)
-		}
-	}
-	diffs := srv.SyncDiffs(0, 1)
-	if len(diffs) != 10 {
-		t.Fatalf("sync diffs = %d, want 10", len(diffs))
-	}
-	for i, d := range diffs {
-		if d < 4*time.Millisecond || d > 6*time.Millisecond {
-			t.Errorf("sync diff %d = %v, want ~5ms", i, d)
-		}
 	}
 }
 

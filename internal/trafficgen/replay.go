@@ -16,13 +16,16 @@ type ReplayConfig struct {
 	// Profile names the link profile to replay under (default: the
 	// capture's own Meta.Profile, falling back to "wifi").
 	Profile string
-	Shards  int
 	Drivers int
 	Seed    int64
-	// Drain extends the run past the trace's span so in-flight datagrams
-	// land (default 400 ms).
-	Drain time.Duration
 }
+
+// A replay's relay daemon has replayShards shards, and the run extends
+// replayDrain past the trace's span so in-flight datagrams land.
+const (
+	replayShards = 8
+	replayDrain  = 400 * time.Millisecond
+)
 
 // replayEvent is one client send reconstructed from a capture record.
 type replayEvent struct {
@@ -51,23 +54,17 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 	if profile == "" {
 		profile = "wifi"
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
 	if cfg.Drivers <= 0 {
 		cfg.Drivers = 8
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 400 * time.Millisecond
-	}
 
 	e, err := newEngine(RunConfig{
 		Model:   Model{Drivers: cfg.Drivers, Seed: cfg.Seed},
 		Profile: profile,
-		Shards:  cfg.Shards,
+		Shards:  replayShards,
 	}, len(c.Records))
 	if err != nil {
 		return nil, err
@@ -130,7 +127,7 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 	span := c.Span()
 	e.mStart = e.epoch
 	e.mEnd = e.epoch.Add(span + 2*driverTick)
-	total := span + 2*driverTick + cfg.Drain
+	total := span + 2*driverTick + replayDrain
 
 	var dones []<-chan struct{}
 	<-v.Go(func() { // root actor: nothing runs until all are registered
