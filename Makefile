@@ -93,12 +93,13 @@ fuzz:
 # root: the sync hot path (plain, traced, span-journaled, flight-recorded,
 # capture-tapped), the never-waiting SyncInput over simnet, the incremental
 # digest, the delta savestate, the relay packet path (Route and Shard.Step
-# in five configurations) and the history retention tick. It fails when any
+# in five configurations), the history retention tick and the ARQ
+# baseline's poll and send-and-ack paths. It fails when any
 # of them allocates, and when fewer than HOTPATH_BENCHMARKS report, so a
 # gated benchmark cannot vanish unnoticed. Each one also has a tier-1
 # testing.AllocsPerRun twin. ns/op is printed, not gated: the performance
 # record is bench/ (BENCHMARK.json), compared in same-host pairs.
-HOTPATH_BENCHMARKS = 15
+HOTPATH_BENCHMARKS = 17
 bench-hotpath:
 	$(GO) test -run NONE -bench . -benchmem . > bench.out || { cat bench.out; exit 1; }
 	@cat bench.out

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,10 +46,11 @@ const DefaultRTO = 200 * time.Millisecond
 // least one RTO.
 //
 // The connection is driven entirely by its Send/TryRecv calls (no internal
-// goroutine): each call checks the retransmission timer against the supplied
-// clock. A blocked SyncInput calls TryRecv every millisecond, or, napping on
-// a virtual clock, at the first poll instant at or after an arrival or the
-// deadline NextTimer reports.
+// goroutine). Each unacked segment keeps its wire bytes and its
+// retransmission deadline, and the connection keeps the earliest of those
+// deadlines: a TryRecv before it only drains the lower conn, NextTimer
+// reports it without looking at the window, and a retransmission resends the
+// stored bytes.
 type ARQConn struct {
 	mu sync.Mutex
 
@@ -66,11 +68,14 @@ type ARQConn struct {
 	// ARQ hop to that frame's span.
 	journal *span.Journal
 
-	// Sender state.
-	nextSeq uint32
-	unacked []arqSegment
-	sendErr error
-	retrans int
+	// Sender state. unacked holds the segments awaiting acknowledgement in
+	// sequence order; the slots between its length and capacity keep the
+	// wire buffers of acked segments for Send to reuse. earliest is the
+	// minimum due over unacked, and means nothing while unacked is empty.
+	nextSeq  uint32
+	unacked  []arqSegment
+	earliest time.Time
+	retrans  int
 	// maxAhead is the sender window: the max unacked segments before Send
 	// starts failing. It doubles as the receive horizon — data segments at
 	// or beyond expected+maxAhead are dropped, since a correct peer with a
@@ -91,11 +96,13 @@ type ARQConn struct {
 // the sender window is tiny compared to the sequence space).
 func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
+// arqSegment is one unacked data segment: its bytes as transmitted, the
+// instant it is next retransmitted, and the timeout that set that instant.
 type arqSegment struct {
-	seq      uint32
-	payload  []byte
-	lastSent time.Time
-	rto      time.Duration
+	seq  uint32
+	wire []byte
+	due  time.Time
+	rto  time.Duration
 }
 
 // DefaultSenderWindow bounds the number of in-flight unacked segments.
@@ -128,21 +135,19 @@ func (c *ARQConn) Send(p []byte) error {
 	if len(c.unacked) >= c.maxAhead {
 		return fmt.Errorf("transport: arq send window full (%d unacked)", len(c.unacked))
 	}
-	seq := c.nextSeq
+	n := len(c.unacked)
+	c.unacked = slices.Grow(c.unacked, 1)[:n+1]
+	seg := &c.unacked[n]
+	seg.seq = c.nextSeq
 	c.nextSeq++
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	seg := arqSegment{seq: seq, payload: cp, lastSent: c.clock.Now(), rto: c.rto}
-	c.unacked = append(c.unacked, seg)
-	return c.transmitLocked(seg)
-}
-
-func (c *ARQConn) transmitLocked(seg arqSegment) error {
-	buf := make([]byte, arqHeaderLen+len(seg.payload))
-	buf[0] = arqData
-	binary.BigEndian.PutUint32(buf[1:5], seg.seq)
-	copy(buf[arqHeaderLen:], seg.payload)
-	return c.lower.Send(buf)
+	seg.wire = binary.BigEndian.AppendUint32(append(seg.wire[:0], arqData), seg.seq)
+	seg.wire = append(seg.wire, p...)
+	seg.rto = c.rto
+	seg.due = c.clock.Now().Add(seg.rto)
+	if n == 0 || seg.due.Before(c.earliest) {
+		c.earliest = seg.due
+	}
+	return c.lower.Send(seg.wire)
 }
 
 func (c *ARQConn) sendAckLocked() {
@@ -166,8 +171,8 @@ func (c *ARQConn) TryRecv() ([]byte, bool) {
 	return p, true
 }
 
-// pumpLocked ingests everything pending on the lower connection and
-// retransmits timed-out segments.
+// pumpLocked ingests everything pending on the lower connection and, unless
+// the connection is closed, retransmits timed-out segments in sequence order.
 func (c *ARQConn) pumpLocked() {
 	for {
 		raw, ok := c.lower.TryRecv()
@@ -177,18 +182,32 @@ func (c *ARQConn) pumpLocked() {
 		c.handleLocked(raw)
 	}
 	now := c.clock.Now()
+	if c.closed || len(c.unacked) == 0 || now.Before(c.earliest) {
+		return
+	}
 	for i := range c.unacked {
 		seg := &c.unacked[i]
-		if now.Sub(seg.lastSent) >= seg.rto {
-			seg.lastSent = now
-			if seg.rto < 8*c.rto {
-				seg.rto *= 2
-			}
-			c.retrans++
-			// Frame -1: retransmissions are not tied to a game frame.
-			c.tracer.Record(obs.EvRetransmit, c.traceSite, -1, now, int64(seg.seq))
-			c.journal.Retransmit(now)
-			_ = c.transmitLocked(*seg)
+		if now.Before(seg.due) {
+			continue
+		}
+		if seg.rto < 8*c.rto {
+			seg.rto *= 2
+		}
+		seg.due = now.Add(seg.rto)
+		c.retrans++
+		// Frame -1: retransmissions are not tied to a game frame.
+		c.tracer.Record(obs.EvRetransmit, c.traceSite, -1, now, int64(seg.seq))
+		c.journal.Retransmit(now)
+		_ = c.lower.Send(seg.wire)
+	}
+	c.resetEarliestLocked()
+}
+
+// resetEarliestLocked recomputes earliest from the window.
+func (c *ARQConn) resetEarliestLocked() {
+	for i := range c.unacked {
+		if due := c.unacked[i].due; i == 0 || due.Before(c.earliest) {
+			c.earliest = due
 		}
 	}
 }
@@ -201,14 +220,20 @@ func (c *ARQConn) handleLocked(raw []byte) {
 	switch raw[0] {
 	case arqAck:
 		// Cumulative: drop every segment preceding next-expected
-		// (serial arithmetic, so acks stay correct across the wrap).
-		keep := c.unacked[:0]
-		for _, seg := range c.unacked {
-			if !seqBefore(seg.seq, seq) {
-				keep = append(keep, seg)
+		// (serial arithmetic, so acks stay correct across the wrap). The
+		// kept segments move to the front in order; the dropped ones
+		// move behind them, where Send reuses their wire buffers.
+		keep := 0
+		for i := range c.unacked {
+			if !seqBefore(c.unacked[i].seq, seq) {
+				c.unacked[keep], c.unacked[i] = c.unacked[i], c.unacked[keep]
+				keep++
 			}
 		}
-		c.unacked = keep
+		if keep < len(c.unacked) {
+			c.unacked = c.unacked[:keep]
+			c.resetEarliestLocked()
+		}
 	case arqData:
 		switch delta := int32(seq - c.expected); {
 		case delta == 0:
@@ -334,16 +359,16 @@ func (c *ARQConn) NotifyArrival(v *vclock.Virtual, fn func()) bool {
 }
 
 // NextTimer implements Notifier: the earliest retransmission deadline, or the
-// wrapped conn's timer if that comes first.
+// wrapped conn's timer if that comes first. A closed connection has none.
 func (c *ARQConn) NextTimer() (time.Time, bool) {
 	at, ok := nextTimer(c.lower)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.unacked {
-		seg := &c.unacked[i]
-		if due := seg.lastSent.Add(seg.rto); !ok || due.Before(at) {
-			at, ok = due, true
-		}
+	if c.closed {
+		return time.Time{}, false
+	}
+	if len(c.unacked) > 0 && (!ok || c.earliest.Before(at)) {
+		at, ok = c.earliest, true
 	}
 	return at, ok
 }

@@ -256,3 +256,26 @@ func TestARQWrapUnderLoss(t *testing.T) {
 		t.Error("no retransmissions despite 20%% loss; wrap path untested under recovery")
 	}
 }
+
+func TestARQClosedConnDoesNotRetransmit(t *testing.T) {
+	lower := &reuseConn{}
+	v := vclock.NewVirtual(epoch)
+	arq := NewARQ(lower, v, 50*time.Millisecond)
+	if err := arq.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := arq.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-v.Go(func() { v.Sleep(time.Second) })
+	arq.TryRecv()
+	if n := arq.Retransmissions(); n != 0 {
+		t.Errorf("Retransmissions = %d after Close, want 0", n)
+	}
+	if len(lower.sent) != 1 {
+		t.Errorf("%d datagrams sent, want only the one before Close", len(lower.sent))
+	}
+	if at, ok := arq.NextTimer(); ok {
+		t.Errorf("NextTimer = %v after Close, want no timer", at)
+	}
+}
