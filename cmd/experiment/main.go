@@ -38,6 +38,7 @@ import (
 
 	"retrolock/internal/harness"
 	"retrolock/internal/metrics"
+	"retrolock/internal/rom/games"
 )
 
 // seriesTable is every -series name, in the order -series all runs them. It
@@ -77,7 +78,7 @@ func main() {
 		series     = flag.String("series", "all", "which series to run: "+seriesNames())
 		frames     = flag.Int("frames", harness.DefaultFrames, "frames per experiment (paper: 3600)")
 		seed       = flag.Int64("seed", 2009, "experiment seed (results are deterministic per seed)")
-		game       = flag.String("game", "pong", "ROM to run (pong, duel, tanks, cycles, breakout, goldrush)")
+		game       = flag.String("game", "pong", "ROM to run ("+strings.Join(games.Names(), ", ")+")")
 		procdelay  = flag.Duration("procdelay", 0, "per-packet processing delay; 0 keeps the calibration/default")
 		calibrated = flag.Bool("calibrated", true, "use the paper calibration (ProcDelay 40ms)")
 		quick      = flag.Bool("quick", false, "coarser sweep and fewer frames, for smoke runs")

@@ -26,6 +26,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -46,7 +47,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("retroplay: ")
 	var (
-		game     = flag.String("game", "pong", "built-in game to play (pong, duel, tanks, cycles, breakout, goldrush)")
+		game     = flag.String("game", "pong", "built-in game to play ("+strings.Join(games.Names(), ", ")+")")
 		romPath  = flag.String("rom", "", "path to a .rk32 ROM image (overrides -game)")
 		site     = flag.Int("site", 0, "this site's number (0 = master, 1 = slave)")
 		listen   = flag.String("listen", ":7000", "local UDP address")

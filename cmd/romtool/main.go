@@ -7,6 +7,7 @@
 //	romtool run game.rk32 [-frames N] [-input random]       execute headless
 //	romtool trace game.rk32 [-frames N] [-max M]            instruction trace
 //	romtool verify match.replay game.rk32                   check a recording
+//	romtool screenshot game.rk32 out.png [-frames N]        write a PNG of the screen
 //	romtool list                                            list built-in games
 package main
 

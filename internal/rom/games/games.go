@@ -141,22 +141,16 @@ type Meta struct {
 
 // Per-game LFSR seeds baked into the ROM headers (ASCII of the titles).
 const (
-	pongSeed     = 0x504F4E47 // "PONG"
-	duelSeed     = 0x4455454C // "DUEL"
-	tanksSeed    = 0x54414E4B // "TANK"
-	cyclesSeed   = 0x4359434C // "CYCL"
-	breakoutSeed = 0x42524B54 // "BRKT"
-	goldrushSeed = 0x474F4C44 // "GOLD"
+	pongSeed  = 0x504F4E47 // "PONG"
+	duelSeed  = 0x4455454C // "DUEL"
+	tanksSeed = 0x54414E4B // "TANK"
 )
 
 // catalog lists every shipped game by short name.
 var catalog = map[string]Meta{
-	"pong":     {Name: "pong", Title: "Pong Duel", Seed: pongSeed, Build: buildPong},
-	"duel":     {Name: "duel", Title: "Street Brawler", Seed: duelSeed, Build: buildDuel},
-	"tanks":    {Name: "tanks", Title: "Tank Battle", Seed: tanksSeed, Build: buildTanks},
-	"cycles":   {Name: "cycles", Title: "Neon Cycles", Seed: cyclesSeed, Build: buildCycles},
-	"breakout": {Name: "breakout", Title: "Brick Brigade", Seed: breakoutSeed, Build: buildBreakout},
-	"goldrush": {Name: "goldrush", Title: "Gold Rush", Seed: goldrushSeed, Build: buildGoldrush},
+	"pong":  {Name: "pong", Title: "Pong Duel", Seed: pongSeed, Build: buildPong},
+	"duel":  {Name: "duel", Title: "Street Brawler", Seed: duelSeed, Build: buildDuel},
+	"tanks": {Name: "tanks", Title: "Tank Battle", Seed: tanksSeed, Build: buildTanks},
 }
 
 // Names returns the shipped game names, sorted.
@@ -197,16 +191,4 @@ func buildDuel() (*rom.ROM, error) {
 
 func buildTanks() (*rom.ROM, error) {
 	return rom.AssembleROM("Tank Battle", tanksSrc+libSrc, tanksSeed)
-}
-
-func buildCycles() (*rom.ROM, error) {
-	return rom.AssembleROM("Neon Cycles", cyclesSrc+libSrc, cyclesSeed)
-}
-
-func buildBreakout() (*rom.ROM, error) {
-	return rom.AssembleROM("Brick Brigade", breakoutSrc+libSrc, breakoutSeed)
-}
-
-func buildGoldrush() (*rom.ROM, error) {
-	return rom.AssembleROM("Gold Rush", goldrushSrc+libSrc, goldrushSeed)
 }
