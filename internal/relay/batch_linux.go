@@ -12,7 +12,11 @@ package relay
 //
 // Readiness integrates with the Go netpoller through syscall.RawConn: each
 // batch attempt runs non-blocking (MSG_DONTWAIT) inside RawConn.Read/Write,
-// which parks the goroutine on EAGAIN instead of spinning.
+// which parks the goroutine on EAGAIN instead of spinning. The attempt is a
+// method value bound once per direction in newBatcher, and it reads its
+// window and writes its result through the direction's batchState: a closure
+// built per call would escape into RawConn and cost three allocations per
+// receive and five per flush.
 
 import (
 	"net"
@@ -41,15 +45,33 @@ type batchState struct {
 	hs    [batchSize]mmsghdr
 	iov   [batchSize]syscall.Iovec
 	names [batchSize][sizeofSockaddrAny]byte
+
+	// One attempt moves hs[lo:hi] through mmsg and leaves its result in n
+	// and errno. attempt is s.try, bound once so passing it to RawConn
+	// allocates nothing.
+	mmsg    func(fd uintptr, hs []mmsghdr) (int, syscall.Errno)
+	attempt func(fd uintptr) bool
+	lo, hi  int
+	n       int
+	errno   syscall.Errno
 }
 
-func (s *batchState) init() {
+func (s *batchState) init(mmsg func(uintptr, []mmsghdr) (int, syscall.Errno)) {
 	for i := range s.hs {
 		s.hs[i].Hdr.Name = &s.names[i][0]
 		s.hs[i].Hdr.Namelen = sizeofSockaddrAny
 		s.hs[i].Hdr.Iov = &s.iov[i]
 		s.hs[i].Hdr.Iovlen = 1
 	}
+	s.mmsg = mmsg
+	s.attempt = s.try
+}
+
+// try is one non-blocking attempt; RawConn.Read/Write repeat it after each
+// readiness wake-up until it reports anything but EAGAIN.
+func (s *batchState) try(fd uintptr) bool {
+	s.n, s.errno = s.mmsg(fd, s.hs[s.lo:s.hi])
+	return s.errno != syscall.EAGAIN
 }
 
 type batcher struct {
@@ -71,8 +93,8 @@ func newBatcher(conn *net.UDPConn) (*batcher, error) {
 	}
 	la := conn.LocalAddr().(*net.UDPAddr)
 	b := &batcher{rc: rc, v6: la.IP.To4() == nil}
-	b.r.init()
-	b.w.init()
+	b.r.init(recvmmsg)
+	b.w.init(sendmmsg)
 	return b, nil
 }
 
@@ -104,23 +126,18 @@ func (b *batcher) recv(ms []Message) (int, error) {
 		b.r.hs[i].Hdr.Namelen = sizeofSockaddrAny
 		ms[i].Buf = buf
 	}
-	var n int
-	var errno syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
-		n, errno = recvmmsg(fd, b.r.hs[:k])
-		return errno != syscall.EAGAIN
-	})
-	if err != nil {
+	b.r.lo, b.r.hi = 0, k
+	if err := b.rc.Read(b.r.attempt); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if b.r.errno != 0 {
+		return 0, b.r.errno
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < b.r.n; i++ {
 		ms[i].Buf = ms[i].Buf[:b.r.hs[i].Len]
 		ms[i].Addr = Addr{AP: parseSockaddr(&b.r.names[i])}
 	}
-	return n, nil
+	return b.r.n, nil
 }
 
 // send flushes all of ms, skipping datagrams the kernel refuses (best-effort
@@ -151,23 +168,18 @@ func (b *batcher) send(ms []Message) (int, error) {
 		}
 		off += k
 		for done := 0; done < live; {
-			var n int
-			var errno syscall.Errno
-			err := b.rc.Write(func(fd uintptr) bool {
-				n, errno = sendmmsg(fd, b.w.hs[done:live])
-				return errno != syscall.EAGAIN
-			})
-			if err != nil {
+			b.w.lo, b.w.hi = done, live
+			if err := b.rc.Write(b.w.attempt); err != nil {
 				return sent, err
 			}
-			if errno != 0 {
+			if b.w.errno != 0 {
 				// Per-datagram refusal (EPERM, unreachable): skip it and
 				// keep flushing — a relay must never livelock on one peer.
 				done++
 				continue
 			}
-			done += n
-			sent += n
+			done += b.w.n
+			sent += b.w.n
 		}
 	}
 	return sent, nil

@@ -18,7 +18,7 @@ type TCPConn struct {
 	writeMu sync.Mutex
 
 	mu     sync.Mutex
-	queue  [][]byte
+	queue  datagramQueue
 	closed bool
 	done   chan struct{}
 }
@@ -73,10 +73,7 @@ func (c *TCPConn) readLoop() {
 		}
 		c.mu.Lock()
 		if !c.closed {
-			if len(c.queue) >= udpQueueLen {
-				c.queue = c.queue[1:]
-			}
-			c.queue = append(c.queue, p)
+			c.queue.push(p)
 		}
 		c.mu.Unlock()
 	}
@@ -110,12 +107,7 @@ func (c *TCPConn) Send(p []byte) error {
 func (c *TCPConn) TryRecv() ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil, false
-	}
-	p := c.queue[0]
-	c.queue = c.queue[1:]
-	return p, true
+	return c.queue.pop()
 }
 
 // Close implements Conn.

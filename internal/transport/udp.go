@@ -18,6 +18,36 @@ const maxDatagram = 64 * 1024
 // full kernel socket buffer.
 const udpQueueLen = 1024
 
+// datagramQueue is the bounded reader-to-consumer FIFO of the socket conns.
+// Callers hold their conn's lock.
+type datagramQueue [][]byte
+
+// push appends p, dropping the oldest datagram once udpQueueLen are queued.
+func (q *datagramQueue) push(p []byte) {
+	if len(*q) >= udpQueueLen {
+		(*q)[0] = nil
+		*q = (*q)[1:]
+	}
+	*q = append(*q, p)
+}
+
+// pop removes and returns the oldest datagram. Emptying the queue keeps its
+// backing array: reslicing past the last entry would leave no capacity, and
+// a consumer that keeps up with the reader would make every push allocate.
+func (q *datagramQueue) pop() ([]byte, bool) {
+	if len(*q) == 0 {
+		return nil, false
+	}
+	p := (*q)[0]
+	(*q)[0] = nil
+	if len(*q) == 1 {
+		*q = (*q)[:0]
+	} else {
+		*q = (*q)[1:]
+	}
+	return p, true
+}
+
 // UDPConn is a Conn over a real UDP socket connected to a single peer. A
 // background goroutine moves datagrams from the socket into an in-memory
 // queue so that TryRecv never blocks; this mirrors the paper's two-thread
@@ -29,7 +59,7 @@ type UDPConn struct {
 	sock *net.UDPConn
 
 	mu     sync.Mutex
-	queue  [][]byte
+	queue  datagramQueue
 	closed bool
 	done   chan struct{}
 }
@@ -81,10 +111,7 @@ func (c *UDPConn) readLoop() {
 		copy(p, buf[:n])
 		c.mu.Lock()
 		if !c.closed {
-			if len(c.queue) >= udpQueueLen {
-				c.queue = c.queue[1:]
-			}
-			c.queue = append(c.queue, p)
+			c.queue.push(p)
 		}
 		c.mu.Unlock()
 	}
@@ -112,12 +139,7 @@ func (c *UDPConn) Send(p []byte) error {
 func (c *UDPConn) TryRecv() ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil, false
-	}
-	p := c.queue[0]
-	c.queue = c.queue[1:]
-	return p, true
+	return c.queue.pop()
 }
 
 // Close implements Conn.

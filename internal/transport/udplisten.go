@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 )
 
@@ -10,12 +11,13 @@ import (
 // datagrams by source address into per-peer Conns, so a single game port can
 // serve the opponent and any number of live spectators (the journal
 // version's observers). Outbound traffic from every derived Conn shares the
-// socket.
+// socket. Peers are keyed by netip.AddrPort, IPv4 unmapped, so neither a
+// send nor the demultiplexing of a receive allocates for the address.
 type UDPListener struct {
 	sock *net.UDPConn
 
 	mu     sync.Mutex
-	conns  map[string]*UDPPeerConn
+	conns  map[netip.AddrPort]*UDPPeerConn
 	accept chan *UDPPeerConn
 	closed bool
 	done   chan struct{}
@@ -36,7 +38,7 @@ func ListenUDPAddr(localAddr string) (*UDPListener, error) {
 	}
 	l := &UDPListener{
 		sock:   sock,
-		conns:  make(map[string]*UDPPeerConn),
+		conns:  make(map[netip.AddrPort]*UDPPeerConn),
 		accept: make(chan *UDPPeerConn, acceptBacklog),
 		done:   make(chan struct{}),
 	}
@@ -55,17 +57,17 @@ func (l *UDPListener) Conn(peerAddr string) (*UDPPeerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", peerAddr, err)
 	}
+	peer := unmapAddrPort(raddr.AddrPort())
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, ErrClosed
 	}
-	key := raddr.String()
-	if c, ok := l.conns[key]; ok {
+	if c, ok := l.conns[peer]; ok {
 		return c, nil
 	}
-	c := &UDPPeerConn{listener: l, peer: raddr}
-	l.conns[key] = c
+	c := &UDPPeerConn{listener: l, peer: peer}
+	l.conns[peer] = c
 	return c, nil
 }
 
@@ -90,7 +92,7 @@ func (l *UDPListener) readLoop() {
 	defer close(l.done)
 	buf := make([]byte, maxDatagram)
 	for {
-		n, from, err := l.sock.ReadFromUDP(buf)
+		n, from, err := l.sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			l.mu.Lock()
 			closed := l.closed
@@ -100,21 +102,23 @@ func (l *UDPListener) readLoop() {
 			}
 			continue // transient (ICMP unreachable etc.)
 		}
+		// The copy is the datagram's one allocation: TryRecv hands the
+		// caller a payload it owns.
 		p := make([]byte, n)
 		copy(p, buf[:n])
 
-		key := from.String()
+		from = unmapAddrPort(from)
 		l.mu.Lock()
-		c, known := l.conns[key]
+		c, known := l.conns[from]
 		if !known && !l.closed {
 			c = &UDPPeerConn{listener: l, peer: from}
-			l.conns[key] = c
+			l.conns[from] = c
 			select {
 			case l.accept <- c:
 			default:
 				// Backlog full: drop the newcomer's state; its
 				// retransmissions will retry.
-				delete(l.conns, key)
+				delete(l.conns, from)
 				c = nil
 			}
 		}
@@ -140,13 +144,19 @@ func (l *UDPListener) Close() error {
 	return err
 }
 
+// unmapAddrPort canonicalises ap so that a v4 peer has one key whether it
+// was resolved from a string or read off a dual-stack socket.
+func unmapAddrPort(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
 // UDPPeerConn is one peer's view of a shared UDPListener socket.
 type UDPPeerConn struct {
 	listener *UDPListener
-	peer     *net.UDPAddr
+	peer     netip.AddrPort
 
 	mu     sync.Mutex
-	queue  [][]byte
+	queue  datagramQueue
 	closed bool
 }
 
@@ -156,10 +166,7 @@ func (c *UDPPeerConn) enqueue(p []byte) {
 	if c.closed {
 		return
 	}
-	if len(c.queue) >= udpQueueLen {
-		c.queue = c.queue[1:]
-	}
-	c.queue = append(c.queue, p)
+	c.queue.push(p)
 }
 
 // Send implements Conn.
@@ -170,7 +177,7 @@ func (c *UDPPeerConn) Send(p []byte) error {
 	if closed {
 		return ErrClosed
 	}
-	_, err := c.listener.sock.WriteToUDP(p, c.peer)
+	_, err := c.listener.sock.WriteToUDPAddrPort(p, c.peer)
 	if err != nil {
 		return nil // transient, like a raw socket send
 	}
@@ -181,12 +188,7 @@ func (c *UDPPeerConn) Send(p []byte) error {
 func (c *UDPPeerConn) TryRecv() ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.queue) == 0 {
-		return nil, false
-	}
-	p := c.queue[0]
-	c.queue = c.queue[1:]
-	return p, true
+	return c.queue.pop()
 }
 
 // Close detaches this peer from the listener (the socket stays open for the
@@ -201,7 +203,7 @@ func (c *UDPPeerConn) Close() error {
 	c.queue = nil
 	c.mu.Unlock()
 	c.listener.mu.Lock()
-	delete(c.listener.conns, c.peer.String())
+	delete(c.listener.conns, c.peer)
 	c.listener.mu.Unlock()
 	return nil
 }

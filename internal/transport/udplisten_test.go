@@ -208,3 +208,71 @@ func waitRecv(t *testing.T, c Conn, d time.Duration) []byte {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestUDPDatagramAllocs pins the real-socket lockstep path's allocation
+// cost: one loopback datagram through Send, the receiving conn's reader
+// goroutine and TryRecv allocates at most once — the owned copy of the
+// payload that TryRecv hands its caller. It runs between two listeners'
+// peer conns and in both directions between a dialed conn and a
+// listener's. Addresses travel as netip.AddrPort values, so neither a send
+// nor the listener's demultiplexing allocates for them.
+func TestUDPDatagramAllocs(t *testing.T) {
+	la, err := ListenUDPAddr("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("udp unavailable: %v", err)
+	}
+	defer la.Close()
+	lb, err := ListenUDPAddr("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	dialed, err := DialUDP("127.0.0.1:0", la.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	peer := func(l *UDPListener, addr string) Conn {
+		c, err := l.Conn(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	p := []byte("frame 42: inputs 0x1f00")
+	for _, tc := range []struct {
+		name     string
+		from, to Conn
+	}{
+		{"listener to listener", peer(la, lb.Addr()), peer(lb, la.Addr())},
+		{"dialed to listener", dialed, peer(la, dialed.LocalAddr())},
+		{"listener to dialed", peer(la, dialed.LocalAddr()), dialed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			deadline := time.Now().Add(time.Minute)
+			hop := func() {
+				if err := tc.from.Send(p); err != nil {
+					t.Fatal(err)
+				}
+				for {
+					if q, ok := tc.to.TryRecv(); ok {
+						if len(q) != len(p) {
+							t.Fatalf("received %d bytes, want %d", len(q), len(p))
+						}
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("timed out waiting for a datagram")
+					}
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				hop()
+			}
+			if allocs := testing.AllocsPerRun(200, hop); allocs > 1 {
+				t.Fatalf("a loopback datagram (%s) allocates %v, want at most 1 (the payload copy)", tc.name, allocs)
+			}
+		})
+	}
+}

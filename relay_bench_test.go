@@ -1,10 +1,13 @@
 // Benchmarks for the relayd packet path, part of make bench-hotpath's
 // 0-allocs/op gate beside the sync hot path: Route (token demux onto shard
-// queues) and Shard.Step (the per-shard forward/flush cycle). Both report
-// per-datagram cost and must stay allocation-free in steady state — buffers
-// recycle through the relay's pool, so a regression here shows up as
-// allocs/op before it shows up as p99 frame time in production.
-// TestRelayShardStepStatsDoesNotAllocate is their tier-1 twin.
+// queues), Shard.Step (the per-shard forward/flush cycle) and the UDPFront
+// socket layer under both. Route and Step report per-datagram cost, the
+// socket layer per batch; all must stay allocation-free in steady state —
+// buffers recycle through the relay's pool, so a regression here shows up
+// as allocs/op before it shows up as p99 frame time in production.
+// TestRelayShardStepStatsDoesNotAllocate is the twin of the Route/Step
+// benchmarks; the socket layer's twin is TestRelayUDPFrontDoesNotAllocate
+// in internal/relay, which also runs the front's portable fallback.
 package retrolock_test
 
 import (
@@ -118,6 +121,77 @@ func BenchmarkRelayDemux(b *testing.B) {
 			sh.Step()
 		}
 	}
+}
+
+// BenchmarkRelayUDPFront measures the relay's socket layer: one op is a
+// 64-datagram batch round-tripping between two UDPFronts on 127.0.0.1
+// (client Send, relay Recv, relay Send back to each source, client Recv) —
+// on Linux the recvmmsg/sendmmsg path relayd runs. An op is a batch, not a
+// datagram, so that a per-syscall allocation reads at least 1 allocs/op
+// instead of rounding to 0. The kernel's loopback dominates ns/op; the gate
+// is its 0 allocs/op.
+func BenchmarkRelayUDPFront(b *testing.B) {
+	const batch = 64
+	client, err := relay.ListenUDPFront("127.0.0.1:0")
+	if err != nil {
+		b.Skipf("udp unavailable: %v", err)
+	}
+	defer client.Close()
+	srv, err := relay.ListenUDPFront("127.0.0.1:0")
+	if err != nil {
+		b.Skipf("udp unavailable: %v", err)
+	}
+	defer srv.Close()
+	// A lost datagram would block a Recv forever; closing the fronts turns
+	// that into an error instead.
+	watchdog := time.AfterFunc(time.Minute, func() {
+		client.Close()
+		srv.Close()
+	})
+	defer watchdog.Stop()
+	out, in := benchRelayBatch(batch), benchRelayBatch(batch)
+	for i := range out {
+		out[i].Buf = out[i].Buf[:relay.HeaderLen+24]
+		out[i].Addr = relay.Addr{AP: srv.AddrPort()}
+	}
+	if err := udpFrontRoundTrip(client, srv, out, in); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := udpFrontRoundTrip(client, srv, out, in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// udpFrontRoundTrip sends out from client to srv, echoes every datagram srv
+// receives back to its source in the batches Recv returned, and reads all
+// of them back at client. Each Recv may return fewer datagrams than asked
+// for, so both sides loop until the whole batch is in.
+func udpFrontRoundTrip(client, srv *relay.UDPFront, out, in []relay.Message) error {
+	if _, err := client.Send(out); err != nil {
+		return err
+	}
+	for got := 0; got < len(out); {
+		n, err := srv.Recv(in)
+		if err != nil {
+			return err
+		}
+		if _, err := srv.Send(in[:n]); err != nil {
+			return err
+		}
+		got += n
+	}
+	for got := 0; got < len(out); {
+		n, err := client.Recv(in[got:])
+		if err != nil {
+			return err
+		}
+		got += n
+	}
+	return nil
 }
 
 // BenchmarkRelayShardStep isolates one shard's Step over a pre-filled
