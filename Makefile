@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/flight/ -fuzz FuzzDecodeBundle -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/span/ -fuzz FuzzDecodeSpan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture/ -fuzz FuzzDecodeCapture -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/relay/ -run NONE -fuzz FuzzRelayHeader -fuzztime $(FUZZTIME)
 
 # The 0-allocs/op gate over the HOTPATH_BENCHMARKS benchmarks at the repo
 # root: the sync hot path (plain, traced, span-journaled, flight-recorded,

@@ -144,13 +144,19 @@ func (e *Emulator) Reshape(cfg Config) {
 
 // Plan implements simnet.Shaper.
 func (e *Emulator) Plan(now time.Time, size int) []time.Duration {
+	return e.AppendPlan(nil, now, size)
+}
+
+// AppendPlan implements simnet.Appender: it appends the packet's delivery
+// offsets (none when it is lost, two when it is duplicated) to dst.
+func (e *Emulator) AppendPlan(dst []time.Duration, now time.Time, size int) []time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.planned++
 
 	if e.dropLocked() {
 		e.dropped++
-		return nil
+		return dst
 	}
 
 	copies := 1
@@ -158,11 +164,10 @@ func (e *Emulator) Plan(now time.Time, size int) []time.Duration {
 		e.duplicated++
 		copies = 2
 	}
-	offsets := make([]time.Duration, copies)
-	for i := range offsets {
-		offsets[i] = e.deliveryOffsetLocked()
+	for range copies {
+		dst = append(dst, e.deliveryOffsetLocked())
 	}
-	return offsets
+	return dst
 }
 
 // deliveryOffsetLocked plans one delivered copy of a packet: propagation +
@@ -273,4 +278,5 @@ func Install(n *simnet.Network, a, b string, fwd, rev Config) (*Emulator, *Emula
 }
 
 var _ simnet.Shaper = (*Emulator)(nil)
+var _ simnet.Appender = (*Emulator)(nil)
 var _ simnet.Corrupter = (*Emulator)(nil)
