@@ -73,12 +73,15 @@ relay-soak:
 		-relay.sessions $(RELAY_SESSIONS) -v
 
 # Wire-format and toolchain fuzzers (coverage-guided; seeds always run
-# under `make verify`).
+# under `make verify`). TestMakeFuzzRunsEveryFuzzer (repo root) fails when
+# a Fuzz function in the tree has no line here.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/lobby/ -fuzz FuzzLobbyParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeSync -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeSnapChunk -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz FuzzDecodeHash -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/timeserver/ -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -fuzz FuzzApplyDeltaNeverPanics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/container/ -fuzz FuzzContainer -fuzztime $(FUZZTIME)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"retrolock/internal/capture"
 	"retrolock/internal/obs"
 )
 
@@ -432,5 +433,56 @@ func TestSessionsHandlerHeaders(t *testing.T) {
 		if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
 			t.Errorf("GET %s Cache-Control = %q, want no-store", c.target, cc)
 		}
+	}
+}
+
+// TestSelfCaptureBytesGauge reads the capture taps' self-cost gauge back
+// against the taps' own accounting: the recorder's records and payload
+// bytes, and, for rings that have not wrapped, each hosted session's
+// retained records and payloads. A closed session's ring leaves the sum.
+func TestSelfCaptureBytesGauge(t *testing.T) {
+	const slot = 16 // bytes per capture record slot (capture.TestRecIs16Bytes)
+	tap := capture.NewRecorder(1<<10, 1<<16)
+	h := newFleetHarness(t, Config{Tap: tap, AutoCaptureRecords: 32}, FleetConfig{})
+	a, b := h.place(), h.place()
+	for i := 0; i < 5; i++ {
+		h.clk.advance(time.Millisecond)
+		h.send(a, 0, 33)
+		h.send(a, 1, 7)
+		h.send(b, 0, 20)
+		h.step()
+	}
+	reg := obs.NewRegistry()
+	RegisterMetrics(reg, h.d)
+	read := func(tapLabel string) float64 {
+		return reg.Snapshot()[obs.Key(MetricSelfCaptureBytes, obs.Labels{"tap": tapLabel})]
+	}
+	ringBytes := func(toks ...Token) (n int) {
+		for _, sh := range h.d.Shards() {
+			for _, ref := range sh.sessionTable() {
+				for _, tok := range toks {
+					if ref.token == tok {
+						c := ref.stats.ring.Snapshot(capture.Meta{})
+						n += slot * len(c.Records)
+						for _, r := range c.Records {
+							n += len(r.Payload)
+						}
+					}
+				}
+			}
+		}
+		return n
+	}
+
+	if got, want := read("recorder"), float64(slot*tap.Len()+tap.BytesUsed()); got != want || tap.Len() == 0 {
+		t.Errorf("recorder gauge = %v, want %v (%d records, %d bytes)", got, want, tap.Len(), tap.BytesUsed())
+	}
+	if got, want := read("rings"), float64(ringBytes(a, b)); got != want || want == 0 {
+		t.Errorf("rings gauge = %v, want %v", got, want)
+	}
+	h.d.CloseSession(a)
+	h.step()
+	if got, want := read("rings"), float64(ringBytes(b)); got != want || want == 0 {
+		t.Errorf("rings gauge after closing a session = %v, want %v", got, want)
 	}
 }
