@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check qoe qoe-update paper paper-update lint sloc
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check deadcode qoe qoe-update paper paper-update lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeSync -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeSnapChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeHash -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz FuzzParseJoin -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/timeserver/ -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -fuzz FuzzDeltaRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vm/ -fuzz FuzzApplyDeltaNeverPanics -fuzztime $(FUZZTIME)
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/span/ -fuzz FuzzDecodeSpan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/capture/ -fuzz FuzzDecodeCapture -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/relay/ -run NONE -fuzz FuzzRelayHeader -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/retrotop/ -fuzz FuzzParseMetrics -fuzztime $(FUZZTIME)
 
 # The 0-allocs/op gate over the HOTPATH_BENCHMARKS benchmarks at the repo
 # root: the sync hot path (plain, traced, span-journaled, flight-recorded,
@@ -119,6 +121,15 @@ bench-hotpath:
 # the benchmark was written against.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# The linker census: the shipped binaries (cmd/*, examples/* and the bench/
+# module) define the program. TestEveryInternalFuncIsLinked (repo root,
+# build tag deadcode) builds them with inlining off, so every function they
+# keep leaves a symbol, and fails when a function in internal/'s non-test
+# files is in none of them and testdata/unlinked.txt does not name it with a
+# reason, or when a line there names a function that is now linked or gone.
+deadcode:
+	$(GO) test -tags deadcode -run TestEveryInternalFuncIsLinked -count 1 -v .
 
 # The size of the program: non-test Go source outside the benchmark module,
 # in lines. CI prints it next to bench-check so every change shows it.

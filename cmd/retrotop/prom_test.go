@@ -14,8 +14,7 @@ import (
 // exposition a retrolock registry serves, not a hand-written fixture.
 func TestParseMetricsAgainstRealRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := reg.NewCounter("retrolock_frame", obs.SiteLabels(0), "frames")
-	c.Add(1234)
+	reg.CounterFunc("retrolock_frame", obs.SiteLabels(0), "frames", func() float64 { return 1234 })
 	h := reg.NewHistogram("retrolock_rtt_ns", obs.SiteLabels(0), "rtt")
 	for i := 0; i < 100; i++ {
 		h.Observe(20e6) // 20 ms -> bucket bound 33.5 ms

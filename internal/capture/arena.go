@@ -48,6 +48,7 @@ type arena struct {
 	count    int // live records
 	buf      []byte
 	tail     int   // next buf write offset
+	used     int   // payload bytes of the live records
 	lost     int64 // datagrams refused or evicted
 	// slotHi and byteHi are a Ring's high-water marks: how many record
 	// slots and buf bytes it has ever written. Its cursors wrap and Reset
@@ -82,6 +83,18 @@ func (a *arena) reserve(n int) int {
 			return 0
 		}
 		if a.count < len(a.recs) {
+			if a.used == 0 {
+				// Every live record is empty, so no byte is held and the
+				// whole buffer is free (tail == h alone would read as a
+				// full one). Rebase them to offset 0, once.
+				if a.tail != 0 {
+					for i := 0; i < a.count; i++ {
+						a.recs[a.slot(i)].off = 0
+					}
+					a.tail = 0
+				}
+				return 0
+			}
 			h := int(a.recs[a.head].off)
 			if a.tail > h || !a.evict {
 				// Occupied region is [h, tail) — always so when nothing
@@ -101,6 +114,7 @@ func (a *arena) reserve(n int) int {
 		if !a.evict {
 			return -1
 		}
+		a.used -= int(a.recs[a.head].n)
 		a.head = a.slot(1)
 		a.count--
 		a.lost++
@@ -130,6 +144,7 @@ func (a *arena) record(at time.Time, dir Dir, site int, payload []byte) {
 		}
 		a.count++
 		a.tail = off + n
+		a.used += n
 		if a.evict {
 			a.slotHi = max(a.slotHi, s+1)
 			a.byteHi = max(a.byteHi, a.tail)
@@ -138,21 +153,12 @@ func (a *arena) record(at time.Time, dir Dir, site int, payload []byte) {
 	a.mu.Unlock()
 }
 
-func (a *arena) setEpoch(t time.Time) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.epoch, a.epochSet = t, true
-	a.mu.Unlock()
-}
-
 func (a *arena) reset() {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.head, a.count, a.tail, a.lost = 0, 0, 0, 0
+	a.head, a.count, a.tail, a.used, a.lost = 0, 0, 0, 0, 0
 	a.epoch, a.epochSet = time.Time{}, false
 	a.mu.Unlock()
 }
@@ -171,15 +177,14 @@ func (a *arena) resident() int {
 	return a.slotHi*recSize + a.byteHi
 }
 
-// stats returns the live record count, the buf write offset and the loss
-// count.
-func (a *arena) stats() (count, tail int, lost int64) {
+// liveCount returns the live record count.
+func (a *arena) liveCount() int {
 	if a == nil {
-		return 0, 0, 0
+		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.count, a.tail, a.lost
+	return a.count
 }
 
 // snapshot materializes the live records, oldest first, as a Capture under
@@ -229,10 +234,6 @@ func NewRecorder(maxRecords, maxBytes int) *Recorder {
 	return (*Recorder)(newArena(maxRecords, maxBytes, false))
 }
 
-// SetEpoch pins the capture's time origin. Without it, the first recorded
-// datagram's instant becomes the epoch.
-func (r *Recorder) SetEpoch(t time.Time) { (*arena)(r).setEpoch(t) }
-
 // Record appends one datagram. The payload is copied, so the caller's buffer
 // may be reused immediately. Steady state allocates nothing; overflow of
 // either budget, or a payload larger than a UDP datagram (65,535 bytes),
@@ -242,13 +243,7 @@ func (r *Recorder) Record(at time.Time, dir Dir, site int, payload []byte) {
 }
 
 // Len returns how many datagrams are recorded.
-func (r *Recorder) Len() int { n, _, _ := (*arena)(r).stats(); return n }
-
-// Dropped returns how many datagrams overflowed the budgets.
-func (r *Recorder) Dropped() int64 { _, _, lost := (*arena)(r).stats(); return lost }
-
-// BytesUsed returns the payload bytes recorded.
-func (r *Recorder) BytesUsed() int { _, tail, _ := (*arena)(r).stats(); return tail }
+func (r *Recorder) Len() int { return (*arena)(r).liveCount() }
 
 // Resident returns the bytes the recorder has written: its used record slots
 // plus its payload bytes.
@@ -280,10 +275,6 @@ func NewRing(maxRecords, maxBytes int) *Ring {
 	return (*Ring)(newArena(maxRecords, maxBytes, true))
 }
 
-// SetEpoch pins the capture's time origin. Without it, the first recorded
-// datagram's instant becomes the epoch.
-func (r *Ring) SetEpoch(t time.Time) { (*arena)(r).setEpoch(t) }
-
 // Record appends one datagram, evicting the oldest records if either budget
 // is full. The payload is copied, so the caller's buffer may be reused
 // immediately. A payload larger than the whole arena, or than a UDP
@@ -293,10 +284,7 @@ func (r *Ring) Record(at time.Time, dir Dir, site int, payload []byte) {
 }
 
 // Len returns how many datagrams the ring currently holds.
-func (r *Ring) Len() int { n, _, _ := (*arena)(r).stats(); return n }
-
-// Evicted returns how many datagrams have been dropped to make room.
-func (r *Ring) Evicted() int64 { _, _, lost := (*arena)(r).stats(); return lost }
+func (r *Ring) Len() int { return (*arena)(r).liveCount() }
 
 // Resident returns the bytes the ring has written: every record slot it has
 // used plus the high-water mark of its byte buffer. Reset keeps the count,

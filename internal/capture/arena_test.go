@@ -56,8 +56,8 @@ func TestResidentCountsWrittenBytes(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rec.Record(epoch.Add(time.Duration(i)), DirSend, 0, ringPayload(i, 100))
 	}
-	if got, want := rec.Resident(), rec.Len()*recSize+rec.BytesUsed(); got != want || rec.Len() != 8 {
-		t.Fatalf("Recorder: Resident %d with %d records of %d bytes, want %d", got, rec.Len(), rec.BytesUsed(), want)
+	if got, want := rec.Resident(), 8*recSize+8*100; got != want || rec.Len() != 8 {
+		t.Fatalf("Recorder: Resident %d with %d records, want %d (8 records of 100 bytes)", got, rec.Len(), want)
 	}
 	ring := NewRing(8, 1000)
 	for i := 0; i < 5; i++ {

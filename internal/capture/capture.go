@@ -115,14 +115,6 @@ type Capture struct {
 	Records []Record
 }
 
-// Span is the duration covered by the records (0 when fewer than 2 records).
-func (c *Capture) Span() time.Duration {
-	if len(c.Records) < 2 {
-		return 0
-	}
-	return c.Records[len(c.Records)-1].At - c.Records[0].At
-}
-
 // Encode serializes the capture.
 func (c *Capture) Encode() []byte {
 	meta, err := json.Marshal(c.Meta)

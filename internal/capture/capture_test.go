@@ -58,8 +58,8 @@ func TestCaptureRoundTrip(t *testing.T) {
 	if !bytes.Equal(dec.Encode(), enc) {
 		t.Error("decode∘encode is not the identity")
 	}
-	if got, want := dec.Span(), 20*time.Millisecond; got != want {
-		t.Errorf("Span = %v, want %v", got, want)
+	if first, last := dec.Records[0].At, dec.Records[len(dec.Records)-1].At; last-first != 20*time.Millisecond {
+		t.Errorf("records span %v..%v, want 20ms", first, last)
 	}
 }
 
@@ -134,13 +134,13 @@ func TestRecorderBoundsAndDropCounts(t *testing.T) {
 	if got := r.Len(); got != 2 {
 		t.Errorf("Len = %d, want 2 (arena-bounded)", got)
 	}
-	if got := r.Dropped(); got != 8 {
+	c := r.Snapshot(Meta{Notes: "bounds"})
+	if got := c.Meta.Dropped; got != 8 {
 		t.Errorf("Dropped = %d, want 8", got)
 	}
-	if got := r.BytesUsed(); got > 64 {
-		t.Errorf("BytesUsed = %d exceeds the 64-byte budget", got)
+	if got := r.Resident() - r.Len()*recSize; got > 64 {
+		t.Errorf("payload bytes = %d exceed the 64-byte budget", got)
 	}
-	c := r.Snapshot(Meta{Notes: "bounds"})
 	if c.Meta.Dropped != 8 || c.Meta.Epoch != base.UnixNano() {
 		t.Errorf("snapshot meta: %+v", c.Meta)
 	}
@@ -155,7 +155,7 @@ func TestRecorderBoundsAndDropCounts(t *testing.T) {
 	// A nil recorder ignores everything.
 	var nilRec *Recorder
 	nilRec.Record(base, DirRecv, 0, pay)
-	if nilRec.Len() != 0 || nilRec.Dropped() != 0 || nilRec.BytesUsed() != 0 {
+	if nilRec.Len() != 0 || nilRec.Resident() != 0 || nilRec.Snapshot(Meta{}).Meta.Dropped != 0 {
 		t.Error("nil recorder is not inert")
 	}
 	if c := nilRec.Snapshot(Meta{}); len(c.Records) != 0 {

@@ -51,14 +51,14 @@ func TestGoldenRecorderAndRing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := NewRecorder(tc.maxRecords, tc.maxBytes)
-			if d, n := drive(rec); d != tc.recDigest || n != tc.recLen || rec.Dropped() != tc.recDropped {
+			if d, n := drive(rec); d != tc.recDigest || n != tc.recLen || rec.Snapshot(Meta{}).Meta.Dropped != tc.recDropped {
 				t.Errorf("Recorder: digest %#x len %d dropped %d, pinned %#x / %d / %d",
-					d, n, rec.Dropped(), tc.recDigest, tc.recLen, tc.recDropped)
+					d, n, rec.Snapshot(Meta{}).Meta.Dropped, tc.recDigest, tc.recLen, tc.recDropped)
 			}
 			ring := NewRing(tc.maxRecords, tc.maxBytes)
-			if d, n := drive(ring); d != tc.ringDigest || n != tc.ringLen || ring.Evicted() != tc.ringEvicted {
+			if d, n := drive(ring); d != tc.ringDigest || n != tc.ringLen || ring.Snapshot(Meta{}).Meta.Dropped != tc.ringEvicted {
 				t.Errorf("Ring: digest %#x len %d evicted %d, pinned %#x / %d / %d",
-					d, n, ring.Evicted(), tc.ringDigest, tc.ringLen, tc.ringEvicted)
+					d, n, ring.Snapshot(Meta{}).Meta.Dropped, tc.ringDigest, tc.ringLen, tc.ringEvicted)
 			}
 		})
 	}

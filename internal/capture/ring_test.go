@@ -33,7 +33,6 @@ func TestRingKeepsMostRecentSuffix(t *testing.T) {
 		maxRecs := 1 + rng.Intn(32)
 		maxBytes := 16 + rng.Intn(512)
 		r := NewRing(maxRecs, maxBytes)
-		r.SetEpoch(epoch)
 		total := 200 + rng.Intn(200)
 		var sent [][]byte
 		for i := 0; i < total; i++ {
@@ -74,7 +73,6 @@ func TestRingKeepsMostRecentSuffix(t *testing.T) {
 func TestRingWrapsArena(t *testing.T) {
 	r := NewRing(8, 100) // 3 × 30-byte payloads fit, the 4th forces eviction
 	epoch := time.Unix(0, 0)
-	r.SetEpoch(epoch)
 	for i := 0; i < 100; i++ {
 		r.Record(epoch.Add(time.Duration(i)), DirRecv, 0, ringPayload(i, 30))
 	}
@@ -93,22 +91,49 @@ func TestRingWrapsArena(t *testing.T) {
 	}
 }
 
+// TestRingEmptyPayloadsHoldNoBytes: records with empty payloads hold no
+// buffer bytes, so a payload that fits the free buffer evicts none of them,
+// wherever the write cursor stood when they were recorded.
+func TestRingEmptyPayloadsHoldNoBytes(t *testing.T) {
+	epoch := time.Unix(0, 0)
+	r := NewRing(8, 1024)
+	for i := 0; i < 3; i++ {
+		r.Record(epoch.Add(time.Duration(i)), DirRecv, 0, nil)
+	}
+	r.Record(epoch.Add(3), DirRecv, 0, ringPayload(3, 10))
+	if c := r.Snapshot(Meta{}); len(c.Records) != 4 || c.Meta.Dropped != 0 {
+		t.Fatalf("ring holds %d records and lost %d, want 4 and 0", len(c.Records), c.Meta.Dropped)
+	}
+
+	// The cursor mid-buffer: a 600-byte payload, an empty one, then a
+	// 700-byte one that fits neither side of the cursor. Only the 600-byte
+	// record must go.
+	r = NewRing(8, 1024)
+	r.Record(epoch, DirRecv, 0, ringPayload(0, 600))
+	r.Record(epoch.Add(1), DirRecv, 0, nil)
+	r.Record(epoch.Add(2), DirRecv, 0, ringPayload(2, 700))
+	c := r.Snapshot(Meta{})
+	if len(c.Records) != 2 || c.Meta.Dropped != 1 || len(c.Records[0].Payload) != 0 ||
+		!bytes.Equal(c.Records[1].Payload, ringPayload(2, 700)) {
+		t.Fatalf("ring holds %d records (lost %d), want the empty one and the 700-byte one", len(c.Records), c.Meta.Dropped)
+	}
+}
+
 // TestRingOversizedPayload: a payload larger than the whole arena can never
 // be stored; it must be counted, not partially written, and must not evict
 // what the ring already holds.
 func TestRingOversizedPayload(t *testing.T) {
 	r := NewRing(4, 64)
 	epoch := time.Unix(0, 0)
-	r.SetEpoch(epoch)
 	r.Record(epoch, DirSend, 1, ringPayload(0, 20))
 	r.Record(epoch.Add(1), DirSend, 1, ringPayload(1, 65))
 	if r.Len() != 1 {
 		t.Fatalf("ring len = %d after oversized record, want 1", r.Len())
 	}
-	if r.Evicted() != 1 {
-		t.Fatalf("evicted = %d, want 1 (the oversized payload)", r.Evicted())
-	}
 	c := r.Snapshot(Meta{})
+	if c.Meta.Dropped != 1 {
+		t.Fatalf("evicted = %d, want 1 (the oversized payload)", c.Meta.Dropped)
+	}
 	if !bytes.Equal(c.Records[0].Payload, ringPayload(0, 20)) {
 		t.Fatal("oversized record evicted the ring's existing contents")
 	}
@@ -123,8 +148,8 @@ func TestRingReset(t *testing.T) {
 		r.Record(e1.Add(time.Duration(i)), DirRecv, 0, ringPayload(i, 16))
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Evicted() != 0 {
-		t.Fatalf("after Reset: len=%d evicted=%d, want 0/0", r.Len(), r.Evicted())
+	if ev := r.Snapshot(Meta{}).Meta.Dropped; r.Len() != 0 || ev != 0 {
+		t.Fatalf("after Reset: len=%d evicted=%d, want 0/0", r.Len(), ev)
 	}
 	e2 := time.Unix(200, 0)
 	r.Record(e2, DirRecv, 1, ringPayload(0, 8))
@@ -142,7 +167,6 @@ func TestRingReset(t *testing.T) {
 func TestRingSnapshotRoundTrips(t *testing.T) {
 	r := NewRing(8, 256)
 	epoch := time.Unix(42, 0)
-	r.SetEpoch(epoch)
 	for i := 0; i < 20; i++ {
 		r.Record(epoch.Add(time.Duration(i)*time.Millisecond), DirRecv, i%2, ringPayload(i, 24))
 	}
@@ -164,7 +188,6 @@ func TestRingSnapshotRoundTrips(t *testing.T) {
 func TestRingRecordDoesNotAllocate(t *testing.T) {
 	r := NewRing(32, 4096)
 	epoch := time.Unix(0, 0)
-	r.SetEpoch(epoch)
 	p := ringPayload(0, 64)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -181,7 +204,7 @@ func TestRingNil(t *testing.T) {
 	var r *Ring
 	r.Record(time.Unix(0, 0), DirRecv, 0, []byte("x"))
 	r.Reset()
-	if r.Len() != 0 || r.Evicted() != 0 {
+	if r.Len() != 0 || r.Snapshot(Meta{}).Meta.Dropped != 0 {
 		t.Fatal("nil ring reports contents")
 	}
 	if c := r.Snapshot(Meta{Notes: "n"}); len(c.Records) != 0 || c.Meta.Notes != "n" {

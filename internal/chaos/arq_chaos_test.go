@@ -110,7 +110,7 @@ func TestARQUnderChaosSchedule(t *testing.T) {
 					firstAfterHeal = v.Now()
 				}
 			}
-			arqA.Flush()
+			arqA.TryRecv() // drives acks and retransmission; nothing is ready
 			v.Sleep(2 * time.Millisecond)
 		}
 		if got != count {
@@ -123,7 +123,7 @@ func TestARQUnderChaosSchedule(t *testing.T) {
 			if p, ok := arqB.TryRecv(); ok {
 				t.Fatalf("extra datagram %v after the full stream was delivered", p)
 			}
-			arqA.Flush()
+			arqA.TryRecv() // drives acks and retransmission; nothing is ready
 			v.Sleep(5 * time.Millisecond)
 		}
 	})

@@ -50,9 +50,6 @@ func (s *SkewClock) Sleep(d time.Duration) {
 	s.inner.Sleep(d)
 }
 
-// Rate reports the current rate.
-func (s *SkewClock) Rate() float64 { return s.rate }
-
 // SetRate changes the clock's slope, re-anchoring so the current skewed
 // instant is preserved. Values <= 0 mean 1.0.
 func (s *SkewClock) SetRate(rate float64) {

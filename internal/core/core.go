@@ -177,11 +177,6 @@ func (c Config) TimePerFrame() time.Duration {
 	return time.Second / time.Duration(c.CFPS)
 }
 
-// LocalLag is the input delay in time units: BufFrame frames.
-func (c Config) LocalLag() time.Duration {
-	return time.Duration(c.BufFrame) * c.TimePerFrame()
-}
-
 // Peer is a remote site: its id and the connection to it.
 type Peer struct {
 	Site int

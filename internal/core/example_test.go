@@ -17,7 +17,8 @@ import (
 func Example() {
 	clock := vclock.NewVirtual(time.Unix(0, 0))
 	network := simnet.New(clock)
-	fwd, rev := netem.Symmetric(60*time.Millisecond, 0, 0, 1)
+	fwd := netem.Config{Delay: 30 * time.Millisecond, Seed: 1}
+	rev := netem.Config{Delay: 30 * time.Millisecond, Seed: 2}
 	netem.Install(network, "p0", "p1", fwd, rev)
 	c0, c1, err := transport.SimPair(network, "p0", "p1")
 	if err != nil {

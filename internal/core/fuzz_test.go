@@ -119,3 +119,25 @@ func FuzzDecodeHash(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseJoin: ParseJoin never panics, and it accepts a datagram exactly
+// when it is at least two bytes long and starts with the join tag, naming
+// the site in its second byte.
+func FuzzParseJoin(f *testing.F) {
+	f.Add([]byte{msgJoin, 2})
+	f.Add([]byte{msgJoin, 255, 0})
+	f.Add([]byte{msgJoin})
+	f.Add([]byte{msgSync, 1})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		site, ok := ParseJoin(raw)
+		want := len(raw) >= 2 && raw[0] == msgJoin
+		if ok != want {
+			t.Fatalf("ParseJoin(%x) ok = %v, want %v", raw, ok, want)
+		}
+		if ok && site != int(raw[1]) {
+			t.Fatalf("ParseJoin(%x) site = %d, want %d", raw, site, raw[1])
+		}
+	})
+}

@@ -80,8 +80,8 @@ func TestLongSessionMemoryBounded(t *testing.T) {
 		if _, ok := s.InputAt(5); ok {
 			t.Errorf("%s: frame 5 still buffered after %d frames — retirement never ran", name, frames)
 		}
-		if _, ok := s.InputAt(s.Pointer()); !ok {
-			t.Errorf("%s: next undelivered frame %d already evicted", name, s.Pointer())
+		if _, ok := s.InputAt(s.pointer); !ok {
+			t.Errorf("%s: next undelivered frame %d already evicted", name, s.pointer)
 		}
 	}
 }

@@ -272,9 +272,6 @@ func (s *InputSync) SetJournal(j *span.Journal) {
 	s.batch.Reset(j)
 }
 
-// Journal returns the attached span journal (nil when none).
-func (s *InputSync) Journal() *span.Journal { return s.journal }
-
 // ReportExec records that this site began executing frame at instant at. The
 // report rides on every subsequent outgoing sync message (execFrame/execTime)
 // and stamps the local journal, so both sites' span timelines close. The
@@ -285,20 +282,6 @@ func (s *InputSync) ReportExec(frame int, at time.Time) {
 	s.haveExec = true
 	s.batch.Executed(int64(frame), at)
 }
-
-// OffsetTo returns the current clock-offset estimate toward a peer site in
-// microseconds (add to the peer's stamps to express them on the local clock)
-// and whether any estimate exists. Like Stats' peers-map walkers, call it
-// from the frame loop's goroutine (AddJoiner mutates the map mid-session).
-func (s *InputSync) OffsetTo(site int) (int64, bool) {
-	if p, ok := s.peers[site]; ok {
-		return p.offset.OffsetMicros()
-	}
-	return 0, false
-}
-
-// Pointer returns the next frame to be delivered (IBufPointer).
-func (s *InputSync) Pointer() int { return s.pointer }
 
 // LastRcv returns LastRcvFrame for a player site (0 for non-player sites).
 func (s *InputSync) LastRcv(site int) int {

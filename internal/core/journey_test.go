@@ -79,7 +79,7 @@ func TestInputJourneyDerivedLatencies(t *testing.T) {
 		stepFrame(f)
 	}
 
-	off, ok := s0.OffsetTo(1)
+	off, ok := s0.peers[1].offset.OffsetMicros()
 	if !ok {
 		t.Fatal("site 0 never formed a clock-offset estimate for site 1")
 	}

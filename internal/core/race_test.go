@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"retrolock/internal/obs"
 )
 
 // TestStatsPollingDuringSessionIsRaceFree is the regression test for the
@@ -112,6 +114,7 @@ func TestRollbackStatsPollingIsRaceFree(t *testing.T) {
 		}
 		sessions[site] = s
 	}
+	reg := rollbackRegistry(sessions[:]...)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -125,11 +128,13 @@ func TestRollbackStatsPollingIsRaceFree(t *testing.T) {
 				return
 			default:
 			}
-			for _, s := range sessions {
-				rb := s.Stats()
-				st := s.Sync().Stats()
+			snap := reg.Snapshot()
+			for site := range sessions {
+				sl := obs.SiteLabels(site)
+				rb := RollbackStatsFromSnapshot(snap, sl)
+				st := SyncStatsFromSnapshot(snap, sl)
 				sink.Add(int64(rb.Rollbacks + rb.ReplayedFrames + rb.DeepestRollback + st.MsgsRcvd))
-				sink.Add(int64(s.Frame()))
+				sink.Add(int64(snap[obs.Key(MetricFrame, sl)]))
 			}
 			polls.Add(1)
 			runtime.Gosched() // at GOMAXPROCS=1, give the thread back to the session

@@ -83,18 +83,6 @@ type rollbackCounters struct {
 	snapshotBytes  atomic.Int64
 }
 
-func (c *rollbackCounters) snapshot() RollbackStats {
-	return RollbackStats{
-		Rollbacks:       int(c.rollbacks.Load()),
-		ReplayedFrames:  int(c.replayedFrames.Load()),
-		DeepestRollback: int(c.deepest.Load()),
-		PredictedFrames: int(c.predicted.Load()),
-		StallFrames:     int(c.stalls.Load()),
-		TimesyncSlept:   time.Duration(c.timesyncNs.Load()),
-		SnapshotBytes:   c.snapshotBytes.Load(),
-	}
-}
-
 // DefaultPredictionWindow bounds speculation (GGPO-style systems use 7-8).
 const DefaultPredictionWindow = 8
 
@@ -166,16 +154,6 @@ func (s *RollbackSession) timesync() {
 		s.clock.Sleep(extra)
 	}
 }
-
-// Sync exposes the underlying input exchange.
-func (s *RollbackSession) Sync() *InputSync { return s.sync }
-
-// Stats returns a snapshot of the accumulated rollback overheads. Safe to
-// call from any goroutine while the session runs.
-func (s *RollbackSession) Stats() RollbackStats { return s.stats.snapshot() }
-
-// Frame reports the next frame to execute. Safe to call from any goroutine.
-func (s *RollbackSession) Frame() int { return int(s.frame.Load()) }
 
 // SetObs attaches an observability bundle to the session and its sync
 // module (nil detaches). Call before the frame loop starts.

@@ -4,10 +4,23 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"retrolock/internal/obs"
 )
 
-// runRollbackPair runs two rollback sessions to completion.
-func runRollbackPair(t *testing.T, env *twoSiteEnv, frames, window int, input func(site, frame int) uint16) ([2]*RollbackSession, [2]*fakeMachine) {
+// rollbackRegistry publishes each session's counters under its site's
+// labels, as harness does, so a test reads what a scrape reads.
+func rollbackRegistry(ses ...*RollbackSession) *obs.Registry {
+	reg := obs.NewRegistry()
+	for site, s := range ses {
+		RegisterRollbackMetrics(reg, obs.SiteLabels(site), s)
+	}
+	return reg
+}
+
+// runRollbackPair runs two rollback sessions to completion and returns the
+// registry their counters are published on.
+func runRollbackPair(t *testing.T, env *twoSiteEnv, frames, window int, input func(site, frame int) uint16) (*obs.Registry, [2]*fakeMachine) {
 	t.Helper()
 	var ses [2]*RollbackSession
 	var machines [2]*fakeMachine
@@ -35,7 +48,7 @@ func runRollbackPair(t *testing.T, env *twoSiteEnv, frames, window int, input fu
 			t.Fatalf("site %d: %v", site, err)
 		}
 	}
-	return ses, machines
+	return rollbackRegistry(ses[:]...), machines
 }
 
 func TestRollbackConvergesWithChangingInputs(t *testing.T) {
@@ -44,12 +57,13 @@ func TestRollbackConvergesWithChangingInputs(t *testing.T) {
 		// Change inputs every few frames so predictions miss regularly.
 		return uint16(frame/3+site) & 0xFF << (8 * site)
 	}
-	ses, machines := runRollbackPair(t, env, 300, 0, input)
+	reg, machines := runRollbackPair(t, env, 300, 0, input)
 	if machines[0].hash != machines[1].hash {
 		t.Fatal("rollback replicas diverged after settle")
 	}
-	for site, s := range ses {
-		st := s.Stats()
+	snap := reg.Snapshot()
+	for site := range machines {
+		st := RollbackStatsFromSnapshot(snap, obs.SiteLabels(site))
 		if st.Rollbacks == 0 {
 			t.Errorf("site %d: no rollbacks despite changing inputs at RTT 80ms", site)
 		}
@@ -82,16 +96,17 @@ func TestRollbackZeroInputLatency(t *testing.T) {
 func TestRollbackConstantInputsNeverRollBack(t *testing.T) {
 	// Repeat-last prediction is exact when inputs never change.
 	env := newTwoSiteEnv(t, 60*time.Millisecond, 0)
-	ses, machines := runRollbackPair(t, env, 200, 0,
+	reg, machines := runRollbackPair(t, env, 200, 0,
 		func(site, frame int) uint16 { return 0x0101 & (0x00FF << (8 * site)) })
 	if machines[0].hash != machines[1].hash {
 		t.Fatal("diverged")
 	}
-	for site, s := range ses {
+	snap := reg.Snapshot()
+	for site := range machines {
 		// The very first frames are predicted from "idle" before any
 		// remote input arrives, so a small number of early rollbacks
 		// is legitimate; none may happen after warm-up.
-		if st := s.Stats(); st.Rollbacks > 2 {
+		if st := RollbackStatsFromSnapshot(snap, obs.SiteLabels(site)); st.Rollbacks > 2 {
 			t.Errorf("site %d: %d rollbacks with constant inputs, want <= 2 (warm-up only)", site, st.Rollbacks)
 		}
 	}
@@ -105,14 +120,15 @@ func TestRollbackWindowStallsOnDeadPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := rollbackRegistry(s)
 	done := env.v.Go(func() {
 		err := s.RunFrames(100, func(int) uint16 { return 1 }, nil)
 		if !errors.Is(err, ErrWaitTimeout) {
 			t.Errorf("err = %v, want ErrWaitTimeout at the prediction window", err)
 		}
 		// It ran ahead by at most the window before stalling.
-		if s.Frame() > 8+1 {
-			t.Errorf("executed %d frames against a dead peer, window is 8", s.Frame())
+		if frame := reg.Snapshot()[obs.Key(MetricFrame, obs.SiteLabels(0))]; frame > 8+1 {
+			t.Errorf("executed %v frames against a dead peer, window is 8", frame)
 		}
 	})
 	<-done
@@ -168,7 +184,7 @@ func TestRollbackTimesyncAbsorbsStartupOffset(t *testing.T) {
 	if skew > 60*time.Millisecond {
 		t.Fatalf("final frame skew %v; timesync failed to absorb the 150ms offset", skew)
 	}
-	if ses[0].Stats().TimesyncSlept == 0 {
+	if RollbackStatsFromSnapshot(rollbackRegistry(ses[:]...).Snapshot(), obs.SiteLabels(0)).TimesyncSlept == 0 {
 		t.Error("the earlier site never slept for timesync")
 	}
 }
@@ -191,15 +207,16 @@ func TestRollbackRunsAtFullSpeedBelowWindow(t *testing.T) {
 	// lockstep lacks.
 	env := newTwoSiteEnv(t, 60*time.Millisecond, 0)
 	start := env.v.Now()
-	ses, _ := runRollbackPair(t, env, 300, 8,
+	reg, _ := runRollbackPair(t, env, 300, 8,
 		func(site, frame int) uint16 { return uint16(frame/7) & 0xFF << (8 * site) })
 	elapsed := env.v.Now().Sub(start)
 	// 300 frames at 60 FPS = 5s (+ settle slack).
 	if elapsed > 6*time.Second {
 		t.Fatalf("300 frames took %v, want ~5s (rollback must not stall at RTT 60ms)", elapsed)
 	}
-	for site, s := range ses {
-		if st := s.Stats(); st.StallFrames > 20 {
+	snap := reg.Snapshot()
+	for site := 0; site < 2; site++ {
+		if st := RollbackStatsFromSnapshot(snap, obs.SiteLabels(site)); st.StallFrames > 20 {
 			t.Errorf("site %d stalled %d frames at RTT 60ms with window 8", site, st.StallFrames)
 		}
 	}

@@ -162,12 +162,6 @@ func (s *Session) SetObs(o *obs.SessionObs) {
 // on the hot path is nil-safe and alloc-free (see internal/span).
 func (s *Session) SetJournal(j *span.Journal) { s.sync.SetJournal(j) }
 
-// Journal returns the attached span journal (nil when none).
-func (s *Session) Journal() *span.Journal { return s.sync.Journal() }
-
-// Machine returns the wrapped game machine.
-func (s *Session) Machine() Machine { return s.machine }
-
 // handshakeResendEvery paces READY/GO retransmissions during startup.
 const handshakeResendEvery = 10 * time.Millisecond
 

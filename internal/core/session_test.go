@@ -64,7 +64,9 @@ func newTwoSiteEnv(t *testing.T, rtt time.Duration, loss float64) *twoSiteEnv {
 	if err != nil {
 		t.Fatalf("SimPair: %v", err)
 	}
-	fwd, rev := netem.Symmetric(rtt, 0, loss, 12345)
+	fwd := netem.Config{Delay: rtt / 2, Loss: loss, Seed: 12345}
+	rev := fwd
+	rev.Seed = 12346
 	netem.Install(n, "site0", "site1", fwd, rev)
 	return &twoSiteEnv{v: v, net: n, conns: [2]transport.Conn{c0, c1}}
 }
@@ -631,7 +633,8 @@ func TestSyncInputNapsOnlyWhenEveryPeerRings(t *testing.T) {
 func TestSyncInputNapDoesNotAllocate(t *testing.T) {
 	v := vclock.NewVirtual(epoch)
 	n := simnet.New(v)
-	n.SetLinkBoth("a", "b", simnet.ConstantDelay(150*time.Millisecond))
+	n.SetLink("a", "b", simnet.ConstantDelay(150*time.Millisecond))
+	n.SetLink("b", "a", simnet.ConstantDelay(150*time.Millisecond))
 	a, b, err := transport.SimPair(n, "a", "b")
 	if err != nil {
 		t.Fatal(err)

@@ -31,11 +31,6 @@ type FrameTimer struct {
 
 	adjust     time.Duration // AdjustTimeDelta
 	frameStart time.Time     // CurrFrameStart
-
-	// maxCorrection clamps one frame's SyncAdjustTimeDelta so a wildly
-	// wrong early RTT estimate cannot stall a site for seconds; 0 means
-	// unclamped (the paper's literal algorithm).
-	maxCorrection time.Duration
 }
 
 // NewFrameTimer builds the timer for one site of cfg.
@@ -48,10 +43,6 @@ func NewFrameTimer(cfg Config, clock vclock.Clock) *FrameTimer {
 		master:       cfg.SiteNo == 0,
 	}
 }
-
-// SetMaxCorrection bounds the per-frame master-pace correction (0 restores
-// the paper's unclamped behaviour).
-func (t *FrameTimer) SetMaxCorrection(d time.Duration) { t.maxCorrection = d }
 
 // SetBufFrame updates the lag used by the master-frame estimate; the
 // adaptive-lag ablation calls it whenever the lag changes.
@@ -73,16 +64,7 @@ func (t *FrameTimer) BeginFrame(frame int, mv MasterView) {
 	// elapsed time since then tells how far the master has advanced.
 	sent := mv.RcvTime.Add(-mv.RTT / 2)
 	elapsed := now.Sub(sent)
-	sync := time.Duration(frame-masterFrame)*t.timePerFrame - elapsed
-	if t.maxCorrection > 0 {
-		if sync > t.maxCorrection {
-			sync = t.maxCorrection
-		}
-		if sync < -t.maxCorrection {
-			sync = -t.maxCorrection
-		}
-	}
-	t.adjust += sync
+	t.adjust += time.Duration(frame-masterFrame)*t.timePerFrame - elapsed
 }
 
 // EndFrame is Algorithm 3 (EndFrameTiming).
@@ -100,9 +82,6 @@ func (t *FrameTimer) EndFrame() {
 
 // FrameStart implements Pacer.
 func (t *FrameTimer) FrameStart() time.Time { return t.frameStart }
-
-// Adjust exposes the pending AdjustTimeDelta (tests and diagnostics).
-func (t *FrameTimer) Adjust() time.Duration { return t.adjust }
 
 // NaiveTimer is the ablation baseline: Algorithm 3 without Algorithm 4
 // ("naive waiting"). With it, the earlier-starting site is perpetually

@@ -183,10 +183,9 @@ func TestConfigAccessors(t *testing.T) {
 	if cfg.TimePerFrame() != time.Second/60 {
 		t.Errorf("TimePerFrame = %v", cfg.TimePerFrame())
 	}
-	// 6 frames at 60 FPS ≈ 100 ms (the paper's constant), modulo the
-	// integer division in time.Second/60.
-	if lag := cfg.LocalLag(); lag < 99*time.Millisecond || lag > 101*time.Millisecond {
-		t.Errorf("LocalLag = %v, want ~100ms", lag)
+	// The default lag is 6 frames: at 60 FPS, the paper's 100 ms constant.
+	if cfg.BufFrame != 6 {
+		t.Errorf("BufFrame = %d, want 6 (100 ms at 60 FPS)", cfg.BufFrame)
 	}
 	if cfg.IsObserver() {
 		t.Error("site 0 misclassified as observer")

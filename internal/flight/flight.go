@@ -146,8 +146,7 @@ type Recorder struct {
 	remote  []RemoteHash
 	nRemote uint64
 
-	fired  bool
-	bundle []byte // encoded incident bundle, once fired
+	bundle []byte // encoded incident bundle, once fired (nil before)
 	path   string // where the bundle was written ("" if not)
 	dumpMu sync.Mutex
 	werr   error
@@ -249,11 +248,10 @@ func (r *Recorder) RecordRemoteHash(site, frame int, hash uint64) {
 // Options.Dir is set — writes it to disk. Later calls are no-ops.
 func (r *Recorder) Incident(kind core.IncidentKind, cause error) {
 	r.mu.Lock()
-	if r.fired {
+	if r.bundle != nil {
 		r.mu.Unlock()
 		return
 	}
-	r.fired = true
 	b := r.buildLocked(kind, cause)
 	r.bundle = b.Encode()
 	frame := b.Manifest.Frame
@@ -386,13 +384,6 @@ func (r *Recorder) buildLocked(kind core.IncidentKind, cause error) *Bundle {
 		b.Spans = r.opts.Journal.Spans()
 	}
 	return b
-}
-
-// Fired reports whether an incident has been captured.
-func (r *Recorder) Fired() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fired
 }
 
 // Bundle returns the encoded incident bundle (nil before any incident).

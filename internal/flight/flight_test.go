@@ -120,11 +120,11 @@ func TestRecorderWindowsAndIncident(t *testing.T) {
 	for f := 0; f < 10; f++ {
 		rec.RecordRemoteHash(0, f, uint64(f)*3)
 	}
-	if rec.Fired() {
+	if rec.Bundle() != nil {
 		t.Fatal("recorder fired before any incident")
 	}
 	rec.Incident(core.IncidentDesync, fmt.Errorf("synthetic divergence"))
-	if !rec.Fired() {
+	if rec.Bundle() == nil {
 		t.Fatal("Incident did not fire the recorder")
 	}
 
@@ -202,7 +202,7 @@ func TestDumpIsNonConsuming(t *testing.T) {
 	if b.Manifest.Kind != "manual" {
 		t.Fatalf("manual dump kind = %q", b.Manifest.Kind)
 	}
-	if rec.Fired() {
+	if rec.Bundle() != nil {
 		t.Fatal("Dump consumed the one-shot trigger")
 	}
 	// A real incident afterwards still produces its own bundle, and Dump
@@ -230,7 +230,7 @@ func TestWriteManual(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Fired() {
+	if rec.Bundle() == nil {
 		t.Fatal("WriteManual must consume the trigger")
 	}
 	again, err := rec.WriteManual()
@@ -363,15 +363,18 @@ func TestTriageSpanLatencyRows(t *testing.T) {
 	)
 	epoch := time.Unix(0, 0)
 	j := span.NewJournal(epoch, 512)
+	var sb span.Batch
+	sb.Reset(j)
 	at := func(f int64, off time.Duration) time.Time {
 		return epoch.Add(time.Duration(f)*16670*time.Microsecond + off)
 	}
 	for f := int64(190); f <= 260; f++ {
-		j.StampPressed(f, at(f-6, 0)) // frame f's input pressed one lag (6 frames) early
-		j.StampRecv(f, at(f, -2*time.Millisecond), 0)
-		j.StampRemoteExec(f-6, at(f-6, 0).Sub(epoch).Nanoseconds(), 6)
-		j.StampExecuted(f, at(f, 0))
+		sb.Pressed(f, at(f-6, 0)) // frame f's input pressed one lag (6 frames) early
+		sb.Recv(f, at(f, -2*time.Millisecond), 0)
+		sb.RemoteExec(f-6, at(f-6, 0).Sub(epoch).Nanoseconds(), 6)
+		sb.Executed(f, at(f, 0))
 	}
+	sb.Flush()
 	rec, _ := recordRun(t, flight.Options{
 		Site: 1, InputWindow: 128, SnapEvery: 50, Snapshots: 4, Journal: j,
 	}, 260, pokeFrame, pokeAddr, pokeXOR)

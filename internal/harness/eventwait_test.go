@@ -64,7 +64,7 @@ func runPrint(t *testing.T, cfg Config) []string {
 	t.Helper()
 	cfg.Capture = capture.NewRecorder(1<<16, 1<<22)
 	res := run(t, cfg)
-	if d := cfg.Capture.Dropped(); d != 0 {
+	if d := cfg.Capture.Snapshot(capture.Meta{}).Meta.Dropped; d != 0 {
 		t.Fatalf("capture dropped %d records", d)
 	}
 	var out []string

@@ -33,11 +33,12 @@ func relayedSync(tb testing.TB, frames int) [][]byte {
 	if _, err := Run(cfg); err != nil {
 		tb.Fatal(err)
 	}
-	if rec.Dropped() != 0 {
-		tb.Fatalf("capture dropped %d records; raise the recorder budgets", rec.Dropped())
+	c := rec.Snapshot(capture.Meta{})
+	if c.Meta.Dropped != 0 {
+		tb.Fatalf("capture dropped %d records; raise the recorder budgets", c.Meta.Dropped)
 	}
 	var out [][]byte
-	for _, r := range rec.Snapshot(capture.Meta{}).Records {
+	for _, r := range c.Records {
 		if r.Dir == capture.DirSend {
 			out = append(out, append(make([]byte, relay.HeaderLen), r.Payload...))
 		}
@@ -71,7 +72,6 @@ func TestRingOnRelayedSync(t *testing.T) {
 	}
 	ring := capture.NewRing(records, bytes)
 	epoch := time.Unix(0, 0)
-	ring.SetEpoch(epoch)
 	for i, d := range dgrams {
 		ring.Record(epoch.Add(time.Duration(i)), capture.DirRecv, 0, d)
 	}

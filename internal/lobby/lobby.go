@@ -142,11 +142,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Listen binds a lobby server to addr (e.g. ":7200") with default Config.
-func Listen(addr string) (*Server, error) {
-	return ListenConfig(addr, Config{})
-}
-
 // ListenConfig binds a lobby server to addr with explicit configuration.
 func ListenConfig(addr string, cfg Config) (*Server, error) {
 	pc, err := net.ListenPacket("udp", addr)

@@ -8,7 +8,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -18,11 +17,6 @@ import (
 // to use.
 type Series struct {
 	vals []float64
-}
-
-// NewSeries creates a Series with preallocated capacity.
-func NewSeries(capacity int) *Series {
-	return &Series{vals: make([]float64, 0, capacity)}
 }
 
 // Add appends a sample.
@@ -170,12 +164,6 @@ func (s *Series) Summarize() Summary {
 		Max:     s.Max(),
 		P99:     s.Percentile(99),
 	}
-}
-
-// String renders the summary compactly in milliseconds.
-func (m Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2fms mad=%.2fms absmean=%.2fms sd=%.2fms min=%.2fms max=%.2fms p99=%.2fms",
-		m.N, m.Mean, m.MAD, m.AbsMean, m.StdDev, m.Min, m.Max, m.P99)
 }
 
 // FPS converts a mean frame time in milliseconds to frames per second.

@@ -95,17 +95,6 @@ func (c Config) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// Symmetric returns per-direction configs for a link with round-trip time
-// rtt and the given jitter/loss applied to each direction independently.
-// Per §4 of the paper, the one-way latency is estimated as RTT/2.
-func Symmetric(rtt, jitter time.Duration, loss float64, seed int64) (fwd, rev Config) {
-	base := Config{Delay: rtt / 2, Jitter: jitter, Loss: loss}
-	fwd, rev = base, base
-	fwd.Seed = seed
-	rev.Seed = seed + 1
-	return fwd, rev
-}
-
 // Emulator shapes packets for one direction of a link. It implements
 // simnet.Shaper. Safe for concurrent use: simnet calls Plan only from its
 // world's turns, but a real-clock sender calls it from its own goroutine.

@@ -132,19 +132,6 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 	}
 }
 
-func TestSymmetricHelper(t *testing.T) {
-	fwd, rev := Symmetric(140*time.Millisecond, 2*time.Millisecond, 0.01, 100)
-	if fwd.Delay != 70*time.Millisecond || rev.Delay != 70*time.Millisecond {
-		t.Errorf("one-way delays = %v/%v, want 70ms each (RTT/2)", fwd.Delay, rev.Delay)
-	}
-	if fwd.Seed == rev.Seed {
-		t.Error("directions share a seed; their randomness would correlate")
-	}
-	if fwd.Loss != 0.01 || rev.Loss != 0.01 {
-		t.Errorf("loss = %v/%v, want 0.01", fwd.Loss, rev.Loss)
-	}
-}
-
 func TestNegativeDelayClampedToZero(t *testing.T) {
 	// Jitter larger than delay must not produce negative offsets.
 	e := New(Config{Delay: time.Millisecond, Jitter: 50 * time.Millisecond, Seed: 8})

@@ -105,15 +105,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the average observed value (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // Buckets returns a snapshot of the per-bucket counts. Because writers may
 // race the reads, the copy is only approximately consistent — fine for
 // monitoring, not for invariants.

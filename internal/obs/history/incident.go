@@ -161,19 +161,6 @@ func (l *Log) Snapshot() (incidents []Incident, dropped int64) {
 	return out, l.dropped
 }
 
-// Open returns how many incidents are currently unresolved.
-func (l *Log) Open() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for i := range l.incidents {
-		if !l.incidents[i].Resolved() {
-			n++
-		}
-	}
-	return n
-}
-
 func fmtNs(ns int64) string {
 	return time.Unix(0, ns).UTC().Format("15:04:05.000")
 }

@@ -22,8 +22,8 @@ func TestLogLifecycle(t *testing.T) {
 	now := testEpoch
 
 	l.Observe(fireAt("r", now))
-	if l.Open() != 1 {
-		t.Fatalf("Open() = %d after fire, want 1", l.Open())
+	if open, _ := l.Snapshot(); len(open) != 1 || open[0].Resolved() {
+		t.Fatalf("after fire: %+v, want one open incident", open)
 	}
 	l.Annotate("r", now.Add(time.Second), "census: %d degraded", 7)
 	l.AttachCapture("r", CaptureRef{Session: "s1", Path: "/tmp/a.rkcp", AtNs: now.Add(2 * time.Second).UnixNano()})
@@ -43,8 +43,8 @@ func TestLogLifecycle(t *testing.T) {
 	if len(in.Captures) != 1 || in.Captures[0].Session != "s1" {
 		t.Errorf("captures = %+v, want the attached bundle", in.Captures)
 	}
-	if l.Open() != 0 {
-		t.Errorf("Open() = %d after clear, want 0", l.Open())
+	if incidents, _ := l.Snapshot(); len(incidents) != 1 || !incidents[0].Resolved() {
+		t.Errorf("after clear: %+v, want the one incident resolved", incidents)
 	}
 
 	// Post-hoc annotation (alert "" = newest overall) still lands.

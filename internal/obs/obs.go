@@ -132,14 +132,6 @@ func NewTracer(capacity int, epoch time.Time) *Tracer {
 	return &Tracer{epoch: epoch, mask: uint64(c - 1), buf: make([]Event, c)}
 }
 
-// Epoch returns the instant Event.At counts from.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Record appends one event. Safe for concurrent use; never allocates; a nil
 // receiver is a no-op.
 func (t *Tracer) Record(kind EventKind, site, frame int, at time.Time, arg int64) {
@@ -157,25 +149,6 @@ func (t *Tracer) Record(kind EventKind, site, frame int, at time.Time, arg int64
 	t.buf[t.n&t.mask] = e
 	t.n++
 	t.mu.Unlock()
-}
-
-// Total reports how many events were ever recorded (including overwritten
-// ones).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Cap reports the ring capacity.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
 }
 
 // Snapshot copies the retained events in recording order (oldest first).

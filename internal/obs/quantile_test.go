@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -102,7 +103,8 @@ func TestQuantileOfBucketsWindowedDelta(t *testing.T) {
 func TestRegistrySnapshotWhileWriting(t *testing.T) {
 	r := NewRegistry()
 	hist := r.NewHistogram("retrolock_test_latency_ns", SiteLabels(0), "test")
-	ctr := r.NewCounter("retrolock_test_events_total", SiteLabels(0), "test")
+	var ctr atomic.Int64
+	r.CounterFunc("retrolock_test_events_total", SiteLabels(0), "test", func() float64 { return float64(ctr.Load()) })
 	health := NewHealth(HealthConfig{}, HealthSources{RTT: hist})
 	health.Register(r, 0)
 
@@ -120,7 +122,7 @@ func TestRegistrySnapshotWhileWriting(t *testing.T) {
 				default:
 				}
 				hist.Observe(rng.Int63n(1 << 32))
-				ctr.Inc()
+				ctr.Add(1)
 			}
 		}(int64(w))
 	}

@@ -130,13 +130,6 @@ func (r *Registry) CounterFunc(name string, labels Labels, help string, fn func(
 	r.add(&series{key: Key(name, labels), name: name, help: help, kind: "counter", read: fn})
 }
 
-// NewCounter registers and returns an owned Counter.
-func (r *Registry) NewCounter(name string, labels Labels, help string) *Counter {
-	c := &Counter{}
-	r.CounterFunc(name, labels, help, func() float64 { return float64(c.Value()) })
-	return c
-}
-
 // NewHistogram registers and returns an owned Histogram.
 func (r *Registry) NewHistogram(name string, labels Labels, help string) *Histogram {
 	h := &Histogram{}

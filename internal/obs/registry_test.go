@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -27,11 +28,11 @@ func TestKey(t *testing.T) {
 
 func TestRegistrySnapshotAndDelta(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("events", SiteLabels(0), "test counter")
+	events := 3.0
+	r.CounterFunc("events", SiteLabels(0), "test counter", func() float64 { return events })
 	v := 7.0
 	r.GaugeFunc("level", nil, "test gauge", func() float64 { return v })
 	h := r.NewHistogram("lat_ns", SiteLabels(0), "test histogram")
-	c.Add(3)
 	h.Observe(100)
 	h.Observe(200)
 
@@ -43,7 +44,7 @@ func TestRegistrySnapshotAndDelta(t *testing.T) {
 		t.Fatalf("histogram snapshot keys wrong: %v", s1)
 	}
 
-	c.Inc()
+	events++
 	v = 9
 	s2 := r.Snapshot()
 	d := s2.Delta(s1)
@@ -65,10 +66,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("retrolock_sync_msgs_sent", SiteLabels(0), "sync messages sent")
-	c.Add(12)
-	c1 := r.NewCounter("retrolock_sync_msgs_sent", SiteLabels(1), "sync messages sent")
-	c1.Add(34)
+	r.CounterFunc("retrolock_sync_msgs_sent", SiteLabels(0), "sync messages sent", func() float64 { return 12 })
+	r.CounterFunc("retrolock_sync_msgs_sent", SiteLabels(1), "sync messages sent", func() float64 { return 34 })
 	r.GaugeFunc("retrolock_frame", SiteLabels(0), "next frame", func() float64 { return 60 })
 	h := r.NewHistogram("retrolock_frame_time_ns", SiteLabels(0), "frame wall time")
 	h.Observe(5) // bucket 3, bound 7
@@ -106,7 +105,8 @@ func TestWritePrometheus(t *testing.T) {
 // frames advance" acceptance shape.
 func TestServeEndpointsLive(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("retrolock_test_frames", nil, "frames executed")
+	var frames atomic.Int64
+	r.CounterFunc("retrolock_test_frames", nil, "frames executed", func() float64 { return float64(frames.Load()) })
 	tr := NewTracer(1024, epoch)
 	r.AddTracer("session", tr)
 
@@ -126,7 +126,7 @@ func TestServeEndpointsLive(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				c.Inc()
+				frames.Add(1)
 				tr.Record(EvFrameStart, 0, i, epoch.Add(time.Duration(i)*time.Millisecond), 0)
 				tr.Record(EvFrameEnd, 0, i, epoch.Add(time.Duration(i)*time.Millisecond+time.Millisecond), 0)
 			}
@@ -190,14 +190,15 @@ func TestServeEndpointsLive(t *testing.T) {
 
 func TestRegistryConcurrentReads(t *testing.T) {
 	r := NewRegistry()
-	cs := make([]*Counter, 8)
+	cs := make([]atomic.Int64, 8)
 	for i := range cs {
-		cs[i] = r.NewCounter(fmt.Sprintf("c%d", i), nil, "")
+		c := &cs[i]
+		r.CounterFunc(fmt.Sprintf("c%d", i), nil, "", func() float64 { return float64(c.Load()) })
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for _, c := range cs {
-		c := c
+	for i := range cs {
+		c := &cs[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -206,7 +207,7 @@ func TestRegistryConcurrentReads(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					c.Inc()
+					c.Add(1)
 				}
 			}
 		}()

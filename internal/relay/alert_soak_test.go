@@ -166,8 +166,10 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 	setChaos := func(shape func(j int) simnet.Shaper) {
 		for j := 0; j < nDrivers/2; j++ {
 			sh := shape(j)
-			net.SetLinkBoth(fmt.Sprintf("drvA-%d", j), frontAddr, sh)
-			net.SetLinkBoth(fmt.Sprintf("drvB-%d", j), frontAddr, sh)
+			for _, drv := range []string{fmt.Sprintf("drvA-%d", j), fmt.Sprintf("drvB-%d", j)} {
+				net.SetLink(drv, frontAddr, sh)
+				net.SetLink(frontAddr, drv, sh)
+			}
 		}
 	}
 	// One root actor starts every other, so none runs before all exist.

@@ -28,15 +28,9 @@ type Config struct {
 	// WriteBatch is how many outbound datagrams a shard accumulates before
 	// flushing mid-step (default 64, the mmsg batch size).
 	WriteBatch int
-	// PendingSlots / PendingBytes bound each session's pending ring —
-	// datagrams parked for a site whose address is still unknown (defaults
-	// 8 slots, 16 KiB).
-	PendingSlots int
-	PendingBytes int
-	// SessionTTL expires sessions with no traffic (default 2 m); SweepEvery
-	// is the sweep cadence (default 10 s). Zero TTL disables expiry.
+	// SessionTTL expires sessions with no traffic (default 2 m), swept
+	// every sweepEvery. Zero TTL disables expiry.
 	SessionTTL time.Duration
-	SweepEvery time.Duration
 	// TickEvery paces the real-mode ticker that runs every shard (default 50 ms).
 	TickEvery time.Duration
 	// Clock defaults to vclock.System; virtual-time runs inject their
@@ -86,17 +80,8 @@ func (c Config) withDefaults() Config {
 	if c.WriteBatch <= 0 {
 		c.WriteBatch = 64
 	}
-	if c.PendingSlots <= 0 {
-		c.PendingSlots = 8
-	}
-	if c.PendingBytes <= 0 {
-		c.PendingBytes = 16 * 1024
-	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 2 * time.Minute
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = 10 * time.Second
 	}
 	if c.TickEvery <= 0 {
 		c.TickEvery = 50 * time.Millisecond

@@ -434,25 +434,6 @@ func (f *Fleet) CaptureBurning(now time.Time) (tok Token, ok bool) {
 // Snapshot returns the last completed tick's view (never nil).
 func (f *Fleet) Snapshot() *FleetSnapshot { return f.snap.Load() }
 
-// Verdict returns a session's current effective verdict and whether the
-// fleet tracks it.
-func (f *Fleet) Verdict(tok Token) (obs.HealthState, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fs, ok := f.sessions[tok]
-	if !ok {
-		return obs.Healthy, false
-	}
-	return fs.verdict, true
-}
-
-// Tracked returns how many sessions the fleet currently grades.
-func (f *Fleet) Tracked() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.sessions)
-}
-
 // Start launches the real-clock tick loop.
 func (f *Fleet) Start() {
 	f.wg.Add(1)

@@ -161,11 +161,11 @@ func TestFleetGradesDegradedSession(t *testing.T) {
 		h.f.Tick(h.clk.Now())
 	}
 
-	if v, ok := h.f.Verdict(good); !ok || v != obs.Healthy {
-		t.Fatalf("good session verdict = %v (tracked %v), want healthy", v, ok)
+	if d, ok := h.f.Detail(good); !ok || d.Verdict != obs.Healthy.String() {
+		t.Fatalf("good session verdict = %v (tracked %v), want healthy", d.Verdict, ok)
 	}
-	if v, ok := h.f.Verdict(bad); !ok || v != obs.Degraded {
-		t.Fatalf("bad session verdict = %v (tracked %v), want degraded", v, ok)
+	if d, ok := h.f.Detail(bad); !ok || d.Verdict != obs.Degraded.String() {
+		t.Fatalf("bad session verdict = %v (tracked %v), want degraded", d.Verdict, ok)
 	}
 	snap := h.f.Snapshot()
 	if snap.Summary.Tracked != 2 || snap.Summary.Healthy != 1 || snap.Summary.Degraded != 1 {
@@ -206,8 +206,8 @@ func TestFleetStallAndRecovery(t *testing.T) {
 	tok := h.place()
 	h.drive(time.Second, 16*time.Millisecond, tok)
 	h.f.Tick(h.clk.Now())
-	if v, _ := h.f.Verdict(tok); v != obs.Healthy {
-		t.Fatalf("verdict after clean traffic = %v, want healthy", v)
+	if d, _ := h.f.Detail(tok); d.Verdict != obs.Healthy.String() {
+		t.Fatalf("verdict after clean traffic = %v, want healthy", d.Verdict)
 	}
 
 	// Silence: advance a full second with no datagrams, ticking each window.
@@ -216,8 +216,8 @@ func TestFleetStallAndRecovery(t *testing.T) {
 		h.step()
 		h.f.Tick(h.clk.Now())
 	}
-	if v, _ := h.f.Verdict(tok); v != obs.Infeasible {
-		t.Fatalf("verdict after 1 s of silence = %v, want infeasible (stall)", v)
+	if d, _ := h.f.Detail(tok); d.Verdict != obs.Infeasible.String() {
+		t.Fatalf("verdict after 1 s of silence = %v, want infeasible (stall)", d.Verdict)
 	}
 	if snap := h.f.Snapshot(); snap.Summary.Stalled != 1 {
 		t.Fatalf("summary = %+v, want 1 stalled", snap.Summary)
@@ -230,8 +230,8 @@ func TestFleetStallAndRecovery(t *testing.T) {
 		h.drive(250*time.Millisecond, 16*time.Millisecond, tok)
 		h.f.Tick(h.clk.Now())
 	}
-	if v, _ := h.f.Verdict(tok); v != obs.Healthy {
-		t.Fatalf("verdict after recovery = %v, want healthy", v)
+	if d, _ := h.f.Detail(tok); d.Verdict != obs.Healthy.String() {
+		t.Fatalf("verdict after recovery = %v, want healthy", d.Verdict)
 	}
 }
 
@@ -248,7 +248,7 @@ func TestFleetChurn(t *testing.T) {
 	}
 	h.drive(500*time.Millisecond, 20*time.Millisecond, toks...)
 	h.f.Tick(h.clk.Now())
-	if got := h.f.Tracked(); got != n {
+	if got := h.f.Snapshot().Summary.Tracked; got != n {
 		t.Fatalf("tracked = %d, want %d", got, n)
 	}
 
@@ -261,10 +261,10 @@ func TestFleetChurn(t *testing.T) {
 		t.Fatalf("daemon sessions = %d after close, want %d", got, n/2)
 	}
 	h.f.Tick(h.clk.Now())
-	if got := h.f.Tracked(); got != n/2 {
+	if got := h.f.Snapshot().Summary.Tracked; got != n/2 {
 		t.Fatalf("tracked = %d after churn, want %d (leaked grading state)", got, n/2)
 	}
-	if _, ok := h.f.Verdict(toks[0]); ok {
+	if _, ok := h.f.Detail(toks[0]); ok {
 		t.Fatal("closed session still tracked")
 	}
 
@@ -274,7 +274,7 @@ func TestFleetChurn(t *testing.T) {
 	}
 	h.drive(500*time.Millisecond, 20*time.Millisecond, append(rejoined, toks[n/2:]...)...)
 	h.f.Tick(h.clk.Now())
-	if got := h.f.Tracked(); got != n {
+	if got := h.f.Snapshot().Summary.Tracked; got != n {
 		t.Fatalf("tracked = %d after rejoin, want %d", got, n)
 	}
 	// A recycled block must not leak the previous tenant's counters.
@@ -474,8 +474,13 @@ func TestSelfCaptureBytesGauge(t *testing.T) {
 		return n
 	}
 
-	if got, want := read("recorder"), float64(slot*tap.Len()+tap.BytesUsed()); got != want || tap.Len() == 0 {
-		t.Errorf("recorder gauge = %v, want %v (%d records, %d bytes)", got, want, tap.Len(), tap.BytesUsed())
+	recorded := tap.Snapshot(capture.Meta{}).Records
+	want := slot * len(recorded)
+	for _, r := range recorded {
+		want += len(r.Payload)
+	}
+	if got := read("recorder"); got != float64(want) || len(recorded) == 0 {
+		t.Errorf("recorder gauge = %v, want %v (%d records and their payloads)", got, want, len(recorded))
 	}
 	if got, want := read("rings"), float64(ringBytes(a, b)); got != want || want == 0 {
 		t.Errorf("rings gauge = %v, want %v", got, want)

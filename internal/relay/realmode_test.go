@@ -535,16 +535,20 @@ func TestRealModeSharedTapUnderLoad(t *testing.T) {
 		t.Fatalf("daemon took in %d of %d datagrams", ingested(d), sent)
 	}
 
-	if tap.Len() == 0 || tap.Dropped() == 0 {
-		t.Fatalf("tap kept %d and refused %d records; want both nonzero", tap.Len(), tap.Dropped())
-	}
-	if tap.Len() > maxRecords {
-		t.Errorf("tap exceeded its record bound: %d > %d", tap.Len(), maxRecords)
-	}
-	if tap.BytesUsed() > maxBytes {
-		t.Errorf("tap exceeded its byte bound: %d > %d", tap.BytesUsed(), maxBytes)
-	}
 	c := tap.Snapshot(capture.Meta{Game: "relay"})
+	if len(c.Records) == 0 || c.Meta.Dropped == 0 {
+		t.Fatalf("tap kept %d and refused %d records; want both nonzero", len(c.Records), c.Meta.Dropped)
+	}
+	if len(c.Records) > maxRecords {
+		t.Errorf("tap exceeded its record bound: %d > %d", len(c.Records), maxRecords)
+	}
+	used := 0
+	for _, r := range c.Records {
+		used += len(r.Payload)
+	}
+	if used > maxBytes {
+		t.Errorf("tap exceeded its byte bound: %d > %d", used, maxBytes)
+	}
 	for n, rec := range c.Records {
 		if rec.Site > 1 {
 			t.Fatalf("record %d: impossible site %d", n, rec.Site)

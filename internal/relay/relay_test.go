@@ -205,11 +205,11 @@ func TestRouteRejectsBadShard(t *testing.T) {
 }
 
 func TestPendingRingFlushAndBudget(t *testing.T) {
-	d, front := newTestDaemon(t, Config{Shards: 1, PendingSlots: 4, PendingBytes: 1 << 20})
+	d, front := newTestDaemon(t, Config{Shards: 1})
 	tok, sh := place(t, d)
 
-	// Six early datagrams from site 0; only the freshest 4 fit the ring.
-	for i := 0; i < 6; i++ {
+	// Ten early datagrams from site 0; only the freshest 8 fit the ring.
+	for i := 0; i < pendingSlots+2; i++ {
 		sh.push(mkMsg(tok, 0, fmt.Sprintf("d%d", i), simAddr("A")))
 	}
 	sh.Step()
@@ -230,7 +230,7 @@ func TestPendingRingFlushAndBudget(t *testing.T) {
 			got = append(got, string(payload))
 		}
 	}
-	want := []string{"d2", "d3", "d4", "d5"}
+	want := []string{"d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9"}
 	if len(got) != len(want) {
 		t.Fatalf("flushed %v, want %v", got, want)
 	}
@@ -257,7 +257,7 @@ func TestQueueOverflowDropsWithCount(t *testing.T) {
 
 func TestSessionExpiry(t *testing.T) {
 	v := vclock.NewVirtual(time.Unix(0, 0))
-	d, _ := newTestDaemon(t, Config{Shards: 1, Clock: v, SessionTTL: time.Minute, SweepEvery: time.Second})
+	d, _ := newTestDaemon(t, Config{Shards: 1, Clock: v, SessionTTL: time.Minute})
 	tok, sh := place(t, d)
 	if d.Sessions() != 1 {
 		t.Fatalf("Sessions = %d, want 1", d.Sessions())

@@ -15,15 +15,19 @@ type pendingRing struct {
 	lens        []int
 	head, count int
 	bytes       int // sum of lens over the queued window
-	maxBytes    int
 	dropped     int
 }
 
-func newPendingRing(slots, maxBytes int) *pendingRing {
+// pendingSlots and pendingBytes bound each session site's pending ring.
+const (
+	pendingSlots = 8
+	pendingBytes = 16 << 10
+)
+
+func newPendingRing() *pendingRing {
 	return &pendingRing{
-		slots:    make([][]byte, slots),
-		lens:     make([]int, slots),
-		maxBytes: maxBytes,
+		slots: make([][]byte, pendingSlots),
+		lens:  make([]int, pendingSlots),
 	}
 }
 
@@ -31,19 +35,19 @@ func newPendingRing(slots, maxBytes int) *pendingRing {
 // (slot count or byte budget) is exceeded. It reports how many datagrams
 // were evicted.
 func (r *pendingRing) push(p []byte) int {
-	if len(p) > MaxDatagram || len(r.slots) == 0 {
+	if len(p) > MaxDatagram {
 		r.dropped++
 		return 1
 	}
 	evicted := 0
-	for r.count > 0 && (r.count == len(r.slots) || r.bytes+len(p) > r.maxBytes) {
+	for r.count > 0 && (r.count == len(r.slots) || r.bytes+len(p) > pendingBytes) {
 		r.bytes -= r.lens[r.head]
 		r.head = (r.head + 1) % len(r.slots)
 		r.count--
 		r.dropped++
 		evicted++
 	}
-	if r.bytes+len(p) > r.maxBytes {
+	if r.bytes+len(p) > pendingBytes {
 		// Budget smaller than this single datagram.
 		r.dropped++
 		return evicted + 1

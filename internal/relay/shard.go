@@ -27,6 +27,10 @@ type hosted struct {
 	stats    *sessStats // nil unless Config.Stats
 }
 
+// sweepEvery is how often a shard's Step sweeps for sessions idle past
+// Config.SessionTTL.
+const sweepEvery = 10 * time.Second
+
 // ctlKind enumerates control-plane operations applied between packet
 // batches, so the packet path itself never sees admission churn.
 type ctlKind uint8
@@ -64,7 +68,7 @@ type Shard struct {
 	sessions  map[Token]*hosted
 	inqSwap   []Message // Step's processing buffer, swapped with inq
 	outBatch  []Message
-	lastSweep time.Time
+	lastSweep time.Time // expiry sweeps run every sweepEvery
 
 	// Per-session observability (Config.Stats): the shared block pool, the
 	// published table snapshot the fleet aggregator reads, and the
@@ -166,7 +170,7 @@ func (s *Shard) Step() int {
 	}
 	n := len(s.inqSwap)
 	s.flush()
-	if s.cfg.SweepEvery > 0 && now.Sub(s.lastSweep) >= s.cfg.SweepEvery {
+	if now.Sub(s.lastSweep) >= sweepEvery {
 		s.sweep(now)
 		s.lastSweep = now
 	}
@@ -187,8 +191,8 @@ func (s *Shard) applyCtl(op ctlOp, now time.Time) {
 			return
 		}
 		h := &hosted{token: op.token, lastSeen: now}
-		h.pending[0] = newPendingRing(s.cfg.PendingSlots, s.cfg.PendingBytes)
-		h.pending[1] = newPendingRing(s.cfg.PendingSlots, s.cfg.PendingBytes)
+		h.pending[0] = newPendingRing()
+		h.pending[1] = newPendingRing()
 		if s.sPool != nil {
 			h.stats = s.sPool.get()
 			h.stats.lastSeenNs.Store(now.UnixNano())

@@ -297,8 +297,10 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		for j := 0; j < chaosDrivers; j++ {
 			sh := shape(j)
 			for _, fa := range frontAddrs {
-				net.SetLinkBoth(fmt.Sprintf("drvA-%d", j), fa, sh)
-				net.SetLinkBoth(fmt.Sprintf("drvB-%d", j), fa, sh)
+				for _, drv := range []string{fmt.Sprintf("drvA-%d", j), fmt.Sprintf("drvB-%d", j)} {
+					net.SetLink(drv, fa, sh)
+					net.SetLink(fa, drv, sh)
+				}
 			}
 		}
 	}
@@ -311,13 +313,14 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 	takeCensus := func() census {
 		var c census
 		for _, s := range sessions {
-			verdict, ok := fl.Verdict(s.token)
+			detail, ok := fl.Detail(s.token)
+			unhealthy := detail.Verdict != obs.Healthy.String()
 			switch {
 			case !ok:
 				c.untracked++
-			case verdict > obs.Healthy && s.driver < chaosDrivers:
+			case unhealthy && s.driver < chaosDrivers:
 				c.chaosUnhealthy++
-			case verdict > obs.Healthy:
+			case unhealthy:
 				c.cleanUnhealthy++
 			}
 		}
@@ -389,8 +392,8 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 			// FlushPending must emit nothing.
 			v.Sleep(gradeWindow + gradeWindow/2)
 			flushed = fl.FlushPending(v.Now())
-			fleetTracked = fl.Tracked()
 			fleetSnap = fl.Snapshot()
+			fleetTracked = fleetSnap.Summary.Tracked
 			for _, sh := range d.Shards() {
 				tableSessions += len(sh.sessionTable())
 			}

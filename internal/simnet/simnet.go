@@ -187,14 +187,6 @@ func (n *Network) SetLink(src, dst string, shaper Shaper) {
 	n.links[r] = shaper
 }
 
-// SetLinkBoth installs the same shaper in both directions between a and b.
-// Note that stateful shapers (e.g. rate limiters) should not be shared
-// between directions; use SetLink with two instances instead.
-func (n *Network) SetLinkBoth(a, b string, shaper Shaper) {
-	n.SetLink(a, b, shaper)
-	n.SetLink(b, a, shaper)
-}
-
 // hop is one resolved direction of a link, cached by the sending endpoint
 // per destination address: the destination endpoint and the shaper's
 // planning and corrupting sides, as of network generation gen.
@@ -259,10 +251,6 @@ type Endpoint struct {
 	// lookup by address; planned is the scratch AppendPlan fills.
 	hops    map[string]hop
 	planned [2]time.Duration
-
-	sent      int
-	delivered int
-	dropped   int // dropped at this endpoint's receive queue
 }
 
 // Addr returns the address the endpoint is bound to.
@@ -285,7 +273,6 @@ func (e *Endpoint) SendTo(dst string, payload []byte) error {
 	if e.closed {
 		return ErrClosed
 	}
-	e.sent++
 
 	h, ok := e.hops[dst]
 	if !ok || h.gen != e.net.gen {
@@ -319,7 +306,6 @@ func (e *Endpoint) SendTo(dst string, payload []byte) error {
 
 func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
 	if e.closed || e.count >= e.queueCap {
-		e.dropped++
 		return
 	}
 	if e.count >= len(e.ring)-1 {
@@ -332,7 +318,6 @@ func (e *Endpoint) enqueue(from string, payload []byte, at time.Time) {
 	s.at = at
 	s.buf = append(s.buf[:0], payload...)
 	e.count++
-	e.delivered++
 	if e.onArrival != nil {
 		e.onArrival()
 	}
@@ -383,17 +368,6 @@ func (e *Endpoint) TryRecv() (Datagram, bool) {
 	e.head = (e.head + 1) % len(e.ring)
 	e.count--
 	return d, true
-}
-
-// Pending reports how many datagrams are queued for receipt.
-func (e *Endpoint) Pending() int {
-	return e.count
-}
-
-// Stats reports lifetime counters: datagrams sent from this endpoint,
-// delivered into its queue, and dropped at its queue (overflow or closed).
-func (e *Endpoint) Stats() (sent, delivered, dropped int) {
-	return e.sent, e.delivered, e.dropped
 }
 
 // Close unbinds the endpoint. In-flight packets addressed to it are dropped

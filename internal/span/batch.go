@@ -2,13 +2,13 @@ package span
 
 import "time"
 
-// Batch coalesces a frame's worth of journal stamps into one mutex
-// acquisition. The 60 FPS hot path stamps several hops per frame (pressed,
-// sent, received, executed, rendered); stamping them individually costs a
-// lock round-trip and a cache bounce each. A Batch instead records the ops
-// into a fixed inline array — no lock, no allocation — and Flush applies
-// them all under a single lock, in recorded order, with identical first-wins
-// and derived-histogram semantics.
+// Batch is how the frame loop stamps a Journal: it coalesces a frame's worth
+// of stamps into one mutex acquisition. The 60 FPS hot path stamps several
+// hops per frame (pressed, sent, received, executed, rendered); stamping them
+// one by one would cost a lock round-trip and a cache bounce each. A Batch
+// records the ops into a fixed inline array (no lock, no allocation) and
+// Flush applies them all under a single lock, in recorded order. Stamps are
+// first-wins, so a later op on the same field does nothing.
 //
 // A Batch belongs to one goroutine (the frame loop); only Flush touches the
 // journal. The zero Batch (no journal attached) is a no-op on every method.
@@ -55,7 +55,7 @@ func (b *Batch) add(op batchOp) {
 	b.n++
 }
 
-// Pressed defers a StampPressed.
+// Pressed marks the local input for frame as sampled at at.
 func (b *Batch) Pressed(frame int64, at time.Time) {
 	if b == nil || b.j == nil {
 		return
@@ -63,7 +63,10 @@ func (b *Batch) Pressed(frame int64, at time.Time) {
 	b.add(batchOp{kind: opPressed, frame: frame, t: b.j.ns(at)})
 }
 
-// SendRange defers a StampSendRange.
+// SendRange marks frames from..to (inclusive) as encoded and sent at at.
+// Sync messages carry a contiguous window of frames, so one op covers the
+// whole message. It also advances the retransmission attribution point:
+// later ARQ retransmits count against the newest frame sent.
 func (b *Batch) SendRange(from, to int64, at time.Time) {
 	if b == nil || b.j == nil || to < from {
 		return
@@ -71,7 +74,10 @@ func (b *Batch) SendRange(from, to int64, at time.Time) {
 	b.add(batchOp{kind: opSendRange, frame: from, aux: to, t: b.j.ns(at)})
 }
 
-// Recv defers a StampRecv.
+// Recv marks the peer's input for frame as received and merged at at, with
+// the peer's send instant already mapped to the local clock (remoteSendNs,
+// ns since epoch; <= 0 when no offset estimate exists yet). It observes the
+// one-way network latency when the mapping is available.
 func (b *Batch) Recv(frame int64, at time.Time, remoteSendNs int64) {
 	if b == nil || b.j == nil {
 		return
@@ -79,7 +85,10 @@ func (b *Batch) Recv(frame int64, at time.Time, remoteSendNs int64) {
 	b.add(batchOp{kind: opRecv, frame: frame, aux: remoteSendNs, t: b.j.ns(at)})
 }
 
-// Executed defers a StampExecuted.
+// Executed marks this site as having begun executing frame at at. It closes
+// every derived measurement whose other endpoint is already stamped: local
+// latency (own press), cross-site latency (peer press) and execution skew
+// (peer begin).
 func (b *Batch) Executed(frame int64, at time.Time) {
 	if b == nil || b.j == nil {
 		return
@@ -87,7 +96,7 @@ func (b *Batch) Executed(frame int64, at time.Time) {
 	b.add(batchOp{kind: opExecuted, frame: frame, t: b.j.ns(at)})
 }
 
-// Rendered defers a StampRendered.
+// Rendered marks this site as having completed frame's emulation step.
 func (b *Batch) Rendered(frame int64, at time.Time) {
 	if b == nil || b.j == nil {
 		return
@@ -95,20 +104,17 @@ func (b *Batch) Rendered(frame int64, at time.Time) {
 	b.add(batchOp{kind: opRendered, frame: frame, t: b.j.ns(at)})
 }
 
-// RemoteExec defers a StampRemoteExec.
+// RemoteExec records that the peer began executing frame at remoteNs
+// (already mapped to the local clock). Under local lag, the input the peer
+// pressed while beginning frame takes effect at frame+lag, so the same
+// instant anchors RemotePressed(frame+lag), the start of the cross-site
+// input journey. Both derived observations fire when this stamp is the later
+// of the pair.
 func (b *Batch) RemoteExec(frame int64, remoteNs, lag int64) {
 	if b == nil || b.j == nil || remoteNs <= 0 {
 		return
 	}
 	b.add(batchOp{kind: opRemoteExec, frame: frame, t: remoteNs, aux: lag})
-}
-
-// Pending reports how many deferred ops await Flush (diagnostics/tests).
-func (b *Batch) Pending() int {
-	if b == nil {
-		return 0
-	}
-	return b.n
 }
 
 // Flush applies every pending op to the journal under one lock, in the order

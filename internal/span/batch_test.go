@@ -20,54 +20,55 @@ func journalPair() (*Journal, *Journal) {
 	return mk(), mk()
 }
 
-// TestBatchMatchesDirectStamps drives an identical stamp sequence through a
-// Batch and through the direct Stamp* methods and checks the journals end up
-// indistinguishable — same spans, same derived-histogram counts.
+// TestBatchMatchesDirectStamps drives an identical stamp sequence through
+// one Batch flushed only when full and at the end, and through one flushed
+// directly after every op, and checks the journals end up
+// indistinguishable: same spans, same derived-histogram counts. Coalescing
+// may not reorder or drop a stamp.
 func TestBatchMatchesDirectStamps(t *testing.T) {
-	direct, batched := journalPair()
-	var b Batch
+	perOp, batched := journalPair()
+	var p, b Batch
+	p.Reset(perOp)
 	b.Reset(batched)
 
-	at := func(ms int64) time.Time { return direct.Epoch().Add(time.Duration(ms) * time.Millisecond) }
+	epoch := time.Unix(100, 0)
+	at := func(ms int64) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
 	remote := func(ms int64) int64 { return ms * int64(time.Millisecond) }
+	both := func(stamp func(*Batch)) {
+		stamp(&p)
+		p.Flush()
+		stamp(&b)
+	}
 
 	for f := int64(0); f < 40; f++ {
-		direct.StampPressed(f, at(f))
-		b.Pressed(f, at(f))
-		direct.StampSendRange(f-2, f, at(f+1))
-		b.SendRange(f-2, f, at(f+1))
-		direct.StampRecv(f, at(f+2), remote(f))
-		b.Recv(f, at(f+2), remote(f))
-		direct.StampRemoteExec(f, remote(f+1), 3)
-		b.RemoteExec(f, remote(f+1), 3)
-		direct.StampExecuted(f, at(f+3))
-		b.Executed(f, at(f+3))
-		direct.StampRendered(f, at(f+4))
-		b.Rendered(f, at(f+4))
+		both(func(x *Batch) { x.Pressed(f, at(f)) })
+		both(func(x *Batch) { x.SendRange(f-2, f, at(f+1)) })
+		both(func(x *Batch) { x.Recv(f, at(f+2), remote(f)) })
+		both(func(x *Batch) { x.RemoteExec(f, remote(f+1), 3) })
+		both(func(x *Batch) { x.Executed(f, at(f+3)) })
+		both(func(x *Batch) { x.Rendered(f, at(f+4)) })
 		// Duplicate stamps must lose first-wins in both paths.
-		direct.StampExecuted(f, at(f+9))
-		b.Executed(f, at(f+9))
+		both(func(x *Batch) { x.Executed(f, at(f+9)) })
 	}
 	b.Flush()
 
-	if direct.Stamped() != batched.Stamped() {
-		t.Fatalf("stamped %d via direct, %d via batch", direct.Stamped(), batched.Stamped())
+	want, got := perOp.Spans(), batched.Spans()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("batch holds %d spans, per-op flushing %d", len(got), len(want))
 	}
-	for f := int64(0); f < 40; f++ {
-		want, _ := direct.Get(f)
-		got, ok := batched.Get(f)
-		if !ok || got != want {
-			t.Fatalf("frame %d: batch span %+v != direct %+v", f, got, want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d: batch span %+v != per-op span %+v", want[i].Frame, got[i], want[i])
 		}
 	}
 	for name, pair := range map[string][2]*obs.Histogram{
-		"cross": {direct.Cross, batched.Cross},
-		"local": {direct.Local, batched.Local},
-		"net":   {direct.Net, batched.Net},
-		"skew":  {direct.Skew, batched.Skew},
+		"cross": {perOp.Cross, batched.Cross},
+		"local": {perOp.Local, batched.Local},
+		"net":   {perOp.Net, batched.Net},
+		"skew":  {perOp.Skew, batched.Skew},
 	} {
 		if pair[0].Count() != pair[1].Count() || pair[0].Sum() != pair[1].Sum() {
-			t.Errorf("%s histogram diverged: direct {%d %d} batch {%d %d}",
+			t.Errorf("%s histogram diverged: per-op {%d %d} batch {%d %d}",
 				name, pair[0].Count(), pair[0].Sum(), pair[1].Count(), pair[1].Sum())
 		}
 	}
@@ -76,19 +77,25 @@ func TestBatchMatchesDirectStamps(t *testing.T) {
 // TestBatchAutoFlushesAtCapacity checks that overfilling the inline op array
 // flushes rather than dropping or reordering stamps.
 func TestBatchAutoFlushesAtCapacity(t *testing.T) {
-	j := NewJournal(time.Unix(0, 0), 256)
+	epoch := time.Unix(0, 0)
+	j := NewJournal(epoch, 256)
 	var b Batch
 	b.Reset(j)
 	for f := int64(0); f < batchCap+5; f++ {
-		b.Pressed(f, j.Epoch().Add(time.Duration(f)))
+		b.Pressed(f, epoch.Add(time.Duration(f)))
 	}
-	if b.Pending() != 5 {
-		t.Fatalf("pending = %d after auto-flush, want 5", b.Pending())
+	// The 33rd op flushed the first 32; five wait for Flush.
+	if got := len(j.Spans()); got != batchCap || b.n != 5 {
+		t.Fatalf("after auto-flush: %d spans in the journal, %d ops pending, want %d and 5", got, b.n, batchCap)
 	}
 	b.Flush()
-	for f := int64(0); f < batchCap+5; f++ {
-		if s, ok := j.Get(f); !ok || s.Pressed == 0 {
-			t.Fatalf("frame %d lost across auto-flush", f)
+	spans := j.Spans()
+	if len(spans) != batchCap+5 {
+		t.Fatalf("%d spans after Flush, want %d", len(spans), batchCap+5)
+	}
+	for i, s := range spans {
+		if s.Frame != int64(i) || s.Pressed == 0 {
+			t.Fatalf("frame %d lost across auto-flush: %+v", i, s)
 		}
 	}
 }
@@ -103,7 +110,7 @@ func TestZeroBatchIsInert(t *testing.T) {
 	var pb *Batch
 	pb.Rendered(1, time.Now())
 	pb.Flush()
-	if pb.Pending() != 0 || b.Pending() != 0 {
+	if b.n != 0 {
 		t.Fatal("inert batch accumulated ops")
 	}
 }

@@ -12,15 +12,18 @@ import (
 func sessionSeedBlob() []byte {
 	epoch := time.Date(2009, 6, 22, 0, 0, 0, 0, time.UTC)
 	j := NewJournal(epoch, 128)
+	var b Batch
+	b.Reset(j)
 	const lag = 6
 	for f := int64(0); f < 200; f++ {
 		now := epoch.Add(time.Duration(f) * 16670 * time.Microsecond)
-		j.StampPressed(f+lag, now)
-		j.StampSendRange(f, f+lag, now.Add(50*time.Microsecond))
-		j.StampRecv(f, now.Add(2*time.Millisecond), int64(f)*16670000+1)
-		j.StampRemoteExec(f, int64(f)*16670000+500000, lag)
-		j.StampExecuted(f, now.Add(3*time.Millisecond))
-		j.StampRendered(f, now.Add(5*time.Millisecond))
+		b.Pressed(f+lag, now)
+		b.SendRange(f, f+lag, now.Add(50*time.Microsecond))
+		b.Recv(f, now.Add(2*time.Millisecond), int64(f)*16670000+1)
+		b.RemoteExec(f, int64(f)*16670000+500000, lag)
+		b.Executed(f, now.Add(3*time.Millisecond))
+		b.Rendered(f, now.Add(5*time.Millisecond))
+		b.Flush()
 		if f%17 == 0 {
 			j.Retransmit(now.Add(time.Millisecond))
 		}

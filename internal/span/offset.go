@@ -28,14 +28,13 @@ const offsetWindow = 16
 //
 // AddEcho has a single writer (the frame loop); the published best estimate
 // is read atomically from anywhere. A nil estimator ignores samples and
-// reports not-ready.
+// reports no offset.
 type OffsetEstimator struct {
 	ring [offsetWindow]offsetSample
 	n    int64 // total samples ever accepted (writer-private ring cursor)
 
 	count  atomic.Int64
 	offset atomic.Int64 // best offset, microseconds
-	minRTT atomic.Int64 // RTT of the best sample, microseconds
 }
 
 type offsetSample struct {
@@ -70,13 +69,7 @@ func (e *OffsetEstimator) AddEcho(t1, hold, t3, t4 uint32) {
 		}
 	}
 	e.offset.Store(best.offset)
-	e.minRTT.Store(best.rtt)
 	e.count.Store(e.n)
-}
-
-// Ready reports whether at least one sample has been accepted.
-func (e *OffsetEstimator) Ready() bool {
-	return e != nil && e.count.Load() > 0
 }
 
 // OffsetMicros returns the current best estimate of the peer clock offset in
@@ -87,22 +80,6 @@ func (e *OffsetEstimator) OffsetMicros() (int64, bool) {
 		return 0, false
 	}
 	return e.offset.Load(), true
-}
-
-// MinRTTMicros returns the RTT of the sample backing the current estimate.
-func (e *OffsetEstimator) MinRTTMicros() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.minRTT.Load()
-}
-
-// Samples reports how many echo exchanges have been accepted.
-func (e *OffsetEstimator) Samples() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.count.Load()
 }
 
 // MapRemoteMicros maps a peer microsecond stamp (mod 2^32) onto the local

@@ -70,9 +70,10 @@ type Span struct {
 // of history — far more than any live derivation needs (lag is ~6 frames).
 const journalDefaultCap = 512
 
-// Journal is the per-session span ring. All stamping methods are safe for
-// concurrent use (one mutex-guarded slot write, no allocation) and all are
-// nil-receiver no-ops, so call sites need no guards.
+// Journal is the per-session span ring. Stamps reach it through a Batch
+// (the frame loop's) and Retransmit (the ARQ layer's); both take the one
+// mutex, never allocate, and are no-ops on a nil journal, so call sites need
+// no guards.
 type Journal struct {
 	// Cross observes the end-to-end cross-site input latency (ns): peer
 	// press to local execution. Nil to disable.
@@ -93,7 +94,6 @@ type Journal struct {
 	mu       sync.Mutex
 	buf      []Span
 	lastSent int64 // newest frame ever stamped Sent; ARQ retransmits attribute here
-	stamped  int64 // total stamp calls that landed (diagnostics)
 }
 
 // NewJournal builds a journal whose ring holds capacity spans (rounded up to
@@ -108,22 +108,6 @@ func NewJournal(epoch time.Time, capacity int) *Journal {
 		c <<= 1
 	}
 	return &Journal{epoch: epoch, mask: int64(c - 1), buf: make([]Span, c), lastSent: -1}
-}
-
-// Epoch returns the instant all stamps count from.
-func (j *Journal) Epoch() time.Time {
-	if j == nil {
-		return time.Time{}
-	}
-	return j.epoch
-}
-
-// Cap reports the ring capacity in spans.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.buf)
 }
 
 // ns converts a local instant to stamp form. The zero instant would collide
@@ -170,37 +154,10 @@ func observeAbs(h *obs.Histogram, v int64) {
 	h.Observe(v)
 }
 
-// StampPressed marks the local input for frame as sampled at at.
-func (j *Journal) StampPressed(frame int64, at time.Time) {
-	if j == nil {
-		return
-	}
-	t := j.ns(at)
-	j.mu.Lock()
-	j.pressedLocked(frame, t)
-	j.mu.Unlock()
-}
-
 func (j *Journal) pressedLocked(frame, t int64) {
 	if s := j.slot(frame); s != nil && s.Pressed == 0 {
 		s.Pressed = t
-		j.stamped++
 	}
-}
-
-// StampSendRange marks frames from..to (inclusive) as encoded and sent at
-// at. Sync messages carry a contiguous window of frames, so one call covers
-// the whole message under a single lock acquisition. It also advances the
-// retransmission attribution point: subsequent ARQ retransmits count against
-// the newest frame sent.
-func (j *Journal) StampSendRange(from, to int64, at time.Time) {
-	if j == nil || to < from {
-		return
-	}
-	t := j.ns(at)
-	j.mu.Lock()
-	j.sendRangeLocked(from, to, t)
-	j.mu.Unlock()
 }
 
 func (j *Journal) sendRangeLocked(from, to, t int64) {
@@ -214,26 +171,11 @@ func (j *Journal) sendRangeLocked(from, to, t int64) {
 		}
 		if s.Sent == 0 {
 			s.Sent = t
-			j.stamped++
 		}
 	}
 	if to > j.lastSent {
 		j.lastSent = to
 	}
-}
-
-// StampRecv marks the peer's input for frame as received and merged at at,
-// with the peer's send instant already mapped to the local clock
-// (remoteSendNs, ns since epoch; <= 0 when no offset estimate exists yet).
-// It observes the one-way network latency when the mapping is available.
-func (j *Journal) StampRecv(frame int64, at time.Time, remoteSendNs int64) {
-	if j == nil {
-		return
-	}
-	t := j.ns(at)
-	j.mu.Lock()
-	j.recvLocked(frame, t, remoteSendNs)
-	j.mu.Unlock()
 }
 
 func (j *Journal) recvLocked(frame, t, remoteSendNs int64) {
@@ -244,22 +186,7 @@ func (j *Journal) recvLocked(frame, t, remoteSendNs int64) {
 			s.RemoteSend = remoteSendNs
 			observe(j.Net, t-remoteSendNs)
 		}
-		j.stamped++
 	}
-}
-
-// StampExecuted marks this site as having begun executing frame at at. It
-// closes every derived measurement whose other endpoint is already stamped:
-// local latency (own press), cross-site latency (peer press) and execution
-// skew (peer begin).
-func (j *Journal) StampExecuted(frame int64, at time.Time) {
-	if j == nil {
-		return
-	}
-	t := j.ns(at)
-	j.mu.Lock()
-	j.executedLocked(frame, t)
-	j.mu.Unlock()
 }
 
 func (j *Journal) executedLocked(frame, t int64) {
@@ -274,41 +201,13 @@ func (j *Journal) executedLocked(frame, t int64) {
 		if s.RemoteExec != 0 {
 			observeAbs(j.Skew, t-s.RemoteExec)
 		}
-		j.stamped++
 	}
-}
-
-// StampRendered marks this site as having completed frame's emulation step.
-func (j *Journal) StampRendered(frame int64, at time.Time) {
-	if j == nil {
-		return
-	}
-	t := j.ns(at)
-	j.mu.Lock()
-	j.renderedLocked(frame, t)
-	j.mu.Unlock()
 }
 
 func (j *Journal) renderedLocked(frame, t int64) {
 	if s := j.slot(frame); s != nil && s.Rendered == 0 {
 		s.Rendered = t
-		j.stamped++
 	}
-}
-
-// StampRemoteExec records that the peer began executing frame at remoteNs
-// (already mapped to the local clock). Under local lag, the input the peer
-// pressed while beginning frame takes effect at frame+lag, so the same
-// instant anchors RemotePressed(frame+lag) — the start of the cross-site
-// input journey. Both derived observations fire here when this stamp is the
-// later of the pair.
-func (j *Journal) StampRemoteExec(frame int64, remoteNs int64, lag int64) {
-	if j == nil || remoteNs <= 0 {
-		return
-	}
-	j.mu.Lock()
-	j.remoteExecLocked(frame, remoteNs, lag)
-	j.mu.Unlock()
 }
 
 func (j *Journal) remoteExecLocked(frame, remoteNs, lag int64) {
@@ -317,7 +216,6 @@ func (j *Journal) remoteExecLocked(frame, remoteNs, lag int64) {
 		if s.Executed != 0 {
 			observeAbs(j.Skew, s.Executed-s.RemoteExec)
 		}
-		j.stamped++
 	}
 	if lag > 0 {
 		if p := j.slot(frame + lag); p != nil && p.RemotePressed == 0 {
@@ -343,32 +241,6 @@ func (j *Journal) Retransmit(at time.Time) {
 		}
 	}
 	j.mu.Unlock()
-}
-
-// Stamped reports how many stamping calls landed in a live slot (diagnostic;
-// it counts first-wins hits, not every call).
-func (j *Journal) Stamped() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stamped
-}
-
-// Get returns a copy of the span for frame and whether its slot is still
-// resident.
-func (j *Journal) Get(frame int64) (Span, bool) {
-	if j == nil {
-		return Span{}, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	s := j.buf[frame&j.mask]
-	if s.Frame != frame || (s == Span{Frame: frame}) {
-		return Span{}, false
-	}
-	return s, true
 }
 
 // Spans returns a copy of every resident span in frame order. It allocates —

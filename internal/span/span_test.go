@@ -17,14 +17,17 @@ func TestJournalLifecycleDerivesLatencies(t *testing.T) {
 	j.Local = &obs.Histogram{}
 	j.Net = &obs.Histogram{}
 	j.Skew = &obs.Histogram{}
+	var b Batch
+	b.Reset(j)
 
 	const lag = 6
 	// Local journey for frame 10: pressed at 100ms (buffered for frame 10 =
 	// current frame 4 + lag), executed at 200ms.
-	j.StampPressed(10, at(100*time.Millisecond))
-	j.StampSendRange(4, 10, at(101*time.Millisecond))
-	j.StampExecuted(10, at(200*time.Millisecond))
-	j.StampRendered(10, at(201*time.Millisecond))
+	b.Pressed(10, at(100*time.Millisecond))
+	b.SendRange(4, 10, at(101*time.Millisecond))
+	b.Executed(10, at(200*time.Millisecond))
+	b.Rendered(10, at(201*time.Millisecond))
+	b.Flush()
 	if got := j.Local.Count(); got != 1 {
 		t.Fatalf("local latency observations = %d, want 1", got)
 	}
@@ -36,7 +39,8 @@ func TestJournalLifecycleDerivesLatencies(t *testing.T) {
 	// Remote journey: the peer began frame 4 at 95ms (mapped), so its input
 	// pressed there takes effect at frame 10. We already executed frame 10
 	// at 200ms -> cross latency 105ms, observed when the remote stamp lands.
-	j.StampRemoteExec(4, int64(95*time.Millisecond), lag)
+	b.RemoteExec(4, int64(95*time.Millisecond), lag)
+	b.Flush()
 	if got := j.Cross.Count(); got != 1 {
 		t.Fatalf("cross latency observations = %d, want 1", got)
 	}
@@ -45,7 +49,8 @@ func TestJournalLifecycleDerivesLatencies(t *testing.T) {
 	}
 
 	// Skew for frame 10: we executed at 200ms, peer at 204ms -> 4ms.
-	j.StampRemoteExec(10, int64(204*time.Millisecond), lag)
+	b.RemoteExec(10, int64(204*time.Millisecond), lag)
+	b.Flush()
 	if got := j.Skew.Count(); got != 1 {
 		t.Fatalf("skew observations = %d, want 1", got)
 	}
@@ -54,7 +59,8 @@ func TestJournalLifecycleDerivesLatencies(t *testing.T) {
 	}
 
 	// Net latency: peer sent at 150ms, we received at 152ms -> 2ms.
-	j.StampRecv(12, at(152*time.Millisecond), int64(150*time.Millisecond))
+	b.Recv(12, at(152*time.Millisecond), int64(150*time.Millisecond))
+	b.Flush()
 	if got := j.Net.Count(); got != 1 {
 		t.Fatalf("net latency observations = %d, want 1", got)
 	}
@@ -62,29 +68,38 @@ func TestJournalLifecycleDerivesLatencies(t *testing.T) {
 		t.Fatalf("net latency sum = %d, want %d", got, int64(2*time.Millisecond))
 	}
 
-	s, ok := j.Get(10)
-	if !ok {
-		t.Fatal("span for frame 10 not resident")
+	resident := false
+	for _, s := range j.Spans() {
+		if s.Frame != 10 {
+			continue
+		}
+		resident = true
+		if s.Pressed == 0 || s.Sent == 0 || s.Executed == 0 || s.Rendered == 0 ||
+			s.RemoteExec == 0 || s.RemotePressed == 0 {
+			t.Fatalf("span 10 missing stamps: %+v", s)
+		}
 	}
-	if s.Pressed == 0 || s.Sent == 0 || s.Executed == 0 || s.Rendered == 0 ||
-		s.RemoteExec == 0 || s.RemotePressed == 0 {
-		t.Fatalf("span 10 missing stamps: %+v", s)
+	if !resident {
+		t.Fatal("span for frame 10 not resident")
 	}
 }
 
 func TestJournalStampsAreFirstWins(t *testing.T) {
 	j := NewJournal(testEpoch, 64)
 	j.Skew = &obs.Histogram{}
-	j.StampExecuted(5, at(10*time.Millisecond))
-	j.StampExecuted(5, at(99*time.Millisecond)) // ignored
-	s, _ := j.Get(5)
-	if s.Executed != int64(10*time.Millisecond) {
-		t.Fatalf("Executed = %d, want first stamp %d", s.Executed, int64(10*time.Millisecond))
+	var b Batch
+	b.Reset(j)
+	b.Executed(5, at(10*time.Millisecond))
+	b.Executed(5, at(99*time.Millisecond)) // ignored
+	b.Flush()
+	if s := j.Spans(); len(s) != 1 || s[0].Executed != int64(10*time.Millisecond) {
+		t.Fatalf("spans = %+v, want frame 5 with the first stamp %d", s, int64(10*time.Millisecond))
 	}
 	// Duplicate remote exec reports (every incoming message repeats the
 	// newest) must observe skew exactly once.
-	j.StampRemoteExec(5, int64(12*time.Millisecond), 0)
-	j.StampRemoteExec(5, int64(50*time.Millisecond), 0)
+	b.RemoteExec(5, int64(12*time.Millisecond), 0)
+	b.RemoteExec(5, int64(50*time.Millisecond), 0)
+	b.Flush()
 	if got := j.Skew.Count(); got != 1 {
 		t.Fatalf("skew observed %d times, want exactly 1", got)
 	}
@@ -93,32 +108,35 @@ func TestJournalStampsAreFirstWins(t *testing.T) {
 	}
 }
 
+// TestJournalRingReusesSlotsAndDropsStale checks a 64-slot ring: frame 3+64
+// takes frame 3's slot (TestJournalSpansOrdered checks that all 64 are held).
 func TestJournalRingReusesSlotsAndDropsStale(t *testing.T) {
 	j := NewJournal(testEpoch, 64)
-	if j.Cap() != 64 {
-		t.Fatalf("cap = %d, want 64", j.Cap())
-	}
-	j.StampExecuted(3, at(time.Millisecond))
+	var b Batch
+	b.Reset(j)
+	b.Executed(3, at(time.Millisecond))
 	// Frame 3+64 lands on the same slot and must evict frame 3.
-	j.StampExecuted(3+64, at(2*time.Millisecond))
-	if _, ok := j.Get(3); ok {
-		t.Fatal("evicted frame 3 still resident")
-	}
-	if s, ok := j.Get(67); !ok || s.Executed != int64(2*time.Millisecond) {
-		t.Fatalf("frame 67 span = %+v ok=%v", s, ok)
+	b.Executed(3+64, at(2*time.Millisecond))
+	b.Flush()
+	if s := j.Spans(); len(s) != 1 || s[0].Frame != 67 || s[0].Executed != int64(2*time.Millisecond) {
+		t.Fatalf("spans = %+v, want frame 67 alone (frame 3 evicted)", s)
 	}
 	// A stale stamp for the evicted frame must not corrupt the new resident.
-	j.StampPressed(3, at(5*time.Millisecond))
-	if s, _ := j.Get(67); s.Pressed != 0 {
-		t.Fatalf("stale stamp for frame 3 landed on frame 67: %+v", s)
+	b.Pressed(3, at(5*time.Millisecond))
+	b.Flush()
+	if s := j.Spans(); len(s) != 1 || s[0].Frame != 67 || s[0].Pressed != 0 {
+		t.Fatalf("stale stamp for frame 3 landed: %+v", s)
 	}
 }
 
 func TestJournalSpansOrdered(t *testing.T) {
 	j := NewJournal(testEpoch, 64)
+	var b Batch
+	b.Reset(j)
 	for f := int64(100); f < 180; f++ { // wraps the 64-slot ring
-		j.StampExecuted(f, at(time.Duration(f)*time.Millisecond))
+		b.Executed(f, at(time.Duration(f)*time.Millisecond))
 	}
+	b.Flush()
 	spans := j.Spans()
 	if len(spans) != 64 {
 		t.Fatalf("resident spans = %d, want 64", len(spans))
@@ -136,15 +154,18 @@ func TestJournalStampingDoesNotAllocate(t *testing.T) {
 	j.Local = &obs.Histogram{}
 	j.Net = &obs.Histogram{}
 	j.Skew = &obs.Histogram{}
+	var b Batch
+	b.Reset(j)
 	frame := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		now := at(time.Duration(frame) * 16 * time.Millisecond)
-		j.StampPressed(frame+6, now)
-		j.StampSendRange(frame, frame+6, now)
-		j.StampRecv(frame, now, int64(frame)*1000)
-		j.StampRemoteExec(frame, int64(frame+1)*1000, 6)
-		j.StampExecuted(frame, now)
-		j.StampRendered(frame, now)
+		b.Pressed(frame+6, now)
+		b.SendRange(frame, frame+6, now)
+		b.Recv(frame, now, int64(frame)*1000)
+		b.RemoteExec(frame, int64(frame+1)*1000, 6)
+		b.Executed(frame, now)
+		b.Rendered(frame, now)
+		b.Flush()
 		j.Retransmit(now)
 		frame++
 	})
@@ -155,24 +176,51 @@ func TestJournalStampingDoesNotAllocate(t *testing.T) {
 
 func TestNilJournalIsNoOp(t *testing.T) {
 	var j *Journal
-	j.StampPressed(1, at(0))
-	j.StampSendRange(0, 5, at(0))
-	j.StampRecv(1, at(0), 5)
-	j.StampRemoteExec(1, 5, 6)
-	j.StampExecuted(1, at(0))
-	j.StampRendered(1, at(0))
+	var b Batch
+	b.Reset(j)
+	b.Pressed(1, at(0))
+	b.SendRange(0, 5, at(0))
+	b.Recv(1, at(0), 5)
+	b.RemoteExec(1, 5, 6)
+	b.Executed(1, at(0))
+	b.Rendered(1, at(0))
+	b.Flush()
 	j.Retransmit(at(0))
-	if j.Spans() != nil || j.Cap() != 0 || j.Stamped() != 0 {
+	if j.Spans() != nil || b.n != 0 {
 		t.Fatal("nil journal leaked state")
 	}
-	if _, ok := j.Get(1); ok {
-		t.Fatal("nil journal returned a span")
+}
+
+// echo feeds e one exchange of round trip rtt µs whose peer clock reads off
+// µs behind the local one (so off is the offset to estimate), sent at t1.
+func echo(e *OffsetEstimator, t1 uint32, rtt, off int32) {
+	t3 := t1 + uint32(rtt/2) - uint32(off)
+	e.AddEcho(t1, 0, t3, t1+uint32(rtt))
+}
+
+// wantOffset fails unless e's estimate is off.
+func wantOffset(t *testing.T, e *OffsetEstimator, off int64) {
+	t.Helper()
+	if got, ok := e.OffsetMicros(); !ok || got != off {
+		t.Fatalf("offset = %d (ok=%v), want %d", got, ok, off)
 	}
+}
+
+// wantMinRTT checks that the estimate rests on a sample of round trip rtt µs:
+// a sample one µs slower with another offset does not replace it, one a µs
+// faster does.
+func wantMinRTT(t *testing.T, e *OffsetEstimator, t1 uint32, rtt int32) {
+	t.Helper()
+	before, _ := e.OffsetMicros()
+	echo(e, t1, rtt+1, 777)
+	wantOffset(t, e, before)
+	echo(e, t1, rtt-1, 777)
+	wantOffset(t, e, 777)
 }
 
 func TestOffsetEstimatorSymmetricPath(t *testing.T) {
 	var e OffsetEstimator
-	if e.Ready() {
+	if _, ok := e.OffsetMicros(); ok {
 		t.Fatal("estimator ready before any sample")
 	}
 	// Peer clock runs 250000 us ahead of ours; path delay 10000 us each way,
@@ -191,9 +239,6 @@ func TestOffsetEstimatorSymmetricPath(t *testing.T) {
 	if off != -peerAhead {
 		t.Fatalf("offset = %d, want %d", off, -peerAhead)
 	}
-	if rtt := e.MinRTTMicros(); rtt != 20000 {
-		t.Fatalf("min rtt = %d, want 20000", rtt)
-	}
 	// Mapping a fresh peer stamp through the offset must recover the local
 	// instant: peer stamps t5 (peer clock) at local instant L.
 	localNowNs := int64(5 * time.Second)
@@ -203,6 +248,7 @@ func TestOffsetEstimatorSymmetricPath(t *testing.T) {
 	if want := int64(4900000) * 1000; got != want {
 		t.Fatalf("mapped remote stamp = %d, want %d", got, want)
 	}
+	wantMinRTT(t, &e, 2000000, 20000)
 }
 
 func TestOffsetEstimatorPrefersMinRTT(t *testing.T) {
@@ -220,12 +266,10 @@ func TestOffsetEstimatorPrefersMinRTT(t *testing.T) {
 	if off != 0 {
 		t.Fatalf("offset = %d, want 0 from the min-RTT sample", off)
 	}
-	if rtt := e.MinRTTMicros(); rtt != 10000 {
-		t.Fatalf("min rtt = %d, want 10000", rtt)
+	if e.n != 2 {
+		t.Fatalf("samples = %d, want 2", e.n)
 	}
-	if e.Samples() != 2 {
-		t.Fatalf("samples = %d, want 2", e.Samples())
-	}
+	wantMinRTT(t, &e, 300000, 10000)
 }
 
 func TestOffsetEstimatorWrapSafety(t *testing.T) {
@@ -243,15 +287,13 @@ func TestOffsetEstimatorWrapSafety(t *testing.T) {
 	if off != 0 {
 		t.Fatalf("offset across wrap = %d, want 0", off)
 	}
-	if rtt := e.MinRTTMicros(); rtt != 10000 {
-		t.Fatalf("rtt across wrap = %d, want 10000", rtt)
-	}
+	wantMinRTT(t, &e, t1, 10000)
 }
 
 func TestOffsetEstimatorRejectsNonPositiveRTT(t *testing.T) {
 	var e OffsetEstimator
 	e.AddEcho(1000, 500, 1200, 1400) // rtt = 400-500 < 0
-	if e.Ready() {
+	if _, ok := e.OffsetMicros(); ok {
 		t.Fatal("non-positive RTT sample accepted")
 	}
 }
@@ -259,9 +301,6 @@ func TestOffsetEstimatorRejectsNonPositiveRTT(t *testing.T) {
 func TestNilOffsetEstimator(t *testing.T) {
 	var e *OffsetEstimator
 	e.AddEcho(1, 2, 3, 4)
-	if e.Ready() || e.Samples() != 0 || e.MinRTTMicros() != 0 {
-		t.Fatal("nil estimator leaked state")
-	}
 	if _, ok := e.OffsetMicros(); ok {
 		t.Fatal("nil estimator produced an offset")
 	}

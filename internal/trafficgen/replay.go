@@ -124,7 +124,7 @@ func Replay(c *capture.Capture, cfg ReplayConfig) (*Result, error) {
 
 	// The whole trace is the measured window (plus the wake-grid slack each
 	// re-stamped send can pick up).
-	span := c.Span()
+	span := c.Records[len(c.Records)-1].At - c.Records[0].At
 	e.mStart = e.epoch
 	e.mEnd = e.epoch.Add(span + 2*driverTick)
 	total := span + 2*driverTick + replayDrain

@@ -64,8 +64,8 @@ func TestRunScheduleDigest(t *testing.T) {
 				t.Fatalf("run moved no traffic (sent=%d recv=%d)", res.Sent, res.Recv)
 			}
 			for name, rec := range map[string]*capture.Recorder{"client": client, "relay": relayTap} {
-				if rec.Dropped() != 0 {
-					t.Fatalf("%s capture dropped %d records; raise its budgets", name, rec.Dropped())
+				if dropped := rec.Snapshot(capture.Meta{}).Meta.Dropped; dropped != 0 {
+					t.Fatalf("%s capture dropped %d records; raise its budgets", name, dropped)
 				}
 			}
 			digest := func(rec *capture.Recorder) string {

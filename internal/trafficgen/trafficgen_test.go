@@ -214,10 +214,10 @@ func TestReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("capture recorder dropped %d records; raise its budgets", rec.Dropped())
-	}
 	c := rec.Snapshot(capture.Meta{Game: "trafficgen", Profile: "wifi", InputHz: 60})
+	if c.Meta.Dropped != 0 {
+		t.Fatalf("capture recorder dropped %d records; raise its budgets", c.Meta.Dropped)
+	}
 	enc := c.Encode()
 	dec, err := capture.Decode(enc)
 	if err != nil {
@@ -270,8 +270,8 @@ func TestRelayViewRepeats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Dropped() != 0 || rec.Len() == 0 {
-			t.Fatalf("relay tap holds %d records, dropped %d", rec.Len(), rec.Dropped())
+		if dropped := rec.Snapshot(capture.Meta{}).Meta.Dropped; dropped != 0 || rec.Len() == 0 {
+			t.Fatalf("relay tap holds %d records, dropped %d", rec.Len(), dropped)
 		}
 		var b strings.Builder
 		res.Registry.VisitSeries(func(key, _ string, read func() float64) {

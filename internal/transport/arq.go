@@ -295,14 +295,6 @@ func (c *ARQConn) SetJournal(j *span.Journal) {
 	c.journal = j
 }
 
-// Flush drives retransmission/ack processing without consuming a datagram.
-// Useful for callers that send but do not receive for long stretches.
-func (c *ARQConn) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pumpLocked()
-}
-
 // Unacked reports how many segments await acknowledgement.
 func (c *ARQConn) Unacked() int {
 	c.mu.Lock()

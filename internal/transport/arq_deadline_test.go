@@ -75,8 +75,8 @@ func (m *scanARQ) nextTimer() (time.Time, bool) {
 }
 
 // TestARQDeadlineMatchesScan runs seeded scripts of sends, clock advances,
-// cumulative acks (stale and duplicate ones too), data segments, TryRecv and
-// Flush against ARQConn and the scan model side by side. After every step
+// cumulative acks (stale and duplicate ones too), data segments and TryRecv
+// against ARQConn and the scan model side by side. After every step
 // the next timer, the retransmission count and the sequences retransmitted
 // (with their bytes) must agree.
 func TestARQDeadlineMatchesScan(t *testing.T) {
@@ -160,11 +160,8 @@ func TestARQDeadlineMatchesScan(t *testing.T) {
 					case 4: // a data segment from the peer, which the ARQ acks
 						lower.push(dataSegment(peerSeq, "in"))
 						peerSeq++
-					case 5, 6:
+					case 5, 6, 7:
 						arq.TryRecv()
-						want = pump(v.Now())
-					case 7:
-						arq.Flush()
 						want = pump(v.Now())
 					}
 					got, err := sentData()

@@ -107,7 +107,7 @@ func TestARQBoundsOutOfOrderBuffer(t *testing.T) {
 		seq := uint32(DefaultSenderWindow + 1 + i*1000)
 		lower.push(dataSegment(seq, "garbage"))
 	}
-	arq.Flush()
+	arq.TryRecv() // drives acks and retransmission; nothing is ready
 	st := arq.Stats()
 	if st.OOO != 0 {
 		t.Errorf("ooo buffer holds %d far-future segments, want 0", st.OOO)
@@ -118,7 +118,7 @@ func TestARQBoundsOutOfOrderBuffer(t *testing.T) {
 
 	// In-window out-of-order segments are still buffered normally.
 	lower.push(dataSegment(3, "ok"))
-	arq.Flush()
+	arq.TryRecv() // drives acks and retransmission; nothing is ready
 	if st := arq.Stats(); st.OOO != 1 {
 		t.Errorf("in-window segment not buffered: ooo = %d, want 1", st.OOO)
 	}
@@ -126,7 +126,7 @@ func TestARQBoundsOutOfOrderBuffer(t *testing.T) {
 	// one inside is kept.
 	lower.push(dataSegment(uint32(DefaultSenderWindow), "edge"))
 	lower.push(dataSegment(uint32(DefaultSenderWindow)-1, "inside"))
-	arq.Flush()
+	arq.TryRecv() // drives acks and retransmission; nothing is ready
 	st = arq.Stats()
 	if st.OOO != 2 {
 		t.Errorf("ooo = %d after boundary probes, want 2 (edge dropped, inside kept)", st.OOO)
@@ -187,7 +187,7 @@ func TestARQAckAcrossSequenceWrap(t *testing.T) {
 	// both pre-wrap segments. With plain >= comparison they would look
 	// "not yet acked" forever and retransmit for the rest of the session.
 	lower.push(ackSegment(0))
-	arq.Flush()
+	arq.TryRecv() // drives acks and retransmission; nothing is ready
 	if got := arq.Unacked(); got != 0 {
 		t.Errorf("Unacked = %d after wrapped cumulative ack, want 0", got)
 	}
@@ -198,7 +198,7 @@ func TestARQAckAcrossSequenceWrap(t *testing.T) {
 		t.Fatalf("Send: %v", err)
 	}
 	lower.push(ackSegment(0))
-	arq.Flush()
+	arq.TryRecv() // drives acks and retransmission; nothing is ready
 	if got := arq.Unacked(); got != 1 {
 		t.Errorf("Unacked = %d, want 1 (stale ack must not cover seq 0)", got)
 	}
@@ -214,7 +214,9 @@ func TestARQWrapUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SimPair: %v", err)
 	}
-	fwd, rev := netem.Symmetric(30*time.Millisecond, 5*time.Millisecond, 0.2, 77)
+	fwd := netem.Config{Delay: 15 * time.Millisecond, Jitter: 5 * time.Millisecond, Loss: 0.2, Seed: 77}
+	rev := fwd
+	rev.Seed = 78
 	netem.Install(n, "a", "b", fwd, rev)
 
 	arqA := NewARQ(rawA, v, 80*time.Millisecond)
@@ -244,7 +246,7 @@ func TestARQWrapUnderLoss(t *testing.T) {
 				}
 				got++
 			}
-			arqA.Flush()
+			arqA.TryRecv() // drives acks and retransmission; nothing is ready
 			v.Sleep(2 * time.Millisecond)
 		}
 		if got != count {

@@ -110,7 +110,9 @@ func TestARQDeliversInOrderDespiteLossAndReorder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SimPair: %v", err)
 	}
-	fwd, rev := netem.Symmetric(40*time.Millisecond, 10*time.Millisecond, 0.15, 99)
+	fwd := netem.Config{Delay: 20 * time.Millisecond, Jitter: 10 * time.Millisecond, Loss: 0.15, Seed: 99}
+	rev := fwd
+	rev.Seed = 100
 	netem.Install(n, "a", "b", fwd, rev)
 
 	arqA := NewARQ(rawA, v, 100*time.Millisecond)
@@ -139,7 +141,7 @@ func TestARQDeliversInOrderDespiteLossAndReorder(t *testing.T) {
 				}
 				got++
 			}
-			arqA.Flush()
+			arqA.TryRecv() // drives acks and retransmission; nothing is ready
 			v.Sleep(2 * time.Millisecond)
 		}
 		if got != count {
@@ -186,7 +188,7 @@ func TestARQHeadOfLineBlocking(t *testing.T) {
 				first = v.Now().Sub(start)
 				break
 			}
-			arqA.Flush()
+			arqA.TryRecv() // drives acks and retransmission; nothing is ready
 			v.Sleep(time.Millisecond)
 		}
 		if first < rto {
@@ -221,7 +223,9 @@ func TestARQDuplicateSuppression(t *testing.T) {
 		t.Fatalf("SimPair: %v", err)
 	}
 	// Duplicate every packet.
-	n.SetLinkBoth("a", "b", netem.New(netem.Config{Delay: 5 * time.Millisecond, Duplicate: 1.0, Seed: 7}))
+	dup := netem.New(netem.Config{Delay: 5 * time.Millisecond, Duplicate: 1.0, Seed: 7})
+	n.SetLink("a", "b", dup)
+	n.SetLink("b", "a", dup)
 
 	arqA := NewARQ(rawA, v, 50*time.Millisecond)
 	arqB := NewARQ(rawB, v, 50*time.Millisecond)
@@ -390,7 +394,8 @@ func TestTCPConnLoopback(t *testing.T) {
 func TestNotifierStack(t *testing.T) {
 	v := vclock.NewVirtual(epoch)
 	n := simnet.New(v)
-	n.SetLinkBoth("a", "b", simnet.ConstantDelay(10*time.Millisecond))
+	n.SetLink("a", "b", simnet.ConstantDelay(10*time.Millisecond))
+	n.SetLink("b", "a", simnet.ConstantDelay(10*time.Millisecond))
 	rawA, rawB, err := SimPair(n, "a", "b")
 	if err != nil {
 		t.Fatal(err)

@@ -78,16 +78,6 @@ func (l *UDPListener) Accept() (*UDPPeerConn, bool) {
 	return c, ok
 }
 
-// TryAccept is a non-blocking Accept.
-func (l *UDPListener) TryAccept() (*UDPPeerConn, bool) {
-	select {
-	case c, ok := <-l.accept:
-		return c, ok
-	default:
-		return nil, false
-	}
-}
-
 func (l *UDPListener) readLoop() {
 	defer close(l.done)
 	buf := make([]byte, maxDatagram)

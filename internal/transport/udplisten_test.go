@@ -36,8 +36,25 @@ func TestUDPListenerKnownPeer(t *testing.T) {
 		t.Fatalf("server got %q", p)
 	}
 	// The known peer must not surface through Accept.
-	if c, ok := lst.TryAccept(); ok {
+	if c, ok := acceptWithin(lst, 50*time.Millisecond); ok {
 		t.Fatalf("known peer surfaced via Accept: %v", c.RemoteAddr())
+	}
+}
+
+// acceptWithin waits up to d for lst.Accept. A caller that gives up leaves
+// the Accept running until the listener closes.
+func acceptWithin(lst *UDPListener, d time.Duration) (*UDPPeerConn, bool) {
+	got := make(chan *UDPPeerConn, 1)
+	go func() {
+		if c, ok := lst.Accept(); ok {
+			got <- c
+		}
+	}()
+	select {
+	case c := <-got:
+		return c, true
+	case <-time.After(d):
+		return nil, false
 	}
 }
 
@@ -155,15 +172,8 @@ func TestUDPPeerConnCloseDetaches(t *testing.T) {
 	if err := client.Send([]byte("again")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok := lst.TryAccept(); ok {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("closed peer did not re-surface through Accept")
-		}
-		time.Sleep(time.Millisecond)
+	if _, ok := acceptWithin(lst, 2*time.Second); !ok {
+		t.Fatal("closed peer did not re-surface through Accept")
 	}
 }
 

@@ -93,26 +93,27 @@ func TestVirtualSameInstantOrderAndSerial(t *testing.T) {
 }
 
 // Same-instant events run in (time, scheduling actor, counter) order, not in
-// the order Schedule happened to be called.
+// the order ScheduleAfter happened to be called. Every event below is due
+// 5 ms in, except "early" at 4 ms.
 func TestVirtualSameInstantEventOrder(t *testing.T) {
 	v := NewVirtual(epoch)
-	at := epoch.Add(5 * time.Millisecond)
+	ms := time.Millisecond
 	var got []string
 	ev := func(tag string) func() { return func() { got = append(got, tag) } }
-	v.Schedule(at, ev("clock.1")) // not an actor: schedules as actor 0
-	goAll(v, func() {             // actor 2 (the root is 1)
-		v.Sleep(time.Millisecond) // let actor 3 schedule first
-		v.Schedule(at, ev("a2.1"))
-		v.Schedule(at, func() {
+	v.ScheduleAfter(5*ms, ev("clock.1")) // not an actor: schedules as actor 0
+	goAll(v, func() {                    // actor 2 (the root is 1)
+		v.Sleep(ms) // let actor 3 schedule first
+		v.ScheduleAfter(4*ms, ev("a2.1"))
+		v.ScheduleAfter(4*ms, func() {
 			got = append(got, "a2.2")
-			v.Schedule(at, ev("clock.2")) // from a callback: actor 0 again
+			v.ScheduleAfter(0, ev("clock.2")) // from a callback: actor 0 again
 		})
-		v.Schedule(at.Add(-time.Millisecond), ev("early"))
-		v.Sleep(10 * time.Millisecond)
+		v.ScheduleAfter(3*ms, ev("early"))
+		v.Sleep(10 * ms)
 	}, func() { // actor 3
-		v.Schedule(at, ev("a3.1"))
-		v.Schedule(at, ev("a3.2"))
-		v.Sleep(10 * time.Millisecond)
+		v.ScheduleAfter(5*ms, ev("a3.1"))
+		v.ScheduleAfter(5*ms, ev("a3.2"))
+		v.Sleep(10 * ms)
 	})
 	want := "early clock.1 a2.1 a2.2 clock.2 a3.1 a3.2"
 	if s := strings.Join(got, " "); s != want {
@@ -204,8 +205,8 @@ func TestVirtualRingRoundsUpToGrid(t *testing.T) {
 	ms := time.Millisecond
 	var woke []time.Duration
 	<-v.Go(func() {
-		v.Schedule(epoch.Add(2300*time.Microsecond), b.Ring) // -> 3 ms
-		v.Schedule(epoch.Add(2900*time.Microsecond), b.Ring) // still 3 ms
+		v.ScheduleAfter(2300*time.Microsecond, b.Ring) // -> 3 ms
+		v.ScheduleAfter(2900*time.Microsecond, b.Ring) // still 3 ms
 		b.Nap(10, ms)
 		woke = append(woke, v.Elapsed())
 		v.ScheduleAfter(0, b.Ring) // rings at the nap's start: one step in

@@ -235,15 +235,6 @@ func (b *Bell) Ring() {
 	}
 }
 
-// Schedule runs fn when the virtual clock reaches at. If at is not after the
-// current instant, fn runs at the next advance. Callbacks execute while all
-// actors are parked and may call Schedule themselves.
-func (v *Virtual) Schedule(at time.Time, fn func()) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.scheduleLocked(int64(at.Sub(v.start)), fn)
-}
-
 // ScheduleAfter runs fn once d of virtual time has passed.
 func (v *Virtual) ScheduleAfter(d time.Duration, fn func()) {
 	v.mu.Lock()

@@ -94,7 +94,7 @@ func TestVirtualTwoActorsInterleave(t *testing.T) {
 func TestVirtualScheduleRunsAtDeadline(t *testing.T) {
 	v := NewVirtual(epoch)
 	var fired atomic.Int64
-	v.Schedule(epoch.Add(40*time.Millisecond), func() {
+	v.ScheduleAfter(40*time.Millisecond, func() {
 		fired.Store(v.Now().Sub(epoch).Milliseconds())
 	})
 	done := v.Go(func() {
@@ -133,7 +133,7 @@ func TestVirtualEventBeforeSleeperAtSameInstant(t *testing.T) {
 	// a poller waking at t.
 	v := NewVirtual(epoch)
 	var delivered atomic.Bool
-	v.Schedule(epoch.Add(5*time.Millisecond), func() { delivered.Store(true) })
+	v.ScheduleAfter(5*time.Millisecond, func() { delivered.Store(true) })
 	var sawIt bool
 	done := v.Go(func() {
 		v.Sleep(5 * time.Millisecond)

@@ -62,7 +62,3 @@ func (a *audioState) step(freqIdx, vol byte) {
 		}
 	}
 }
-
-// AudioFrame returns the samples synthesized by the most recent StepFrame.
-// The slice is reused across frames; callers must copy to retain it.
-func (c *Console) AudioFrame() []int16 { return c.audio.last }

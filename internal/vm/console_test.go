@@ -454,8 +454,8 @@ func TestVRAMWriteAndPixel(t *testing.T) {
 	if c.Pixel(-1, 0) != 0 || c.Pixel(0, ScreenH) != 0 {
 		t.Error("out-of-range Pixel must read 0")
 	}
-	fb := c.Framebuffer()
-	if len(fb) != VRAMSize || fb[0] != 5 {
-		t.Errorf("framebuffer copy wrong: len=%d fb[0]=%d", len(fb), fb[0])
+	img := c.Image()
+	if b := img.Bounds(); b.Dx() != ScreenW || b.Dy() != ScreenH || img.RGBAAt(0, 0) != Palette[5] {
+		t.Errorf("image wrong: bounds %v, (0,0) = %v, want %v", b, img.RGBAAt(0, 0), Palette[5])
 	}
 }

@@ -28,9 +28,6 @@ const (
 // PageBitmap is one bit per 256-byte memory page.
 type PageBitmap [pageWords]uint64
 
-// Set marks page p.
-func (b *PageBitmap) Set(p int) { b[p>>6] |= 1 << (uint(p) & 63) }
-
 // Test reports whether page p is marked.
 func (b *PageBitmap) Test(p int) bool { return b[p>>6]&(1<<(uint(p)&63)) != 0 }
 
@@ -73,9 +70,8 @@ func popcount(w uint64) int {
 	return n
 }
 
-// markAddr marks the page containing address a in the live bitmap. It is the
-// one-line version of PageBitmap.Set that the interpreter inlines on its
-// store fast paths.
+// markAddr marks the page containing address a in the live bitmap, in one
+// line so that the interpreter inlines it on its store fast paths.
 func (c *Console) markAddr(a uint16) {
 	c.dirty[a>>14] |= 1 << ((a >> pageShift) & 63)
 }
@@ -113,11 +109,4 @@ func (c *Console) drainDirty() {
 // markAllDirty marks the whole address space modified (boot, Restore).
 func (c *Console) markAllDirty() {
 	c.dirty.SetAll()
-}
-
-// DirtyPages reports how many pages are pending in the live bitmap — i.e.
-// marked since the last StateHash or delta capture. Diagnostic surface for
-// tests and tooling.
-func (c *Console) DirtyPages() int {
-	return c.dirty.Count()
 }

@@ -225,7 +225,7 @@ func TestAudioSynthesisDeterministic(t *testing.T) {
 	for f := 0; f < 10; f++ {
 		a.StepFrame(0)
 		b.StepFrame(0)
-		sa, sb := a.AudioFrame(), b.AudioFrame()
+		sa, sb := a.audio.last, b.audio.last
 		if len(sa) == 0 || len(sa) != len(sb) {
 			t.Fatalf("frame %d: sample counts %d vs %d", f, len(sa), len(sb))
 		}
@@ -238,15 +238,15 @@ func TestAudioSynthesisDeterministic(t *testing.T) {
 	// Frames alternate 367/368 samples to average 367.5 (22050/60).
 	a2 := mk()
 	a2.StepFrame(0)
-	n0 := len(a2.AudioFrame())
+	n0 := len(a2.audio.last)
 	a2.StepFrame(0)
-	n1 := len(a2.AudioFrame())
+	n1 := len(a2.audio.last)
 	if n0+n1 != 735 {
 		t.Errorf("two frames produced %d samples, want 735", n0+n1)
 	}
 	// A nonzero tone must produce nonzero samples.
 	nonzero := false
-	for _, s := range a2.AudioFrame() {
+	for _, s := range a2.audio.last {
 		if s != 0 {
 			nonzero = true
 			break
@@ -263,7 +263,7 @@ func TestSilenceWhenVolumeZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.StepFrame(0)
-	for _, s := range c.AudioFrame() {
+	for _, s := range c.audio.last {
 		if s != 0 {
 			t.Fatal("silent console produced nonzero samples")
 		}

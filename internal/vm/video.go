@@ -45,13 +45,6 @@ func (c *Console) Pixel(x, y int) byte {
 	return c.mem[VRAMBase+y*ScreenW+x] & 0x0F
 }
 
-// Framebuffer returns a copy of the raw VRAM bytes (ScreenW*ScreenH).
-func (c *Console) Framebuffer() []byte {
-	out := make([]byte, VRAMSize)
-	copy(out, c.mem[VRAMBase:VRAMBase+VRAMSize])
-	return out
-}
-
 // Image renders the framebuffer through the palette.
 func (c *Console) Image() *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, ScreenW, ScreenH))
