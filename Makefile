@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check deadcode qoe qoe-update paper paper-update lint sloc
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check deadcode runcensus qoe qoe-update paper paper-update lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -128,8 +128,25 @@ bench-check:
 # keep leaves a symbol, and fails when a function in internal/'s non-test
 # files is in none of them and testdata/unlinked.txt does not name it with a
 # reason, or when a line there names a function that is now linked or gone.
+#
+# The same target runs the write-only pass (TestNoFieldIsWriteOnly): it
+# type-checks the module's non-test code with go/types and fails on an
+# unexported field that the code assigns and never reads, unless
+# testdata/writeonly.txt names it with a reason.
 deadcode:
-	$(GO) test -tags deadcode -run TestEveryInternalFuncIsLinked -count 1 -v .
+	$(GO) test -tags deadcode -run 'TestEveryInternalFuncIsLinked|TestNoFieldIsWriteOnly' -count 1 -v .
+
+# The run census: what the gates run. TestEveryInternalFuncRuns (repo root,
+# build tag runcensus) collects coverage of internal/ from tier-1 (built
+# with -coverpkg=./internal/...), from the command binaries the tests
+# re-execute and from make paper's series (cmd/experiment built with
+# -cover), merges it with go tool covdata, and fails on a function in
+# internal/ of which no statement ran unless testdata/unrun.txt names it
+# with a reason, or on a line there whose function now runs or is gone. It
+# prints internal/'s statement coverage and fails if tier-1's falls below
+# the floor in runcensus_test.go.
+runcensus:
+	$(GO) test -tags runcensus -run TestEveryInternalFuncRuns -count 1 -timeout 30m -v .
 
 # The size of the program: non-test Go source outside the benchmark module,
 # in lines. CI prints it next to bench-check so every change shows it.

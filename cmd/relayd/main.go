@@ -247,14 +247,15 @@ func main() {
 		log.Printf("observability on http://%s/ (metrics, healthz, sessions, history, alerts, incidents, pprof)", osrv.Addr())
 	}
 
-	// The evidence flush: deferred anomaly bundles first (the rate limiter
-	// may be sitting on a degraded session's capture), then the whole-tap
-	// snapshot. Idempotent — both shutdown paths below call it.
+	// The evidence flush: stop the fleet loop, then write the deferred
+	// anomaly bundles (the rate limiter may be sitting on a degraded
+	// session's capture), then the whole-tap snapshot. Idempotent — both
+	// shutdown paths below call it.
 	flush := newFlusher(func() {
+		fl.Close()
 		if n := fl.FlushPending(time.Now()); n > 0 {
 			log.Printf("autocapture: flushed %d deferred anomaly bundles", n)
 		}
-		fl.Close()
 		if tap != nil {
 			if err := writeTap(tap, *capturePath); err != nil {
 				log.Printf("capture: %v", err)

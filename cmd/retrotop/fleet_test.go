@@ -34,8 +34,8 @@ func TestRenderFleet(t *testing.T) {
 	var out strings.Builder
 	s := &site{base: srv.URL}
 	renderFleet(&out, srv.Client(), s)
-	if s.lastErr != nil {
-		t.Fatalf("renderFleet: %v", s.lastErr)
+	if s.state != "degraded" {
+		t.Fatalf("renderFleet graded state %q, want degraded:\n%s", s.state, out.String())
 	}
 	got := out.String()
 	for _, want := range []string{
@@ -60,8 +60,8 @@ func TestRenderFleetUnreachable(t *testing.T) {
 	var out strings.Builder
 	s := &site{base: srv.URL}
 	renderFleet(&out, http.DefaultClient, s)
-	if s.lastErr == nil {
-		t.Fatal("renderFleet against a closed server reported no error")
+	if s.state != "unreachable" {
+		t.Fatalf("renderFleet against a closed server graded state %q, want unreachable", s.state)
 	}
 	if !strings.Contains(out.String(), "unreachable") {
 		t.Errorf("fleet panel does not surface the failure:\n%s", out.String())

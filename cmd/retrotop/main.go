@@ -62,11 +62,10 @@ type healthz struct {
 
 // site is one polled endpoint and its previous scrape (for windowed rates).
 type site struct {
-	base    string
-	prev    *snapshot
-	prevAt  time.Time
-	lastErr error
-	state   string // last verdict: healthy/degraded/infeasible/unreachable/unknown
+	base   string
+	prev   *snapshot
+	prevAt time.Time
+	state  string // last verdict: healthy/degraded/infeasible/unreachable/unknown
 }
 
 // healthRank orders verdicts for the exit status; anything unknown or
@@ -202,7 +201,7 @@ func collectJSON(client *http.Client, s *site, fleetMode, incidentMode bool) jso
 	if fleetMode {
 		snap, err := fetchFleet(client, s.base+"/sessions?format=json")
 		if err != nil {
-			s.lastErr, s.state = err, "unreachable"
+			s.state = "unreachable"
 			js.Error, js.State = err.Error(), s.state
 			return js
 		}
@@ -211,7 +210,7 @@ func collectJSON(client *http.Client, s *site, fleetMode, incidentMode bool) jso
 	} else if !incidentMode && js.Health == nil {
 		// Session mode with no /healthz: fall back to reachability.
 		if _, err := scrape(client, s.base+"/metrics"); err != nil {
-			s.lastErr, s.state = err, "unreachable"
+			s.state = "unreachable"
 			js.Error = err.Error()
 		}
 	}
@@ -227,7 +226,6 @@ func renderIncidents(out *strings.Builder, client *http.Client, s *site) {
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = fmt.Errorf("/incidents: %s", resp.Status)
 	}
-	s.lastErr = err
 	if err != nil {
 		s.state = "unreachable"
 		fmt.Fprintf(out, "  unreachable: %v\n", err)
@@ -250,7 +248,6 @@ func renderIncidents(out *strings.Builder, client *http.Client, s *site) {
 func renderFleet(out *strings.Builder, client *http.Client, s *site) {
 	fmt.Fprintf(out, "\n%s\n", s.base)
 	snap, err := fetchFleet(client, s.base+"/sessions?format=json")
-	s.lastErr = err
 	if err != nil {
 		s.state = "unreachable"
 		fmt.Fprintf(out, "  unreachable: %v\n", err)
@@ -285,7 +282,6 @@ func fetchFleet(client *http.Client, url string) (*relay.FleetSnapshot, error) {
 func renderSite(out *strings.Builder, client *http.Client, s *site) {
 	fmt.Fprintf(out, "\n%s\n", s.base)
 	cur, err := scrape(client, s.base+"/metrics")
-	s.lastErr = err
 	if err != nil {
 		s.state = "unreachable"
 		fmt.Fprintf(out, "  unreachable: %v\n", err)

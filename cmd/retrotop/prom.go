@@ -17,12 +17,11 @@ type snapshot struct {
 }
 
 // histSnap is one histogram series: cumulative counts per upper bound,
-// sorted ascending, plus the _count/_sum totals.
+// sorted ascending, plus the _count total.
 type histSnap struct {
 	bounds []float64 // upper bounds (ns); +Inf last
 	cum    []float64 // cumulative counts, parallel to bounds
 	count  float64
-	sum    float64
 }
 
 // get returns a scalar by metric name and label subset match — the first
@@ -157,7 +156,8 @@ func parseMetrics(r io.Reader) (*snapshot, error) {
 			h.bounds = append(h.bounds, bound)
 			h.cum = append(h.cum, val)
 		case strings.HasSuffix(name, "_sum"):
-			histFor(s, strings.TrimSuffix(name, "_sum")+labels).sum = val
+			// No panel shows a histogram's sum; skip it rather than file
+			// it as a scalar that get's prefix match could return.
 		case strings.HasSuffix(name, "_count"):
 			histFor(s, strings.TrimSuffix(name, "_count")+labels).count = val
 		default:

@@ -6,14 +6,11 @@ import (
 	"bufio"
 	"bytes"
 	"go/ast"
-	"go/build"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -30,115 +27,20 @@ func TestEveryInternalFuncIsLinked(t *testing.T) {
 	decls := internalFuncs(t)
 	linked := linkedFuncs(t)
 
-	allow := map[string]bool{}
-	raw, err := os.ReadFile(filepath.Join("testdata", "unlinked.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		key, reason, _ := strings.Cut(line, " ")
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("testdata/unlinked.txt:%d: %q gives no reason", i+1, key)
-		}
-		allow[key] = true
-	}
-
-	var unlinked []string
-	for key := range decls {
-		if !linked[key] {
-			unlinked = append(unlinked, key)
-		}
-	}
-	sort.Strings(unlinked)
+	unlinked := map[string]bool{}
 	lines := 0
-	for _, key := range unlinked {
-		lines += decls[key]
-		if !allow[key] {
-			t.Errorf("no shipped binary links %s; delete it or name it in testdata/unlinked.txt with a reason", key)
+	for key, ds := range decls {
+		if !linked[key] {
+			unlinked[key] = true
+			for _, d := range ds {
+				lines += d.lines
+			}
 		}
 	}
-	for key := range allow {
-		switch {
-		case decls[key] == 0:
-			t.Errorf("testdata/unlinked.txt names %s, which is not a function in internal/", key)
-		case linked[key]:
-			t.Errorf("testdata/unlinked.txt names %s, which a shipped binary now links", key)
-		}
-	}
+	settle(t, "unlinked.txt", unlinked, func(key string) bool { return decls[key] != nil },
+		"no shipped binary links %s", "a shipped binary now links it", "a function in internal/")
 	t.Logf("%d functions in internal/, %d linked, %d unlinked (%d lines with doc comments)",
 		len(decls), len(decls)-len(unlinked), len(unlinked), lines)
-}
-
-// internalFuncs maps each function declared in internal/'s non-test files
-// that build on this platform, keyed "pkg.Name" or "pkg.Recv.Name" with pkg
-// relative to retrolock/internal, to its length in lines with its doc comment.
-func internalFuncs(t *testing.T) map[string]int {
-	decls := map[string]int{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		dir, name := filepath.Split(path)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := strings.TrimPrefix(filepath.ToSlash(filepath.Clean(dir)), "internal/")
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			key := pkg + "." + fn.Name.Name
-			if fn.Recv != nil {
-				key = pkg + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			start := fn.Pos()
-			if fn.Doc != nil {
-				start = fn.Doc.Pos()
-			}
-			decls[key] += fset.Position(fn.End()).Line - fset.Position(start).Line + 1
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decls) == 0 {
-		t.Fatal("found no functions in internal/; the walk is broken")
-	}
-	return decls
-}
-
-// recvName is a receiver's type name without pointer or type parameters.
-func recvName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
-		}
-	}
 }
 
 // linkedFuncs builds the shipped binaries without inlining and returns the
@@ -209,4 +111,247 @@ func stripSymbol(s string) string {
 		}
 	}
 	return strings.ReplaceAll(b.String(), "-fm", "")
+}
+
+// TestNoFieldIsWriteOnly is the write-only pass of `make deadcode`. It
+// type-checks the module's non-test code and fails on an unexported struct
+// field that the code assigns and never reads: state that only costs. A
+// write is an assignment, an increment or an element store through the
+// field, a composite-literal key, or a sync/atomic Add or Store whose result
+// is dropped; reading the field on the right of its own assignment
+// (x.f = append(x.f, v)) serves only that write. Fields of a struct that is
+// compared or used as a map key are read by the comparison. Unexported
+// fields are out of encoding/json's and expvar's reach, so the pass needs
+// no exemptions by type; testdata/writeonly.txt names, with a reason, a
+// field that is kept anyway ("pkg.Type.field", pkg relative to the module).
+func TestNoFieldIsWriteOnly(t *testing.T) {
+	fset, pkgs := loadModule(t)
+	fields := map[*types.Var]string{} // unexported fields declared in the module, by key
+	written := map[*types.Var]token.Pos{}
+	read := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		declaredFields(p, fields)
+	}
+	for _, p := range pkgs {
+		uses := fieldUses(p.info, p.files)
+		for id, obj := range p.info.Uses {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() {
+				continue
+			}
+			switch uses[id] {
+			case useWrite:
+				if _, seen := written[v.Origin()]; !seen {
+					written[v.Origin()] = id.Pos()
+				}
+			case useRead:
+				read[v.Origin()] = true
+			}
+		}
+		markImplicitReads(p.info, read)
+	}
+
+	flagged := map[string]bool{}
+	known := map[string]bool{}
+	for v, key := range fields {
+		known[key] = true
+		if pos, ok := written[v]; ok && !read[v] {
+			flagged[key] = true
+			t.Logf("%s: %s is written and never read", fset.Position(pos), key)
+		}
+	}
+	settle(t, "writeonly.txt", flagged, func(key string) bool { return known[key] },
+		"%s is written and never read", "it is read now", "an unexported field in the module")
+	t.Logf("%d unexported fields in %d packages, %d written and never read", len(fields), len(pkgs), len(flagged))
+}
+
+// declaredFields adds p's unexported struct fields to fields, keyed
+// "pkg.Owner.field": pkg is the import path relative to the module, Owner
+// the type that declares the struct (or the function or variable holding an
+// unnamed one).
+func declaredFields(p *modulePackage, fields map[*types.Var]string) {
+	pkg := strings.TrimPrefix(strings.TrimPrefix(p.path, "retrolock"), "/")
+	var collect func(n ast.Node, owner string)
+	collect = func(n ast.Node, owner string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				collect(n.Type, n.Name.Name)
+				return false
+			case *ast.StructType:
+				for _, fl := range n.Fields.List {
+					for _, id := range fl.Names {
+						if v, ok := p.info.Defs[id].(*types.Var); ok && !v.Exported() && v.Name() != "_" {
+							fields[v] = pkg + "." + owner + "." + id.Name
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				owner := d.Name.Name
+				if d.Recv != nil {
+					owner = recvName(d.Recv.List[0].Type) + "." + owner
+				}
+				collect(d, owner)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					owner := ""
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						owner = vs.Names[0].Name
+					}
+					collect(spec, owner)
+				}
+			}
+		}
+	}
+}
+
+type fieldUse int
+
+const (
+	useRead  fieldUse = iota // the zero value: any use not listed below
+	useWrite                 // the field is assigned or stored through
+	useSelf                  // read on the right of the field's own assignment
+)
+
+// fieldUses classifies the field selectors and keys in files that are not
+// plain reads. Every identifier it does not return is a read.
+func fieldUses(info *types.Info, files []*ast.File) map[*ast.Ident]fieldUse {
+	uses := map[*ast.Ident]fieldUse{}
+	field := func(id *ast.Ident) *types.Var {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			return v
+		}
+		return nil
+	}
+	// write marks the fields an assignment to e stores into: x.f, and x.f
+	// again in x.f.g, x.f[i] or x.f[k] when x.f holds the struct, array,
+	// slice or map stored into (not a pointer, whose target is not x.f).
+	write := func(e ast.Expr) (top *types.Var) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				v := field(x.Sel)
+				if v == nil {
+					return top
+				}
+				uses[x.Sel] = useWrite
+				if top == nil {
+					top = v
+				}
+				if _, ptr := info.TypeOf(x.X).Underlying().(*types.Pointer); ptr {
+					return top
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				if _, ptr := info.TypeOf(x.X).Underlying().(*types.Pointer); ptr {
+					return top
+				}
+				e = x.X
+			default:
+				return top
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					v := write(lhs)
+					if v == nil || len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					ast.Inspect(n.Rhs[i], func(m ast.Node) bool {
+						if sel, ok := m.(*ast.SelectorExpr); ok && field(sel.Sel) == v {
+							uses[sel.Sel] = useSelf
+						}
+						return true
+					})
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					if n.Key != nil {
+						write(n.Key)
+					}
+					if n.Value != nil {
+						write(n.Value)
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && field(id) != nil {
+					uses[id] = useWrite
+				}
+			case *ast.ExprStmt:
+				// x.f.Add(1) or x.f.Store(v) on a sync/atomic value.
+				call, ok := n.X.(*ast.CallExpr)
+				if !ok {
+					break
+				}
+				m, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (m.Sel.Name != "Add" && m.Sel.Name != "Store") {
+					break
+				}
+				if fn, ok := info.Uses[m.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
+					write(m.X)
+				}
+			}
+			return true
+		})
+	}
+	return uses
+}
+
+// markImplicitReads marks the fields read without being named: the
+// embedded fields a promoted selector passes through, and every field of a
+// struct type that is compared with == or != or used as a map key.
+func markImplicitReads(info *types.Info, read map[*types.Var]bool) {
+	var all func(t types.Type)
+	seen := map[types.Type]bool{}
+	all = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := range u.NumFields() {
+				read[u.Field(i).Origin()] = true
+				all(u.Field(i).Type())
+			}
+		case *types.Array:
+			all(u.Elem())
+		}
+	}
+	for _, sel := range info.Selections {
+		t := sel.Recv()
+		for _, ix := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			read[st.Field(ix).Origin()] = true
+			t = st.Field(ix).Type()
+		}
+	}
+	for e, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			all(m.Key())
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+			all(info.TypeOf(b.X))
+			all(info.TypeOf(b.Y))
+		}
+	}
 }

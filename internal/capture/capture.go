@@ -52,14 +52,6 @@ const (
 	DirRecv Dir = 1
 )
 
-// String names the direction for reports.
-func (d Dir) String() string {
-	if d == DirSend {
-		return "send"
-	}
-	return "recv"
-}
-
 // Meta describes the session whose traffic a capture holds. Everything is
 // optional except Version; the generator only needs Profile/InputHz to
 // reconstruct a load model, and falls back to the record timings themselves.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"retrolock/internal/obs"
@@ -105,7 +104,7 @@ func NewSessionObs(r *obs.Registry, site, traceCap int, epoch time.Time) *obs.Se
 	}
 	if traceCap > 0 {
 		so.Tracer = obs.NewTracer(traceCap, epoch)
-		r.AddTracer(fmt.Sprintf("site%d", site), so.Tracer)
+		r.AddTracer(so.Tracer)
 	}
 	return so
 }

@@ -68,7 +68,6 @@ type Session struct {
 type joinTransfer struct {
 	peer   *peerState
 	chunks [][]byte
-	frame  int
 	next   int
 	acked  bool
 	lastTx time.Time
@@ -497,7 +496,7 @@ func (s *Session) AddJoiner(p Peer) (int, error) {
 			Data:   comp[lo:hi],
 		}))
 	}
-	s.joiners[p.Site] = &joinTransfer{peer: ps, chunks: chunks, frame: frame}
+	s.joiners[p.Site] = &joinTransfer{peer: ps, chunks: chunks}
 	return frame, nil
 }
 

@@ -133,7 +133,6 @@ type snapSlot struct {
 // (RecordFrame, RecordRemoteHash) never allocate.
 type Recorder struct {
 	opts     Options
-	machine  core.Machine
 	saver    core.Snapshotter // nil when the machine has no savestates
 	appender appendSaver      // nil when Save must be used instead
 	deltas   deltaSaver       // nil when every slot stores a full image
@@ -159,10 +158,9 @@ type Recorder struct {
 func NewRecorder(machine core.Machine, opts Options) *Recorder {
 	opts = opts.withDefaults()
 	r := &Recorder{
-		opts:    opts,
-		machine: machine,
-		frames:  make([]FrameRecord, opts.InputWindow),
-		remote:  make([]RemoteHash, opts.RemoteWindow),
+		opts:   opts,
+		frames: make([]FrameRecord, opts.InputWindow),
+		remote: make([]RemoteHash, opts.RemoteWindow),
 	}
 	if s, ok := machine.(core.Snapshotter); ok {
 		r.saver = s

@@ -71,7 +71,7 @@ func TestGoldenCaptureDeterministic(t *testing.T) {
 	for site := 0; site < 2; site++ {
 		for dir := 0; dir < 2; dir++ {
 			if seen[site][dir] == 0 {
-				t.Errorf("no records for site %d dir %s", site, capture.Dir(dir))
+				t.Errorf("no records for site %d dir %d (0 send, 1 recv)", site, dir)
 			}
 		}
 	}

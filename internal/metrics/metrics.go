@@ -77,20 +77,6 @@ func (s *Series) AbsMean() float64 {
 	return sum / float64(len(s.vals))
 }
 
-// StdDev returns the population standard deviation.
-func (s *Series) StdDev() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
-}
-
 // Min returns the smallest sample, or 0 for an empty series.
 func (s *Series) Min() float64 {
 	if len(s.vals) == 0 {
@@ -146,7 +132,6 @@ type Summary struct {
 	Mean    float64
 	MAD     float64 // mean absolute deviation (Figure 1's "average deviation")
 	AbsMean float64 // mean of absolute values (Figure 2's metric)
-	StdDev  float64
 	Min     float64
 	Max     float64
 	P99     float64
@@ -159,7 +144,6 @@ func (s *Series) Summarize() Summary {
 		Mean:    s.Mean(),
 		MAD:     s.MeanAbsDeviation(),
 		AbsMean: s.AbsMean(),
-		StdDev:  s.StdDev(),
 		Min:     s.Min(),
 		Max:     s.Max(),
 		P99:     s.Percentile(99),

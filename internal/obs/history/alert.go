@@ -137,7 +137,6 @@ type Engine struct {
 
 	mu     sync.Mutex
 	rules  []alertState
-	evals  int64
 	firing int
 }
 
@@ -239,7 +238,6 @@ func (e *Engine) Evaluate(now time.Time) {
 	var evScratch [16]Event
 	events := evScratch[:0]
 	e.mu.Lock()
-	e.evals++
 	for i := range e.rules {
 		st := &e.rules[i]
 		v := verdicts[i]

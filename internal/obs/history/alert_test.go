@@ -155,8 +155,8 @@ func TestEngineRegisterRetainsOwnSeries(t *testing.T) {
 	store.Attach(reg)
 
 	now := testEpoch
-	step := func() {
-		now = now.Add(time.Second)
+	step := func() { // the base cadence, as relayd's sampler ticks
+		now = now.Add(store.BaseStep())
 		store.Sample(now)
 		engine.Evaluate(now)
 	}

@@ -94,7 +94,6 @@ type scalarRing struct {
 }
 
 type scalarSeries struct {
-	key     string
 	counter bool
 	read    func() float64
 	prev    float64 // cumulative baseline (counters)
@@ -111,7 +110,6 @@ type histRing struct {
 }
 
 type histSeries struct {
-	key       string
 	h         *obs.Histogram
 	prevBkt   obs.BucketCounts
 	prevCount int64
@@ -142,7 +140,6 @@ type Store struct {
 	histIx   map[string]int
 	resState []resState
 	samples  uint64 // base samples taken
-	lastNs   int64  // instant of the last sample
 }
 
 // NewStore builds an empty store.
@@ -187,7 +184,7 @@ func (s *Store) track(key string, counter bool, read func() float64) {
 	if _, dup := s.scalarIx[key]; dup {
 		return
 	}
-	sc := scalarSeries{key: key, counter: counter, read: read, prev: read()}
+	sc := scalarSeries{counter: counter, read: read, prev: read()}
 	for _, r := range s.cfg.Resolutions {
 		sc.res = append(sc.res, scalarRing{
 			vals:  make([]float64, r.Slots),
@@ -208,7 +205,7 @@ func (s *Store) TrackHistogram(key string, h *obs.Histogram) {
 	if _, dup := s.histIx[key]; dup {
 		return
 	}
-	hs := histSeries{key: key, h: h, prevBkt: h.Buckets(), prevCount: h.Count(), prevSum: h.Sum()}
+	hs := histSeries{h: h, prevBkt: h.Buckets(), prevCount: h.Count(), prevSum: h.Sum()}
 	for _, r := range s.cfg.Resolutions {
 		hs.res = append(hs.res, histRing{
 			buckets: make([]int64, r.Slots*obs.NumBuckets),
@@ -287,7 +284,6 @@ func (s *Store) Sample(now time.Time) {
 		rs.n++
 	}
 	s.samples++
-	s.lastNs = nowNs
 
 	for si := range s.scalars {
 		sc := &s.scalars[si]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,11 +76,6 @@ type histSeries struct {
 	h      *Histogram
 }
 
-type tracerEntry struct {
-	name string
-	t    *Tracer
-}
-
 type muxEntry struct {
 	pattern string
 	h       http.Handler
@@ -100,7 +96,7 @@ type Registry struct {
 	mu      sync.Mutex
 	series  []*series
 	hists   []*histSeries
-	tracers []tracerEntry
+	tracers []*Tracer
 	dumps   []dumpEntry
 	extra   []muxEntry
 	health  *Health
@@ -158,24 +154,20 @@ func (r *Registry) AddHistogram(name string, labels Labels, help string, h *Hist
 
 // AddTracer attaches a tracer to the registry so the HTTP trace endpoint can
 // export it. Tracers merged into one export should share an epoch.
-func (r *Registry) AddTracer(name string, t *Tracer) {
+func (r *Registry) AddTracer(t *Tracer) {
 	if t == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tracers = append(r.tracers, tracerEntry{name: name, t: t})
+	r.tracers = append(r.tracers, t)
 }
 
 // Tracers returns the attached tracers in registration order.
 func (r *Registry) Tracers() []*Tracer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Tracer, 0, len(r.tracers))
-	for _, e := range r.tracers {
-		out = append(out, e.t)
-	}
-	return out
+	return slices.Clone(r.tracers)
 }
 
 // AddDump registers a named binary dump producer (e.g. a flight recorder's

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,7 +109,7 @@ func TestServeEndpointsLive(t *testing.T) {
 	var frames atomic.Int64
 	r.CounterFunc("retrolock_test_frames", nil, "frames executed", func() float64 { return float64(frames.Load()) })
 	tr := NewTracer(1024, epoch)
-	r.AddTracer("session", tr)
+	r.AddTracer(tr)
 
 	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
@@ -185,6 +186,39 @@ func TestServeEndpointsLive(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("counter did not advance while serving")
 		}
+	}
+}
+
+// TestFlightDumpEndpoint drives /debug/flight/dump, where the triage
+// runbook fetches a site's flight bundle: the name may be left out while one
+// dump is registered, and a miss lists the registered names.
+func TestFlightDumpEndpoint(t *testing.T) {
+	r := NewRegistry()
+	mux := NewMux(r)
+	get := func(query string) (int, string, http.Header) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/flight/dump"+query, nil))
+		return w.Code, w.Body.String(), w.Header()
+	}
+	dump := func(body string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, body); return err }
+	}
+
+	if code, _, _ := get(""); code != http.StatusNotFound {
+		t.Errorf("no dump registered: status %d, want 404", code)
+	}
+	r.AddDump("site0", dump("bundle-0"))
+	code, body, h := get("")
+	if code != http.StatusOK || body != "bundle-0" || !strings.Contains(h.Get("Content-Disposition"), "attachment") {
+		t.Errorf("sole dump, no name: %d %q %q, want 200, bundle-0, an attachment", code, body, h.Get("Content-Disposition"))
+	}
+	r.AddDump("site1", dump("bundle-1"))
+	if code, body, _ := get("?name=site1"); code != http.StatusOK || body != "bundle-1" {
+		t.Errorf("?name=site1: %d %q, want 200 bundle-1", code, body)
+	}
+	if code, body, _ := get(""); code != http.StatusNotFound || !strings.Contains(body, "[site0 site1]") {
+		t.Errorf("two dumps, no name: %d %q, want 404 naming both", code, body)
 	}
 }
 

@@ -156,6 +156,7 @@ type Fleet struct {
 	cfg    FleetConfig
 	clock  vclock.Clock
 	closed atomic.Bool
+	done   chan struct{} // closed by Close; stops Start's loop
 	wg     sync.WaitGroup
 
 	mu            sync.Mutex
@@ -180,6 +181,7 @@ func NewFleet(d *Daemon, cfg FleetConfig) (*Fleet, error) {
 		d:        d,
 		cfg:      cfg.withDefaults(),
 		clock:    d.cfg.Clock,
+		done:     make(chan struct{}),
 		sessions: make(map[Token]*fleetSession),
 	}
 	f.snap.Store(&FleetSnapshot{Window: f.cfg.Window.String()})
@@ -441,9 +443,15 @@ func (f *Fleet) Start() {
 		defer f.wg.Done()
 		t := time.NewTicker(f.cfg.Window)
 		defer t.Stop()
-		for !f.closed.Load() && !f.d.closed.Load() {
-			now := <-t.C
-			f.Tick(now)
+		for {
+			select {
+			case <-f.done:
+				return
+			case <-f.d.done:
+				return
+			case now := <-t.C:
+				f.Tick(now)
+			}
 		}
 	}()
 }
@@ -461,13 +469,15 @@ func (f *Fleet) StartVirtual(v *vclock.Virtual) <-chan struct{} {
 	})
 }
 
-// Close stops the tick loop, waiting for a real-clock one. It does not
-// flush pending captures — call FlushPending first when the evidence
-// matters.
+// Close stops the tick loop, waiting for a real-clock one; it does not
+// wait for the loop's next tick. It does not flush pending captures: call
+// FlushPending after it when the evidence matters, so that no tick runs
+// beside the flush.
 func (f *Fleet) Close() {
 	if f.closed.Swap(true) {
 		return
 	}
+	close(f.done)
 	f.wg.Wait()
 }
 

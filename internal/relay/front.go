@@ -17,17 +17,6 @@ type Addr struct {
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Sim == "" && !a.AP.IsValid() }
 
-// String renders the address for logs and the lobby control plane.
-func (a Addr) String() string {
-	if a.Sim != "" {
-		return a.Sim
-	}
-	if a.AP.IsValid() {
-		return a.AP.String()
-	}
-	return "<none>"
-}
-
 // Message is one datagram moving through a front: a payload slice (backed by
 // a pooled MaxDatagram buffer) plus the peer address — the source on receive,
 // the destination on send.

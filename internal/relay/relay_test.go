@@ -501,11 +501,20 @@ func TestClientConnStripsAndValidates(t *testing.T) {
 	if err := cc.Send(make([]byte, MaxPayload+1)); err == nil {
 		t.Fatal("oversized Send accepted")
 	}
+
+	// Logs name the socket and the relayed session; Close closes the socket.
+	if cc.LocalAddr() != "stub" || cc.RemoteAddr() != "relay(stub)/"+cc.token.String() {
+		t.Errorf("addrs %s / %s", cc.LocalAddr(), cc.RemoteAddr())
+	}
+	if err := cc.Close(); err != nil || !inner.closed {
+		t.Errorf("Close = %v, inner closed %v", err, inner.closed)
+	}
 }
 
 type connStub struct {
 	lastSent []byte
 	queue    [][]byte
+	closed   bool
 }
 
 func (c *connStub) Send(p []byte) error {
@@ -520,6 +529,6 @@ func (c *connStub) TryRecv() ([]byte, bool) {
 	c.queue = c.queue[1:]
 	return p, true
 }
-func (c *connStub) Close() error       { return nil }
+func (c *connStub) Close() error       { c.closed = true; return nil }
 func (c *connStub) LocalAddr() string  { return "stub" }
 func (c *connStub) RemoteAddr() string { return "stub" }

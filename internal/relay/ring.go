@@ -15,7 +15,6 @@ type pendingRing struct {
 	lens        []int
 	head, count int
 	bytes       int // sum of lens over the queued window
-	dropped     int
 }
 
 // pendingSlots and pendingBytes bound each session site's pending ring.
@@ -36,7 +35,6 @@ func newPendingRing() *pendingRing {
 // were evicted.
 func (r *pendingRing) push(p []byte) int {
 	if len(p) > MaxDatagram {
-		r.dropped++
 		return 1
 	}
 	evicted := 0
@@ -44,12 +42,10 @@ func (r *pendingRing) push(p []byte) int {
 		r.bytes -= r.lens[r.head]
 		r.head = (r.head + 1) % len(r.slots)
 		r.count--
-		r.dropped++
 		evicted++
 	}
 	if r.bytes+len(p) > pendingBytes {
 		// Budget smaller than this single datagram.
-		r.dropped++
 		return evicted + 1
 	}
 	i := (r.head + r.count) % len(r.slots)

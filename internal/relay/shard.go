@@ -20,7 +20,6 @@ type slot struct {
 
 // hosted is one relayed session, owned exclusively by its shard's loop.
 type hosted struct {
-	token    Token
 	slots    [2]slot
 	pending  [2]*pendingRing // datagrams addressed to a still-unbound site
 	lastSeen time.Time
@@ -190,7 +189,7 @@ func (s *Shard) applyCtl(op ctlOp, now time.Time) {
 			s.active.Add(-1) // duplicate token: rebalance the pre-count
 			return
 		}
-		h := &hosted{token: op.token, lastSeen: now}
+		h := &hosted{lastSeen: now}
 		h.pending[0] = newPendingRing()
 		h.pending[1] = newPendingRing()
 		if s.sPool != nil {

@@ -334,6 +334,34 @@ func TestUDPConnLoopback(t *testing.T) {
 	}
 }
 
+// TestWrappersReportAndCloseTheirInnerConn: each layer of a conn stack
+// (checksum, capture tap, ARQ) names its inner conn's two ends, and its
+// Close closes the inner conn, so that closing the top of a stack releases
+// the socket at the bottom.
+func TestWrappersReportAndCloseTheirInnerConn(t *testing.T) {
+	v := vclock.NewVirtual(epoch)
+	for name, wrap := range map[string]func(Conn) Conn{
+		"checksum": func(c Conn) Conn { return NewChecksum(c) },
+		"tap":      func(c Conn) Conn { return NewTap(c, v, 0, nil) },
+		"arq":      func(c Conn) Conn { return NewARQ(c, v, DefaultRTO) },
+	} {
+		a, _, err := SimPair(simnet.New(v), "a", "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := wrap(a)
+		if w.LocalAddr() != "a" || w.RemoteAddr() != "b" {
+			t.Errorf("%s: addrs %s/%s, want a/b", name, w.LocalAddr(), w.RemoteAddr())
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		if err := a.Send([]byte("x")); err != ErrClosed {
+			t.Errorf("%s: the inner conn's Send after Close = %v, want ErrClosed", name, err)
+		}
+	}
+}
+
 func TestTCPConnLoopback(t *testing.T) {
 	type result struct {
 		conn *TCPConn
@@ -364,6 +392,10 @@ func TestTCPConnLoopback(t *testing.T) {
 	}
 	server := res.conn
 	defer server.Close()
+	if client.LocalAddr() != server.RemoteAddr() || client.RemoteAddr() != server.LocalAddr() {
+		t.Errorf("ends disagree: client %s -> %s, server %s -> %s",
+			client.LocalAddr(), client.RemoteAddr(), server.LocalAddr(), server.RemoteAddr())
+	}
 
 	msgs := [][]byte{[]byte("a"), []byte("bb"), bytes.Repeat([]byte{0xEE}, 1500)}
 	for _, m := range msgs {

@@ -1,15 +1,16 @@
 package vm
 
 // Audio device: a single square-wave voice. The game programs a frequency
-// index and a volume through MMIO (AddrAudioF/AddrAudioV); once per frame
-// the console synthesizes SamplesPerFrame signed 16-bit samples. Synthesis
-// is pure integer arithmetic, so replicas produce bit-identical audio — the
-// audio phase is part of the hashed machine state.
+// index and a volume through MMIO (AddrAudioF/AddrAudioV). The console keeps
+// the oscillator's state, which is hashed and saved, and synthesizes no
+// samples: a square wave of SamplesPerFrame samples a frame is a pure
+// function of that state and the registers, and nothing in the program
+// plays it. The state advances as if it had: one phase increment per sample.
 
-// AudioRate is the output sample rate in Hz.
+// AudioRate is the oscillator's sample rate in Hz.
 const AudioRate = 22050
 
-// SamplesPerFrame is the number of samples generated per 60 FPS frame
+// SamplesPerFrame is the number of samples a 60 FPS frame spans
 // (22050/60 = 367.5, kept exact with a half-sample alternation).
 const SamplesPerFrame = AudioRate / 60 // 367; every other frame adds one
 
@@ -27,38 +28,22 @@ var freqTable = [64]uint32{
 type audioState struct {
 	phase   uint32 // 16.16 fixed-point oscillator phase
 	oddTick bool   // alternates to realize the .5 sample/frame
-	last    []int16
 }
 
-// step synthesizes one frame of audio from the current registers.
+// step advances the oscillator by one frame of samples at the current
+// registers. Silence resets the phase. A tone adds the per-sample increment
+// once per sample in one step: uint32 addition wraps, so inc*n is exactly n
+// additions of inc.
 func (a *audioState) step(freqIdx, vol byte) {
-	n := SamplesPerFrame
+	n := uint32(SamplesPerFrame)
 	if a.oddTick {
 		n++
 	}
 	a.oddTick = !a.oddTick
-
-	if cap(a.last) < n {
-		a.last = make([]int16, n)
-	}
-	a.last = a.last[:n]
-
 	if freqIdx == 0 || vol == 0 {
 		a.phase = 0
-		for i := range a.last {
-			a.last[i] = 0
-		}
 		return
 	}
-	hz := freqTable[freqIdx&0x3F]
-	inc := hz * 65536 / AudioRate // 16.16 phase increment
-	amp := int16(uint16(vol) << 7)
-	for i := range a.last {
-		a.phase += inc
-		if a.phase&0x8000 != 0 {
-			a.last[i] = amp
-		} else {
-			a.last[i] = -amp
-		}
-	}
+	inc := freqTable[freqIdx&0x3F] * 65536 / AudioRate // 16.16 phase increment
+	a.phase += inc * n
 }

@@ -28,6 +28,25 @@ func TestMemoryAccessWrapsAtTop(t *testing.T) {
 	}
 }
 
+// TestHalfwordLoadWrapsAtTop runs LDH at 0xFFFF, the one address whose
+// halfword straddles the top of memory: the high byte comes from 0x0000.
+func TestHalfwordLoadWrapsAtTop(t *testing.T) {
+	c := boot(t, program(
+		Instr{Op: OpMOVI, Rd: 1, Imm: 0xFFFF}, // r1 = -1, so r1+0 is 0xFFFF
+		Instr{Op: OpLDH, Rd: 2, Ra: 1, Imm: 0},
+		Instr{Op: OpLDH, Rd: 3, Ra: 1, Imm: 0xFFFF}, // 0xFFFE: the in-range path
+		Instr{Op: OpYIELD},
+	))
+	c.mem[0xFFFE], c.mem[0xFFFF] = 0xCD, 0xAB
+	c.StepFrame(0)
+	if want := 0xAB | uint32(c.Peek(0x0000))<<8; c.Reg(2) != want {
+		t.Errorf("halfword at 0xFFFF = %#x, want %#x (0xFFFF low, 0x0000 high)", c.Reg(2), want)
+	}
+	if c.Reg(3) != 0xABCD {
+		t.Errorf("halfword at 0xFFFE = %#x, want 0xabcd", c.Reg(3))
+	}
+}
+
 func TestStackWrapsWithoutPanic(t *testing.T) {
 	// Pop past the initial SP and push past zero: must not panic, only
 	// wrap (deterministically).

@@ -205,68 +205,72 @@ func TestPropertySaveRestoreLossless(t *testing.T) {
 	}
 }
 
-func TestAudioSynthesisDeterministic(t *testing.T) {
-	mk := func() *Console {
-		c, err := New(Params{Code: program(
-			Instr{Op: OpMOVI, Rd: 1, Imm: AddrAudioF},
-			Instr{Op: OpMOVI, Rd: 2, Imm: 24}, // 440 Hz
-			Instr{Op: OpSTB, Rd: 2, Ra: 1, Imm: 0},
-			Instr{Op: OpMOVI, Rd: 2, Imm: 128},
-			Instr{Op: OpSTB, Rd: 2, Ra: 1, Imm: 1},
-			Instr{Op: OpYIELD},
-			Instr{Op: OpJMP, Imm: 0x0014}, // loop on the yield
-		), Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a, b := mk(), mk()
-	for f := 0; f < 10; f++ {
-		a.StepFrame(0)
-		b.StepFrame(0)
-		sa, sb := a.audio.last, b.audio.last
-		if len(sa) == 0 || len(sa) != len(sb) {
-			t.Fatalf("frame %d: sample counts %d vs %d", f, len(sa), len(sb))
-		}
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("frame %d sample %d differs", f, i)
-			}
-		}
-	}
-	// Frames alternate 367/368 samples to average 367.5 (22050/60).
-	a2 := mk()
-	a2.StepFrame(0)
-	n0 := len(a2.audio.last)
-	a2.StepFrame(0)
-	n1 := len(a2.audio.last)
-	if n0+n1 != 735 {
-		t.Errorf("two frames produced %d samples, want 735", n0+n1)
-	}
-	// A nonzero tone must produce nonzero samples.
-	nonzero := false
-	for _, s := range a2.audio.last {
-		if s != 0 {
-			nonzero = true
-			break
-		}
-	}
-	if !nonzero {
-		t.Error("tone produced silence")
-	}
-}
-
-func TestSilenceWhenVolumeZero(t *testing.T) {
-	c, err := New(Params{Code: program(Instr{Op: OpYIELD}, Instr{Op: OpJMP, Imm: 0}), Seed: 1})
+// toneConsole programs a 440 Hz tone at volume 128 once, then yields every
+// frame, so the audio registers hold the tone until poked.
+func toneConsole(t *testing.T) *Console {
+	t.Helper()
+	c, err := New(Params{Code: program(
+		Instr{Op: OpMOVI, Rd: 1, Imm: AddrAudioF},
+		Instr{Op: OpMOVI, Rd: 2, Imm: 24}, // 440 Hz
+		Instr{Op: OpSTB, Rd: 2, Ra: 1, Imm: 0},
+		Instr{Op: OpMOVI, Rd: 2, Imm: 128},
+		Instr{Op: OpSTB, Rd: 2, Ra: 1, Imm: 1},
+		Instr{Op: OpYIELD},
+		Instr{Op: OpJMP, Imm: 0x0014}, // loop on the yield
+	), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.StepFrame(0)
-	for _, s := range c.audio.last {
-		if s != 0 {
-			t.Fatal("silent console produced nonzero samples")
+	return c
+}
+
+// TestAudioPhaseMatchesPerSampleOscillator checks the oscillator against a
+// sample-by-sample reference: frames alternate 367 and 368 samples (735 per
+// two frames, 22050/60 on average), and the phase advances by the 16.16
+// increment once per sample, wrapping as a uint32.
+func TestAudioPhaseMatchesPerSampleOscillator(t *testing.T) {
+	c := toneConsole(t)
+	inc := freqTable[24] * 65536 / AudioRate
+	var ref uint32
+	samples := 0
+	for f := 0; f < 20000; f++ { // long enough for the phase to wrap
+		n := SamplesPerFrame + f%2
+		for i := 0; i < n; i++ {
+			ref += inc
 		}
+		samples += n
+		c.StepFrame(0)
+		if c.audio.phase != ref {
+			t.Fatalf("frame %d: phase %#x, per-sample reference %#x", f, c.audio.phase, ref)
+		}
+		if c.audio.oddTick != (f%2 == 0) {
+			t.Fatalf("frame %d: oddTick %v", f, c.audio.oddTick)
+		}
+	}
+	if samples != 10000*735 {
+		t.Errorf("20000 frames spanned %d samples, want %d", samples, 10000*735)
+	}
+	if uint64(inc)*uint64(samples) < 1<<32 {
+		t.Errorf("the phase never wrapped; run more frames")
+	}
+}
+
+// TestSilenceWhenVolumeZero checks that muting the voice resets the phase,
+// and that the oddTick alternation goes on through silence.
+func TestSilenceWhenVolumeZero(t *testing.T) {
+	c := toneConsole(t)
+	c.StepFrame(0)
+	c.StepFrame(0)
+	if c.audio.phase == 0 {
+		t.Fatal("a tone left the phase at zero")
+	}
+	c.mem[AddrAudioV] = 0
+	c.StepFrame(0)
+	if c.audio.phase != 0 {
+		t.Errorf("muted console kept phase %#x", c.audio.phase)
+	}
+	if !c.audio.oddTick {
+		t.Error("oddTick stopped alternating in silence")
 	}
 }
 
