@@ -16,15 +16,22 @@ import (
 	"retrolock/internal/vclock"
 )
 
-// arqAckKind is the ARQ wire format's kind byte of a cumulative ack (see
-// internal/transport/arq.go): kind, then the big-endian next expected seq.
-const arqAckKind = 2
+// The ARQ wire format's kind bytes (see internal/transport/arq.go): kind,
+// then a big-endian sequence, then a data segment's payload. An ack's
+// sequence is the next one its sender expects.
+const (
+	arqDataKind = 1
+	arqAckKind  = 2
+)
 
 // ackConn is the lower conn of the ARQ benchmarks: it drops what is sent and
-// hands out at most one queued datagram, so the ARQ layer is all that runs.
+// hands out at most one queued ack and one queued data segment, so the ARQ
+// layer is all that runs.
 type ackConn struct {
-	in      [5]byte
-	pending bool
+	in          [5]byte
+	pending     bool
+	seg         []byte
+	pendingData bool
 }
 
 // ack queues the cumulative ack confirming every sequence before next.
@@ -36,11 +43,15 @@ func (c *ackConn) ack(next uint32) {
 
 func (c *ackConn) Send([]byte) error { return nil }
 func (c *ackConn) TryRecv() ([]byte, bool) {
-	if !c.pending {
-		return nil, false
+	switch {
+	case c.pending:
+		c.pending = false
+		return c.in[:], true
+	case c.pendingData:
+		c.pendingData = false
+		return c.seg, true
 	}
-	c.pending = false
-	return c.in[:], true
+	return nil, false
 }
 func (c *ackConn) Close() error       { return nil }
 func (c *ackConn) LocalAddr() string  { return "ack-local" }
@@ -65,6 +76,22 @@ func newARQBacklog(tb testing.TB, backlog int) (*transport.ARQConn, *ackConn) {
 func arqPoll(c *transport.ARQConn) {
 	c.TryRecv()
 	c.NextTimer()
+}
+
+// data queues the data segment carrying payload under seq.
+func (c *ackConn) data(seq uint32, payload []byte) {
+	c.seg = binary.BigEndian.AppendUint32(append(c.seg[:0], arqDataKind), seq)
+	c.seg = append(c.seg, payload...)
+	c.pendingData = true
+}
+
+// arqDeliver ingests the next in-order data segment and reads it back.
+func arqDeliver(c *transport.ARQConn, lower *ackConn, p []byte, seq *uint32) {
+	lower.data(*seq, p)
+	*seq++
+	if _, ok := c.TryRecv(); !ok {
+		panic("an in-order data segment was not delivered")
+	}
 }
 
 // arqSendAck sends one 40-byte segment and ingests its ack.
@@ -117,5 +144,21 @@ func TestARQHotPathDoesNotAllocate(t *testing.T) {
 	}
 	if n := c.Unacked(); n != 0 {
 		t.Errorf("%d segments unacked after every send was acked", n)
+	}
+}
+
+// TestARQDeliveryAllocatesOnlyItsCopy: an in-order data segment delivered
+// through TryRecv costs one allocation, the payload copy the caller keeps.
+// Its ack and the ready queue reuse the conn's memory.
+func TestARQDeliveryAllocatesOnlyItsCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are gated in non-race builds only, like the other hot-path twins")
+	}
+	c, lower := newARQBacklog(t, 0)
+	p := make([]byte, 40)
+	var seq uint32
+	arqDeliver(c, lower, p, &seq)
+	if got := testing.AllocsPerRun(500, func() { arqDeliver(c, lower, p, &seq) }); got > 1 {
+		t.Errorf("delivering a data segment allocates %v, want at most 1 (the payload copy)", got)
 	}
 }

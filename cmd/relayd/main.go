@@ -107,6 +107,36 @@ func main() {
 	log.SetPrefix("relayd: ")
 	flag.Parse()
 
+	r, err := start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	go func() {
+		sigs := make(chan os.Signal, 1)
+		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+		<-sigs
+		log.Print("shutting down")
+		r.stop()
+	}()
+	if err := r.serve(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// relayd is one wired daemon: the relay and its fronts, the fleet grader,
+// the admission lobby, the optional observability plane, and the evidence
+// flush both shutdown paths end in.
+type relayd struct {
+	d      *relay.Daemon
+	srv    *lobby.Server
+	flush  func()
+	done   chan struct{} // closed by the flush; stops the history sampler
+	obsSrv *obs.Server   // nil without -obs
+}
+
+// start wires relayd from its flags and starts everything but the lobby's
+// serve loop (serve runs it).
+func start() (*relayd, error) {
 	var tap *capture.Recorder
 	if *capturePath != "" {
 		// Bounded tap: once full it drops with a count instead of growing,
@@ -115,7 +145,7 @@ func main() {
 	}
 	fs, err := bindFronts(*listen, *fronts)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	cfg := relay.Config{
 		Shards:      *shards,
@@ -126,7 +156,7 @@ func main() {
 	}
 	if *autoCapture != "" {
 		if err := os.MkdirAll(*autoCapture, 0o755); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		// Per-session anomaly rings only when somewhere to write bundles.
 		cfg.AutoCaptureRecords = 64
@@ -134,7 +164,7 @@ func main() {
 	}
 	d, err := relay.NewDaemon(cfg, fs)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	d.Start()
 	for _, f := range fs {
@@ -144,6 +174,7 @@ func main() {
 		}
 		log.Printf("front %s (%s)", f.LocalAddr(), mode)
 	}
+	r := &relayd{d: d, done: make(chan struct{})}
 
 	k, window, target := fleetParams()
 	fcfg := relay.FleetConfig{
@@ -172,24 +203,24 @@ func main() {
 	}
 	fl, err := relay.NewFleet(d, fcfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	fl.Start()
 	log.Printf("fleet grading every %v (top-%d ops surface)", window, k)
 
-	srv, err := lobby.ListenConfig(*lobbyAddr, lobby.Config{
+	r.srv, err = lobby.ListenConfig(*lobbyAddr, lobby.Config{
 		TTL:    *lobbyTTL,
 		Placer: relay.LobbyPlacer{D: d, Advertise: *advertise},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	log.Printf("admission lobby on %s (%d shards x %d sessions)", srv.Addr(), *shards, *maxSessions)
+	log.Printf("admission lobby on %s (%d shards x %d sessions)", r.srv.Addr(), *shards, *maxSessions)
 
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		relay.RegisterMetrics(reg, d)
-		lobby.RegisterMetrics(reg, srv)
+		lobby.RegisterMetrics(reg, r.srv)
 		obs.RegisterProcessMetrics(reg)
 		fl.Register(reg)
 		// Grade shard step pacing on the health engine: a relay whose event
@@ -233,25 +264,30 @@ func main() {
 			},
 		})
 		go func() {
-			for range time.Tick(svc.Store.BaseStep()) {
-				now := time.Now()
-				health.Evaluate(now)
-				svc.Sample(now)
+			tick := time.NewTicker(svc.Store.BaseStep())
+			defer tick.Stop()
+			for {
+				select {
+				case <-r.done:
+					return
+				case now := <-tick.C:
+					health.Evaluate(now)
+					svc.Sample(now)
+				}
 			}
 		}()
-		osrv, err := obs.Serve(*obsAddr, reg)
-		if err != nil {
-			log.Fatal(err)
+		if r.obsSrv, err = obs.Serve(*obsAddr, reg); err != nil {
+			return nil, err
 		}
-		defer osrv.Close()
-		log.Printf("observability on http://%s/ (metrics, healthz, sessions, history, alerts, incidents, pprof)", osrv.Addr())
+		log.Printf("observability on http://%s/ (metrics, healthz, sessions, history, alerts, incidents, pprof)", r.obsSrv.Addr())
 	}
 
 	// The evidence flush: stop the fleet loop, then write the deferred
 	// anomaly bundles (the rate limiter may be sitting on a degraded
 	// session's capture), then the whole-tap snapshot. Idempotent — both
-	// shutdown paths below call it.
-	flush := newFlusher(func() {
+	// shutdown paths call it.
+	r.flush = newFlusher(func() {
+		close(r.done)
 		fl.Close()
 		if n := fl.FlushPending(time.Now()); n > 0 {
 			log.Printf("autocapture: flushed %d deferred anomaly bundles", n)
@@ -262,22 +298,27 @@ func main() {
 			}
 		}
 	})
+	return r, nil
+}
 
-	go func() {
-		sigs := make(chan os.Signal, 1)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		<-sigs
-		log.Print("shutting down")
-		_ = srv.Close()
-		d.Close()
-		flush()
-	}()
-	serveErr := srv.Serve()
-	d.Close()
-	flush()
-	if serveErr != nil {
-		log.Fatal(serveErr)
+// serve runs the admission lobby until stop closes it, then shuts the relay
+// down and flushes the evidence.
+func (r *relayd) serve() error {
+	err := r.srv.Serve()
+	_ = r.d.Close()
+	r.flush()
+	if r.obsSrv != nil {
+		_ = r.obsSrv.Close()
 	}
+	return err
+}
+
+// stop is the signal path: it flushes the evidence itself rather than wait
+// for serve to unwind, so a stalled shutdown cannot lose the capture.
+func (r *relayd) stop() {
+	_ = r.srv.Close()
+	_ = r.d.Close()
+	r.flush()
 }
 
 // bindFronts opens n UDP sockets: with port 0 each is ephemeral, otherwise

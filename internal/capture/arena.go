@@ -25,6 +25,15 @@ const (
 	maxPayload = math.MaxUint16
 )
 
+// Ref names the payload bytes of one record a Recorder holds, so that a
+// later record of the same datagram can share them (Recorder.RecordAgain).
+// The zero Ref names nothing.
+type Ref struct {
+	off uint32
+	n   uint16
+	ok  bool
+}
+
 // arena is the bounded store behind both capture taps: a circular slot array
 // of rec plus a circular byte buffer holding their payloads contiguously
 // (possibly wrapping), both allocated once by the constructor, so recording
@@ -121,36 +130,75 @@ func (a *arena) reserve(n int) int {
 	}
 }
 
-func (a *arena) record(at time.Time, dir Dir, site int, payload []byte) {
+// record appends one datagram, copying its payload into buf, and returns a
+// reference to the copy, or the zero Ref when the arena refused it.
+func (a *arena) record(at time.Time, dir Dir, site int, payload []byte) Ref {
+	if a == nil {
+		return Ref{}
+	}
+	a.mu.Lock()
+	a.anchor(at)
+	n := len(payload)
+	off := a.reserve(n)
+	if off < 0 {
+		a.lost++
+		a.mu.Unlock()
+		return Ref{}
+	}
+	copy(a.buf[off:off+n], payload)
+	a.tail = off + n
+	ref := Ref{off: uint32(off), n: uint16(n), ok: true}
+	a.add(at, dir, site, ref)
+	if a.evict {
+		a.byteHi = max(a.byteHi, a.tail)
+	}
+	a.mu.Unlock()
+	return ref
+}
+
+// recordAgain appends one datagram whose payload an earlier record already
+// holds at ref, taking a record slot and no bytes. Only a Recorder may call
+// it: a Ring's eviction would free the bytes ref names. A zero ref, like a
+// full record budget, is refused and counted, as copying the payload would
+// be: the datagram that ref failed to record cannot fit now either, because
+// a Recorder's free space only shrinks.
+func (a *arena) recordAgain(at time.Time, dir Dir, site int, ref Ref) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
+	a.anchor(at)
+	if !ref.ok || a.count == len(a.recs) {
+		a.lost++
+	} else {
+		a.add(at, dir, site, ref)
+	}
+	a.mu.Unlock()
+}
+
+// anchor sets the epoch at the first datagram offered. Caller holds mu.
+func (a *arena) anchor(at time.Time) {
 	if !a.epochSet {
 		a.epoch, a.epochSet = at, true
 	}
-	n := len(payload)
-	if off := a.reserve(n); off < 0 {
-		a.lost++
-	} else {
-		copy(a.buf[off:off+n], payload)
-		s := a.slot(a.count)
-		a.recs[s] = rec{
-			at:   at.Sub(a.epoch).Nanoseconds(),
-			off:  uint32(off),
-			n:    uint16(n),
-			dir:  dir,
-			site: uint8(site),
-		}
-		a.count++
-		a.tail = off + n
-		a.used += n
-		if a.evict {
-			a.slotHi = max(a.slotHi, s+1)
-			a.byteHi = max(a.byteHi, a.tail)
-		}
+}
+
+// add fills the next record slot with a datagram whose payload is at ref.
+// Caller holds mu and has made room.
+func (a *arena) add(at time.Time, dir Dir, site int, ref Ref) {
+	s := a.slot(a.count)
+	a.recs[s] = rec{
+		at:   at.Sub(a.epoch).Nanoseconds(),
+		off:  ref.off,
+		n:    ref.n,
+		dir:  dir,
+		site: uint8(site),
 	}
-	a.mu.Unlock()
+	a.count++
+	a.used += int(ref.n)
+	if a.evict {
+		a.slotHi = max(a.slotHi, s+1)
+	}
 }
 
 func (a *arena) reset() {
@@ -242,11 +290,28 @@ func (r *Recorder) Record(at time.Time, dir Dir, site int, payload []byte) {
 	(*arena)(r).record(at, dir, site, payload)
 }
 
+// RecordRef is Record that also returns a reference to the recorded payload
+// bytes, or the zero Ref when the datagram was refused. A Recorder never
+// evicts or rewinds, so the reference stays valid for the Recorder's life.
+func (r *Recorder) RecordRef(at time.Time, dir Dir, site int, payload []byte) Ref {
+	return (*arena)(r).record(at, dir, site, payload)
+}
+
+// RecordAgain records a datagram whose payload this Recorder already holds
+// at ref (from RecordRef), without copying it: the new record takes a slot
+// from the record budget and nothing from the byte budget. Snapshot reads
+// both records' payloads from the same bytes, so the Capture is the one
+// copying the payload would give. A zero ref, or a full record budget,
+// drops with a count. ref must come from this Recorder.
+func (r *Recorder) RecordAgain(at time.Time, dir Dir, site int, ref Ref) {
+	(*arena)(r).recordAgain(at, dir, site, ref)
+}
+
 // Len returns how many datagrams are recorded.
 func (r *Recorder) Len() int { return (*arena)(r).liveCount() }
 
 // Resident returns the bytes the recorder has written: its used record slots
-// plus its payload bytes.
+// plus its payload bytes, each counted once however many records share it.
 func (r *Recorder) Resident() int { return (*arena)(r).resident() }
 
 // Snapshot materializes the recorder's contents as a Capture (see

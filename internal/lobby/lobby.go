@@ -114,6 +114,7 @@ type Server struct {
 	expired  int // sessions dropped by the TTL sweep
 	capped   int // JOINs dropped because the sessions map was full
 	closed   bool
+	done     chan struct{} // closed by Close; stops the sweeper
 }
 
 // Stats is a snapshot of the server's request counters.
@@ -148,7 +149,7 @@ func ListenConfig(addr string, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lobby: listen: %w", err)
 	}
-	return &Server{pc: pc, cfg: cfg.withDefaults(), sessions: make(map[string]*session)}, nil
+	return &Server{pc: pc, cfg: cfg.withDefaults(), sessions: make(map[string]*session), done: make(chan struct{})}, nil
 }
 
 // Addr returns the server's bound address.
@@ -345,21 +346,27 @@ func (s *Server) replyPlacedLocked(code string, sess *session, site int, from ne
 	}
 }
 
-// sweepLoop expires idle sessions on a ticker. Before this existed, expiry
-// ran only inside the datagram handler — a quiet socket let abandoned
-// sessions (and their relay reservations) live forever.
+// sweepLoop expires idle sessions on a ticker until Close. Before this
+// existed, expiry ran only inside the datagram handler — a quiet socket let
+// abandoned sessions (and their relay reservations) live forever.
 func (s *Server) sweepLoop() {
+	tick := time.NewTicker(s.cfg.SweepEvery)
+	defer tick.Stop()
 	for {
-		time.Sleep(s.cfg.SweepEvery)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		select {
+		case <-s.done:
 			return
-		}
-		released := s.sweepLocked(time.Now())
-		s.mu.Unlock()
-		for _, tok := range released {
-			_ = s.cfg.Placer.Release(tok)
+		case now := <-tick.C:
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				return
+			}
+			released := s.sweepLocked(now)
+			s.mu.Unlock()
+			for _, tok := range released {
+				_ = s.cfg.Placer.Release(tok)
+			}
 		}
 	}
 }
@@ -383,7 +390,10 @@ func (s *Server) sweepLocked(now time.Time) (released []string) {
 // Close stops Serve and the sweeper.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	s.mu.Unlock()
 	return s.pc.Close()
 }

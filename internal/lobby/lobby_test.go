@@ -3,6 +3,7 @@ package lobby
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,32 @@ func TestIdleSessionsExpireWithoutTraffic(t *testing.T) {
 		st := srv.Stats()
 		return st.SessionsActive == 0 && st.SessionsAged == 1
 	})
+}
+
+// sweepers counts the goroutines running a Server's sweep loop.
+func sweepers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "lobby.(*Server).sweepLoop(")
+}
+
+// TestCloseStopsSweeper: Close ends the sweeper goroutine at once, not
+// after its next sweep period (an hour here), and Serve returns.
+func TestCloseStopsSweeper(t *testing.T) {
+	srv, err := ListenConfig("127.0.0.1:0", Config{SweepEvery: time.Hour})
+	if err != nil {
+		t.Skipf("udp unavailable: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	waitFor(t, 2*time.Second, func() bool { return sweepers() == 1 })
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Close: %v", err)
+	}
+	waitFor(t, time.Second, func() bool { return sweepers() == 0 })
+	_ = srv.Close() // a second Close is harmless
 }
 
 // TestSessionsCapBoundsMap: JOINs that would grow the map past MaxSessions

@@ -85,12 +85,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// scalarRing retains one scalar series at one resolution. vals holds the
-// per-slot value (counter: summed base deltas; gauge: last sampled value);
-// endNs the instant of the last base sample folded into the slot.
+// scalarRing retains one scalar series at one resolution: the per-slot
+// value (counter: summed base deltas; gauge: last sampled value).
 type scalarRing struct {
-	vals  []float64
-	endNs []int64
+	vals []float64
 }
 
 type scalarSeries struct {
@@ -106,7 +104,6 @@ type histRing struct {
 	buckets []int64
 	counts  []int64
 	sums    []int64
-	endNs   []int64
 }
 
 type histSeries struct {
@@ -118,12 +115,15 @@ type histSeries struct {
 }
 
 // resState is one resolution's cursor: which slot is open and how many base
-// samples it has absorbed.
+// samples it has absorbed, plus every slot's end instant. Sample folds one
+// instant into every series at once, so the series share one clock per
+// resolution.
 type resState struct {
-	per    uint64 // base samples per slot
-	pos    int    // open slot index
-	n      uint64 // base samples folded into the open slot
-	sealed uint64 // slots completed over the store's lifetime
+	per    uint64  // base samples per slot
+	pos    int     // open slot index
+	n      uint64  // base samples folded into the open slot
+	sealed uint64  // slots completed over the store's lifetime
+	endNs  []int64 // per slot: the instant of the last base sample folded in
 }
 
 // Store is the multi-resolution retention engine. Build with NewStore,
@@ -154,6 +154,7 @@ func NewStore(cfg Config) *Store {
 	base := cfg.Resolutions[0].Step
 	for i, r := range cfg.Resolutions {
 		s.resState[i].per = uint64(r.Step / base)
+		s.resState[i].endNs = make([]int64, r.Slots)
 	}
 	return s
 }
@@ -186,10 +187,7 @@ func (s *Store) track(key string, counter bool, read func() float64) {
 	}
 	sc := scalarSeries{counter: counter, read: read, prev: read()}
 	for _, r := range s.cfg.Resolutions {
-		sc.res = append(sc.res, scalarRing{
-			vals:  make([]float64, r.Slots),
-			endNs: make([]int64, r.Slots),
-		})
+		sc.res = append(sc.res, scalarRing{vals: make([]float64, r.Slots)})
 	}
 	s.scalarIx[key] = len(s.scalars)
 	s.scalars = append(s.scalars, sc)
@@ -211,7 +209,6 @@ func (s *Store) TrackHistogram(key string, h *obs.Histogram) {
 			buckets: make([]int64, r.Slots*obs.NumBuckets),
 			counts:  make([]int64, r.Slots),
 			sums:    make([]int64, r.Slots),
-			endNs:   make([]int64, r.Slots),
 		})
 	}
 	s.histIx[key] = len(s.hists)
@@ -282,6 +279,7 @@ func (s *Store) Sample(now time.Time) {
 			fresh[i] = true
 		}
 		rs.n++
+		rs.endNs[rs.pos] = nowNs
 	}
 	s.samples++
 
@@ -307,7 +305,6 @@ func (s *Store) Sample(now time.Time) {
 			} else {
 				r.vals[p] = v
 			}
-			r.endNs[p] = nowNs
 		}
 	}
 
@@ -338,7 +335,6 @@ func (s *Store) Sample(now time.Time) {
 			}
 			r.counts[p] += dCount
 			r.sums[p] += dSum
-			r.endNs[p] = nowNs
 		}
 	}
 }
@@ -426,11 +422,10 @@ func (s *Store) QueryScalar(key string, step, window time.Duration) (pts []Point
 	if ri < 0 {
 		return nil, Resolution{}, false
 	}
-	sc := &s.scalars[ix]
-	r := &sc.res[ri]
+	r, endNs := &s.scalars[ix].res[ri], s.resState[ri].endNs
 	pts = make([]Point, 0, s.slotsFor(ri, window))
 	s.slotWalk(ri, s.slotsFor(ri, window), func(p int) {
-		pts = append(pts, Point{AtNs: r.endNs[p], Value: r.vals[p]})
+		pts = append(pts, Point{AtNs: endNs[p], Value: r.vals[p]})
 	})
 	return pts, s.cfg.Resolutions[ri], true
 }
@@ -458,8 +453,7 @@ func (s *Store) QueryHist(key string, step, window time.Duration, stat HistStat,
 	if ri < 0 {
 		return nil, Resolution{}, false
 	}
-	hs := &s.hists[ix]
-	r := &hs.res[ri]
+	r, endNs := &s.hists[ix].res[ri], s.resState[ri].endNs
 	pts = make([]Point, 0, s.slotsFor(ri, window))
 	s.slotWalk(ri, s.slotsFor(ri, window), func(p int) {
 		var v float64
@@ -477,7 +471,7 @@ func (s *Store) QueryHist(key string, step, window time.Duration, stat HistStat,
 		default: // StatCount
 			v = float64(r.counts[p])
 		}
-		pts = append(pts, Point{AtNs: r.endNs[p], Value: v})
+		pts = append(pts, Point{AtNs: endNs[p], Value: v})
 	})
 	return pts, s.cfg.Resolutions[ri], true
 }

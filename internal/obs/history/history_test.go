@@ -210,3 +210,41 @@ func TestRingEviction(t *testing.T) {
 		t.Errorf("retained sum after wrap = %v, want newest 5 deltas (50)", sum)
 	}
 }
+
+// TestSeriesShareSlotInstants: every series of a resolution reads its slot
+// instants from the one clock Sample keeps, so a series tracked after
+// sampling began reports the store's instants for the slots it never saw,
+// with nothing retained in them.
+func TestSeriesShareSlotInstants(t *testing.T) {
+	store := NewStore(Config{Resolutions: []Resolution{{Step: time.Second, Slots: 8}}})
+	early, late := 1.0, 5.0
+	store.TrackGauge("early", func() float64 { return early })
+	now := testEpoch
+	for i := 0; i < 3; i++ {
+		now = now.Add(time.Second)
+		store.Sample(now)
+	}
+	store.TrackCounter("late", func() float64 { return late })
+	late = 7
+	now = now.Add(time.Second)
+	store.Sample(now)
+
+	a, _, _ := store.QueryScalar("early", time.Second, 8*time.Second)
+	b, _, _ := store.QueryScalar("late", time.Second, 8*time.Second)
+	if len(a) != 4 || len(b) != 4 {
+		t.Fatalf("%d and %d points, want 4 each", len(a), len(b))
+	}
+	for i := range a {
+		want := testEpoch.Add(time.Duration(i+1) * time.Second).UnixNano()
+		if a[i].AtNs != want || b[i].AtNs != want {
+			t.Errorf("slot %d at %d and %d, want %d", i, a[i].AtNs, b[i].AtNs, want)
+		}
+		wantV := 0.0
+		if i == 3 {
+			wantV = late - 5 // the one delta since tracking began
+		}
+		if b[i].Value != wantV {
+			t.Errorf("late series slot %d = %v, want %v", i, b[i].Value, wantV)
+		}
+	}
+}

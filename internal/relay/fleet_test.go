@@ -437,8 +437,8 @@ func TestSessionsHandlerHeaders(t *testing.T) {
 }
 
 // TestSelfCaptureBytesGauge reads the capture taps' self-cost gauge back
-// against the taps' own accounting: the recorder's records and payload
-// bytes, and, for rings that have not wrapped, each hosted session's
+// against the taps' own accounting: the recorder's records and its distinct
+// payload bytes, and, for rings that have not wrapped, each hosted session's
 // retained records and payloads. A closed session's ring leaves the sum.
 func TestSelfCaptureBytesGauge(t *testing.T) {
 	const slot = 16 // bytes per capture record slot (capture.TestRecIs16Bytes)
@@ -474,13 +474,18 @@ func TestSelfCaptureBytesGauge(t *testing.T) {
 		return n
 	}
 
+	// Both sites are bound before any payload flows, so every forward is
+	// direct and its DirSend record shares its DirRecv record's bytes: the
+	// recorder holds each received datagram's payload once.
 	recorded := tap.Snapshot(capture.Meta{}).Records
 	want := slot * len(recorded)
 	for _, r := range recorded {
-		want += len(r.Payload)
+		if r.Dir == capture.DirRecv {
+			want += len(r.Payload)
+		}
 	}
 	if got := read("recorder"); got != float64(want) || len(recorded) == 0 {
-		t.Errorf("recorder gauge = %v, want %v (%d records and their payloads)", got, want, len(recorded))
+		t.Errorf("recorder gauge = %v, want %v (%d records and their received payloads)", got, want, len(recorded))
 	}
 	if got, want := read("rings"), float64(ringBytes(a, b)); got != want || want == 0 {
 		t.Errorf("rings gauge = %v, want %v", got, want)

@@ -64,9 +64,14 @@ type Shard struct {
 	own sync.Mutex // held by whoever runs the shard in real time; TryLock only
 
 	// Loop-owned state (no locking).
-	sessions  map[Token]*hosted
-	inqSwap   []Message // Step's processing buffer, swapped with inq
-	outBatch  []Message
+	sessions map[Token]*hosted
+	inqSwap  []Message // Step's processing buffer, swapped with inq
+	outBatch []Message
+	// outRefs runs beside outBatch when Config.Tap is set: the tap's
+	// reference to each message's DirRecv bytes, so flush records the
+	// forward without copying them again. A drained-pending message has
+	// the zero Ref and is copied.
+	outRefs   []capture.Ref
 	lastSweep time.Time // expiry sweeps run every sweepEvery
 
 	// Per-session observability (Config.Stats): the shared block pool, the
@@ -240,8 +245,9 @@ func (s *Shard) ingest(m *Message, now time.Time, nowNs int64) {
 	// Tap after the shape checks (runts and bad sites never made it onto the
 	// wire view) but before token lookup, so a capture also shows the
 	// stray-token traffic a replay needs to reproduce rejection load.
+	var ref capture.Ref
 	if s.cfg.Tap != nil {
-		s.cfg.Tap.Record(now, capture.DirRecv, site, m.Buf)
+		ref = s.cfg.Tap.RecordRef(now, capture.DirRecv, site, m.Buf)
 	}
 	h, ok := s.sessions[token]
 	if !ok {
@@ -316,6 +322,9 @@ func (s *Shard) ingest(m *Message, now time.Time, nowNs int64) {
 	}
 	m.Addr = dst.addr
 	s.outBatch = append(s.outBatch, *m)
+	if s.cfg.Tap != nil {
+		s.outRefs = append(s.outRefs, ref)
+	}
 	s.forwarded.Inc()
 	if st != nil {
 		st.fwd.Add(1)
@@ -333,6 +342,9 @@ func (s *Shard) drainPending(h *hosted, site int) {
 		buf := getBuf()
 		buf = append(buf[:0], p...)
 		s.outBatch = append(s.outBatch, Message{Buf: buf, Addr: dst})
+		if s.cfg.Tap != nil {
+			s.outRefs = append(s.outRefs, capture.Ref{})
+		}
 		s.forwarded.Inc()
 		if st != nil {
 			st.fwd.Add(1)
@@ -349,14 +361,20 @@ func (s *Shard) flush() {
 	if s.cfg.Tap != nil {
 		// Record sends against the *destination* site. The buffered header
 		// still carries the sender's site byte (the relay forwards datagrams
-		// verbatim), so the destination is its complement. Recording here
-		// covers both direct forwards and drained-pending sends with one hook.
+		// verbatim), so the destination is its complement, and a direct
+		// forward's bytes are the ones its DirRecv record already holds.
 		now := s.clock.Now()
 		for i := range s.outBatch {
-			if _, site, _, ok := ParseHeader(s.outBatch[i].Buf); ok {
+			_, site, _, ok := ParseHeader(s.outBatch[i].Buf)
+			switch {
+			case !ok:
+			case s.outRefs[i] != capture.Ref{}:
+				s.cfg.Tap.RecordAgain(now, capture.DirSend, 1-site, s.outRefs[i])
+			default:
 				s.cfg.Tap.Record(now, capture.DirSend, 1-site, s.outBatch[i].Buf)
 			}
 		}
+		s.outRefs = s.outRefs[:0]
 	}
 	_, _ = s.out.Send(s.outBatch)
 	for i := range s.outBatch {

@@ -82,10 +82,13 @@ type ARQConn struct {
 	// symmetric window cannot legitimately produce them.
 	maxAhead int
 
-	// Receiver state.
+	// Receiver state. ackBuf is the wire buffer of every ack sent; the
+	// lower conn copies what it sends, as Send's reused wire buffers
+	// already require.
 	expected   uint32
 	ooo        map[uint32][]byte
-	ready      [][]byte
+	ready      datagramQueue
+	ackBuf     [arqHeaderLen]byte
 	farDropped int // data segments dropped beyond the receive horizon
 	closed     bool
 }
@@ -151,11 +154,10 @@ func (c *ARQConn) Send(p []byte) error {
 }
 
 func (c *ARQConn) sendAckLocked() {
-	var buf [arqHeaderLen]byte
-	buf[0] = arqAck
-	binary.BigEndian.PutUint32(buf[1:5], c.expected)
+	c.ackBuf[0] = arqAck
+	binary.BigEndian.PutUint32(c.ackBuf[1:5], c.expected)
 	// Best effort; a lost ack just causes a retransmission.
-	_ = c.lower.Send(buf[:])
+	_ = c.lower.Send(c.ackBuf[:])
 }
 
 // TryRecv implements Conn. It also drives ack processing and retransmission.
@@ -163,12 +165,7 @@ func (c *ARQConn) TryRecv() ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pumpLocked()
-	if len(c.ready) == 0 {
-		return nil, false
-	}
-	p := c.ready[0]
-	c.ready = c.ready[1:]
-	return p, true
+	return c.ready.pop()
 }
 
 // pumpLocked ingests everything pending on the lower connection and, unless

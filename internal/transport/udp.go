@@ -19,7 +19,8 @@ const maxDatagram = 64 * 1024
 const udpQueueLen = 1024
 
 // datagramQueue is the bounded reader-to-consumer FIFO of the socket conns.
-// Callers hold their conn's lock.
+// Callers hold their conn's lock. ARQConn's in-order delivery queue is one
+// too, filled by append instead of push: it must not drop what it delivers.
 type datagramQueue [][]byte
 
 // push appends p, dropping the oldest datagram once udpQueueLen are queued.
