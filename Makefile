@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check deadcode runcensus qoe qoe-update paper paper-update lint sloc
+.PHONY: verify verify-race verify-sched chaos relay-soak fuzz bench-hotpath bench-check bench-smoke deadcode runcensus qoe qoe-update paper paper-update lint sloc
 
 # Tier 1: the baseline gate — everything builds, every test passes
 # (including the default chaos soaks), then the race detector and the
@@ -121,6 +121,34 @@ bench-hotpath:
 # the benchmark was written against.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# One short run of every BENCHMARK.json workload, untraced and traced, the
+# way the benchmark runs them (bash bench/run.sh). bench-check does not run
+# the workloads; this does, including the traced relay_sim_fleet run, the
+# only one that probes a relay built from trafficgen's relay.Config and runs
+# trafficgen.Run twice in one process. It fails on a non-zero exit and on a
+# last line that is not a correct run with no failed operation. Each run's
+# stdout and stderr are left in $(BENCH_SMOKE_DIR). Three seconds, not one:
+# in a one-second run each of relay_udp_telemetry's three relay children
+# stops before the fleet's first one-second tick, and the run counts the
+# untracked sessions as failed operations.
+BENCH_WORKLOADS = lockstep_clean lockstep_lossy relay_udp_bare relay_udp_telemetry relay_sim_fleet
+BENCH_SMOKE_SECONDS = 3
+BENCH_SMOKE_DIR ?= .bench_build/smoke
+bench-smoke:
+	mkdir -p $(BENCH_SMOKE_DIR)
+	@fail=0; for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		out=$(BENCH_SMOKE_DIR)/$$w-trace$$t; \
+		if ! bash bench/run.sh --workload $$w --seed 7 --seconds $(BENCH_SMOKE_SECONDS) --trace $$t > $$out.json 2> $$out.err; then \
+			echo "bench-smoke: $$w --trace $$t exited non-zero:"; tail -n 20 $$out.err; fail=1; continue; \
+		fi; \
+		last=$$(tail -n 1 $$out.json); \
+		case "$$last" in \
+		'{"correct":true'*'"failed":0'[,}]*) echo "bench-smoke: $$w --trace $$t ok";; \
+		*) echo "bench-smoke: $$w --trace $$t: last line is not a correct run with 0 failed:"; \
+			echo "$$last" | cut -c1-300; fail=1;; \
+		esac; \
+	done; done; exit $$fail
 
 # The linker census: the shipped binaries (cmd/*, examples/* and the bench/
 # module) define the program. TestEveryInternalFuncIsLinked (repo root,

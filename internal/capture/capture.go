@@ -7,9 +7,8 @@
 // direction (send or receive, from the tap owner's point of view), the site
 // it belongs to and the raw payload — plus a metadata section describing the
 // session the traffic came from: the named netem profile (or raw link
-// configs) and the nominal input cadence. That is exactly what the traffic
-// generator (internal/trafficgen) needs to replay a recorded session's load
-// shape against a live relayd, the capture→replay loop CGReplay argues for.
+// configs) and the nominal input cadence. No shipped command reads a
+// capture back; Decode does, from Go code.
 //
 // RKCP is a schema over internal/container, which owns the framing, the
 // section walk and the totality contract.

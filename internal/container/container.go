@@ -10,7 +10,7 @@
 //	trailer  u32 — FNV-1a/32 of every preceding byte
 //
 // Everything is little endian. These files are where bytes from outside the
-// program enter (triage, romtool verify, trafficgen.Replay), so every check
+// program enter (triage, romtool verify, capture.Decode), so every check
 // on an untrusted length lives here: Open on the frame, Sections on section
 // lengths, Reader on fields, Reader.Count on record counts. All of them are
 // total — damaged input yields an error, never a panic or an allocation

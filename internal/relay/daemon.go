@@ -42,7 +42,7 @@ type Config struct {
 	// Tap, when set, mirrors every datagram crossing the shards into the
 	// bounded capture recorder (capture.DirRecv at ingest with the sender's
 	// site, capture.DirSend at flush with the destination site; the relay
-	// prefix is included, so a capture replays verbatim). Recording is
+	// prefix is included, so a record is the datagram verbatim). Recording is
 	// allocation-free in steady state and drops with a count once the
 	// recorder's budgets fill, so the tap may stay attached under load —
 	// BenchmarkRelayShardStepCaptured gates the cost.

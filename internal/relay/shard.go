@@ -244,7 +244,7 @@ func (s *Shard) ingest(m *Message, now time.Time, nowNs int64) {
 	}
 	// Tap after the shape checks (runts and bad sites never made it onto the
 	// wire view) but before token lookup, so a capture also shows the
-	// stray-token traffic a replay needs to reproduce rejection load.
+	// stray-token traffic.
 	var ref capture.Ref
 	if s.cfg.Tap != nil {
 		ref = s.cfg.Tap.RecordRef(now, capture.DirRecv, site, m.Buf)
@@ -283,8 +283,7 @@ func (s *Shard) ingest(m *Message, now time.Time, nowNs int64) {
 			st.residence.Observe(nowNs - m.At)
 		}
 		// The ring sees every accepted datagram, header included, so a
-		// snapshot decodes back to this session's token and replays
-		// verbatim through a relay.
+		// snapshot decodes back to this session's token.
 		st.ring.Record(now, capture.DirRecv, site, m.Buf)
 	}
 

@@ -1,6 +1,7 @@
 package trafficgen
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // shorter than an input period, so a rebind falls due before either site's
 // next send. A change to how the drivers walk their sessions must leave
 // every digest as it is; a change that means to move the schedule updates
-// them and says why.
+// them and says why. Each encoding must also decode to as many records as
+// were recorded and re-encode to the same bytes.
 func TestRunScheduleDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -68,15 +70,26 @@ func TestRunScheduleDigest(t *testing.T) {
 					t.Fatalf("%s capture dropped %d records; raise its budgets", name, dropped)
 				}
 			}
-			digest := func(rec *capture.Recorder) string {
-				sum := sha256.Sum256(rec.Snapshot(capture.Meta{Game: "trafficgen", Profile: "wifi"}).Encode())
-				return hex.EncodeToString(sum[:])
-			}
-			if got := digest(client); got != tc.client {
-				t.Errorf("client capture digest %s, want %s (%d records)", got, tc.client, client.Len())
-			}
-			if got := digest(relayTap); got != tc.relayView {
-				t.Errorf("relay tap digest %s, want %s (%d records)", got, tc.relayView, relayTap.Len())
+			for _, v := range []struct {
+				name string
+				rec  *capture.Recorder
+				want string
+			}{{"client capture", client, tc.client}, {"relay tap", relayTap, tc.relayView}} {
+				enc := v.rec.Snapshot(capture.Meta{Game: "trafficgen", Profile: "wifi"}).Encode()
+				sum := sha256.Sum256(enc)
+				if got := hex.EncodeToString(sum[:]); got != v.want {
+					t.Errorf("%s digest %s, want %s (%d records)", v.name, got, v.want, v.rec.Len())
+				}
+				dec, err := capture.Decode(enc)
+				if err != nil {
+					t.Fatalf("%s does not decode: %v", v.name, err)
+				}
+				if len(dec.Records) != v.rec.Len() {
+					t.Errorf("%s decodes to %d records, recorded %d", v.name, len(dec.Records), v.rec.Len())
+				}
+				if !bytes.Equal(dec.Encode(), enc) {
+					t.Errorf("%s re-encodes to different bytes", v.name)
+				}
 			}
 		})
 	}

@@ -5,7 +5,7 @@
 //
 // The paper's evaluation (§4) measures a handful of sessions on a physical
 // testbed; this package is the scaled-up, repeatable version of that
-// experiment. Every run (Run, Sweep, Replay) executes in virtual time and
+// experiment. Every run (Run, Sweep) executes in virtual time and
 // deterministically: the same model and seed produce bit-identical verdict
 // tables, which is what lets CI diff a QoE sweep against a checked-in
 // baseline. Load over real sockets and the wall clock is the benchmark's
@@ -272,16 +272,11 @@ func Run(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	m := cfg.Model
 
-	e, err := newEngine(cfg, m.Sessions)
+	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	v, d := e.clock, e.daemon
-	e.mStart = e.epoch.Add(cfg.Warmup)
-	e.mEnd = e.mStart.Add(cfg.Measure)
-	for _, dr := range e.drivers {
-		dr.buf = newSendBuf()
-	}
 
 	// Admission: place every session up front; session i joins at a
 	// deterministic offset inside the JoinSpread window.
@@ -322,15 +317,16 @@ func Run(cfg RunConfig) (*Result, error) {
 	return e.grade(sessions, total), nil
 }
 
-// newEngine builds the world Run and Replay share, on a fresh virtual clock:
-// one relay front per shard (see RunConfig.Shards), a relay daemon sized for
-// the given number of sessions, cfg.Model.Drivers drivers with two endpoints
-// each, and the run profile on every driver<->front link. The drivers' send
-// buffers are left to the caller.
-func newEngine(cfg RunConfig, sessions int) (*engine, error) {
+// newEngine builds Run's world on a fresh virtual clock: one relay front per
+// shard (see RunConfig.Shards), a relay daemon sized for cfg.Model.Sessions,
+// cfg.Model.Drivers drivers with two endpoints and a send buffer each, and
+// the run profile on every driver<->front link.
+func newEngine(cfg RunConfig) (*engine, error) {
 	v := vclock.NewVirtual(Epoch)
 	e := &engine{cfg: cfg, clock: v, net: simnet.New(v), agg: &obs.Histogram{}}
 	e.epoch = v.Now()
+	e.mStart = e.epoch.Add(cfg.Warmup)
+	e.mEnd = e.mStart.Add(cfg.Measure)
 
 	fronts := make([]relay.Front, cfg.Shards)
 	frontAddrs := make([]string, cfg.Shards)
@@ -342,7 +338,7 @@ func newEngine(cfg RunConfig, sessions int) (*engine, error) {
 	}
 	d, err := relay.NewDaemon(relay.Config{
 		Shards:      cfg.Shards,
-		MaxSessions: sessions/cfg.Shards + cfg.Shards,
+		MaxSessions: cfg.Model.Sessions/cfg.Shards + cfg.Shards,
 		QueueLen:    1 << 14,
 		WriteBatch:  256,
 		SessionTTL:  time.Hour,
@@ -361,7 +357,11 @@ func newEngine(cfg RunConfig, sessions int) (*engine, error) {
 		epB := e.net.MustBind(fmt.Sprintf("genB-%d", j))
 		epA.SetQueueCap(1 << 14)
 		epB.SetQueueCap(1 << 14)
-		e.drivers[j] = &driver{idx: j, epA: epA, epB: epB, byToken: make(map[relay.Token]*session)}
+		e.drivers[j] = &driver{
+			idx: j, epA: epA, epB: epB,
+			byToken: make(map[relay.Token]*session),
+			buf:     newSendBuf(),
+		}
 	}
 	if err := e.shapeLinks(frontAddrs); err != nil {
 		d.Close()
@@ -571,8 +571,8 @@ func (e *engine) drain(dr *driver, ep *simnet.Endpoint, site int, now time.Time)
 			continue
 		}
 		if len(pl) < genHeaderLen {
-			// A replayed foreign payload too short to carry the generator
-			// stamp: delivered, but unmeasurable.
+			// Too short to carry the generator stamp: delivered, but
+			// unmeasurable.
 			continue
 		}
 		if relay.Token(binary.BigEndian.Uint64(pl[8:16])) != tok || int(pl[16]) != fromSite {

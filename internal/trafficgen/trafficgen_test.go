@@ -198,59 +198,6 @@ func TestQoEVerdictsOrderByProfile(t *testing.T) {
 	}
 }
 
-// TestReplayDeterministic captures a small run client-side, replays the
-// trace twice, and requires the two replays to agree bit-for-bit — the
-// capture/replay half of the RKCP story.
-func TestReplayDeterministic(t *testing.T) {
-	rec := capture.NewRecorder(1<<17, 1<<24)
-	_, err := Run(RunConfig{
-		Model:   Model{Sessions: 48, Drivers: 6, Seed: 5},
-		Profile: "wifi",
-		Warmup:  200 * time.Millisecond,
-		Measure: 600 * time.Millisecond,
-		Drain:   300 * time.Millisecond,
-		Capture: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rec.Snapshot(capture.Meta{Game: "trafficgen", Profile: "wifi", InputHz: 60})
-	if c.Meta.Dropped != 0 {
-		t.Fatalf("capture recorder dropped %d records; raise its budgets", c.Meta.Dropped)
-	}
-	enc := c.Encode()
-	dec, err := capture.Decode(enc)
-	if err != nil {
-		t.Fatalf("captured trace does not round-trip: %v", err)
-	}
-
-	ra, err := Replay(dec, ReplayConfig{Drivers: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Replay(dec, ReplayConfig{Drivers: 6, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta, tb := VerdictTable([]*Result{ra}), VerdictTable([]*Result{rb})
-	if ta.String() != tb.String() {
-		t.Errorf("replay verdicts differ across reruns:\n%s\nvs:\n%s", ta.String(), tb.String())
-	}
-	if ra.Sent != rb.Sent || ra.Recv != rb.Recv || ra.Latency.Buckets() != rb.Latency.Buckets() {
-		t.Errorf("replay figures differ: sent %d/%d recv %d/%d", ra.Sent, rb.Sent, ra.Recv, rb.Recv)
-	}
-	if ra.Sent == 0 || ra.Recv == 0 {
-		t.Errorf("replay moved no traffic (sent=%d recv=%d)", ra.Sent, ra.Recv)
-	}
-	if ra.Sessions != 48 {
-		t.Errorf("replay re-admitted %d sessions, trace had 48", ra.Sessions)
-	}
-	if ra.LeakErrs != 0 || ra.IntegrityErrs != 0 || ra.MiswireErrs != 0 {
-		t.Errorf("replay correctness errors: leak=%d integrity=%d miswire=%d",
-			ra.LeakErrs, ra.IntegrityErrs, ra.MiswireErrs)
-	}
-}
-
 // TestRelayViewRepeats runs the same configuration twice in one process with
 // a relay tap: the relay is stopped inside the world, so its last poll lands
 // at the same virtual instant each time, and the relay-side capture, the
