@@ -161,8 +161,15 @@ bench-smoke:
 # type-checks the module's non-test code with go/types and fails on an
 # unexported field that the code assigns and never reads, unless
 # testdata/writeonly.txt names it with a reason.
+#
+# And the knob census (TestEveryKnobIsTurned): with bench/ loaded as a
+# second module, it fails on an exported field of an internal/ *Config,
+# *Options, *Spec, *Params or *Model struct that no non-test code of the
+# main module assigns, and on a cmd/ flag that no command line in README.md,
+# EXPERIMENTS.md, docs/, this Makefile, CI or the command's own tests
+# passes, unless testdata/knobs.txt names it with a reason.
 deadcode:
-	$(GO) test -tags deadcode -run 'TestEveryInternalFuncIsLinked|TestNoFieldIsWriteOnly' -count 1 -v .
+	$(GO) test -tags deadcode -run 'TestEveryInternalFuncIsLinked|TestNoFieldIsWriteOnly|TestEveryKnobIsTurned' -count 1 -v .
 
 # The run census: what the gates run. TestEveryInternalFuncRuns (repo root,
 # build tag runcensus) collects coverage of internal/ from tier-1 (built

@@ -143,39 +143,15 @@ type modulePackage struct {
 	info  *types.Info
 }
 
-// loadModule type-checks every package of the module (not the bench/
-// module) from its non-test source, dependencies first. The standard
-// library comes from the build cache's export data, so a package's types
-// are shared by every package that imports it.
-func loadModule(t *testing.T) (*token.FileSet, []*modulePackage) {
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	type listed struct {
-		ImportPath, Dir, Export string
-		GoFiles                 []string
-		Standard                bool
-	}
-	exports := map[string]string{}
-	var own []listed
-	for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
-		var p listed
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if p.Standard {
-			exports[p.ImportPath] = p.Export
-		} else {
-			own = append(own, p)
-		}
-	}
-
+// loadModule type-checks every package of the module rooted at each of
+// dirs (the main module is ".", bench/ is a second module) from its
+// non-test source, dependencies first. Each package is checked once: a
+// later module's imports of an earlier one's packages resolve to the same
+// types, so a field declared in internal/ is the same object wherever it is
+// used. The standard library comes from the build cache's export data.
+func loadModule(t *testing.T, dirs ...string) (*token.FileSet, []*modulePackage) {
 	fset := token.NewFileSet()
+	exports := map[string]string{}
 	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		if f, ok := exports[path]; ok && f != "" {
 			return os.Open(f)
@@ -189,37 +165,66 @@ func loadModule(t *testing.T) (*token.FileSet, []*modulePackage) {
 		}
 		return std.Import(path)
 	})
-
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	var pkgs []*modulePackage
-	for _, p := range own {
-		mp := &modulePackage{path: p.ImportPath, info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}}
-		dir, err := filepath.Rel(wd, p.Dir) // positions print relative to the repo root
+	for _, mod := range dirs {
+		cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
+		cmd.Dir = mod
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("go list (in %s): %v", mod, err)
 		}
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		type listed struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			Standard                bool
+		}
+		var own []listed
+		for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
+			var p listed
+			if err := dec.Decode(&p); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if p.Standard {
+				exports[p.ImportPath] = p.Export
+			} else if checked[p.ImportPath] == nil {
+				own = append(own, p)
+			}
+		}
+
+		for _, p := range own {
+			mp := &modulePackage{path: p.ImportPath, info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}}
+			dir, err := filepath.Rel(wd, p.Dir) // positions print relative to the repo root
 			if err != nil {
 				t.Fatal(err)
 			}
-			mp.files = append(mp.files, f)
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mp.files = append(mp.files, f)
+			}
+			conf := types.Config{Importer: imp}
+			mp.types, err = conf.Check(p.ImportPath, fset, mp.files, mp.info)
+			if err != nil {
+				t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			}
+			checked[p.ImportPath] = mp.types
+			pkgs = append(pkgs, mp)
 		}
-		conf := types.Config{Importer: imp}
-		mp.types, err = conf.Check(p.ImportPath, fset, mp.files, mp.info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = mp.types
-		pkgs = append(pkgs, mp)
 	}
 	if len(pkgs) == 0 {
 		t.Fatal("go list found no packages in the module")

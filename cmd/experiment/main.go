@@ -23,9 +23,9 @@
 //
 // Any other -series value is a usage error (exit status 2).
 //
-// -frames, -seed, -game and -procdelay override the defaults; -quick trims
-// the sweep for smoke runs. -calibrated (default true) applies the paper
-// calibration documented in internal/harness.PaperCalibration.
+// -seed and -game override the defaults; -quick trims the sweep for smoke
+// runs. Every series runs the paper calibration documented in
+// internal/harness.PaperCalibration.
 package main
 
 import (
@@ -75,15 +75,12 @@ func seriesNames() string {
 
 func main() {
 	var (
-		series     = flag.String("series", "all", "which series to run: "+seriesNames())
-		frames     = flag.Int("frames", harness.DefaultFrames, "frames per experiment (paper: 3600)")
-		seed       = flag.Int64("seed", 2009, "experiment seed (results are deterministic per seed)")
-		game       = flag.String("game", "pong", "ROM to run ("+strings.Join(games.Names(), ", ")+")")
-		procdelay  = flag.Duration("procdelay", 0, "per-packet processing delay; 0 keeps the calibration/default")
-		calibrated = flag.Bool("calibrated", true, "use the paper calibration (ProcDelay 40ms)")
-		quick      = flag.Bool("quick", false, "coarser sweep and fewer frames, for smoke runs")
-		chart      = flag.Bool("chart", true, "render ASCII charts of the figures")
-		csvDir     = flag.String("csv", "", "also write <dir>/figure1.csv and figure2.csv")
+		series = flag.String("series", "all", "which series to run: "+seriesNames())
+		seed   = flag.Int64("seed", 2009, "experiment seed (results are deterministic per seed)")
+		game   = flag.String("game", "pong", "ROM to run ("+strings.Join(games.Names(), ", ")+")")
+		quick  = flag.Bool("quick", false, "coarser sweep and fewer frames, for smoke runs")
+		chart  = flag.Bool("chart", true, "render ASCII charts of the figures")
+		csvDir = flag.String("csv", "", "also write <dir>/figure1.csv and figure2.csv")
 	)
 	flag.Parse()
 	chartOn, csvTo = *chart, *csvDir
@@ -97,14 +94,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	base := harness.Config{Frames: *frames, Seed: *seed, Game: *game}
-	if *calibrated {
-		base.ProcDelay = harness.PaperCalibration().ProcDelay
-	}
-	if *procdelay != 0 {
-		base.ProcDelay = *procdelay
-	}
-	if *quick && *frames == harness.DefaultFrames {
+	base := harness.Config{Frames: harness.DefaultFrames, Seed: *seed, Game: *game,
+		ProcDelay: harness.PaperCalibration().ProcDelay}
+	if *quick {
 		base.Frames = 600
 	}
 

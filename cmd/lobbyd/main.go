@@ -19,19 +19,13 @@ func main() {
 	log.SetPrefix("lobbyd: ")
 	listen := flag.String("listen", ":7200", "UDP address to serve on")
 	obsAddr := flag.String("obs", "", "serve metrics/expvar/pprof on this HTTP address (e.g. :6060)")
-	ttl := flag.Duration("ttl", 10*time.Minute, "idle session expiry")
-	sweep := flag.Duration("sweep", 30*time.Second, "expiry sweep cadence")
-	maxSessions := flag.Int("max-sessions", 65536, "bound on concurrently tracked sessions")
 	flag.Parse()
 
-	srv, err := lobby.ListenConfig(*listen, lobby.Config{
-		TTL:         *ttl,
-		SweepEvery:  *sweep,
-		MaxSessions: *maxSessions,
-	})
+	srv, err := lobby.ListenConfig(*listen, lobby.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	done := make(chan struct{}) // closed when Serve returns; stops the sampler
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		lobby.RegisterMetrics(reg, srv)
@@ -39,12 +33,7 @@ func main() {
 		// Retain every lobby series at multiple resolutions (/history). No
 		// alert rules — admission has no error budget to burn; trends are
 		// what an operator wants here.
-		hist := history.Wire(reg, history.Options{})
-		go func() {
-			for range time.Tick(hist.Store.BaseStep()) {
-				hist.Sample(time.Now())
-			}
-		}()
+		go sample(history.Wire(reg, history.Options{}), done)
 		osrv, err := obs.Serve(*obsAddr, reg)
 		if err != nil {
 			log.Fatal(err)
@@ -53,7 +42,23 @@ func main() {
 		log.Printf("observability on http://%s/ (metrics, history, incidents, pprof)", osrv.Addr())
 	}
 	log.Printf("serving rendezvous on %s", srv.Addr())
-	if err := srv.Serve(); err != nil {
+	err = srv.Serve()
+	close(done)
+	if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// sample feeds the history store once per base step until done is closed.
+func sample(hist *history.Service, done <-chan struct{}) {
+	tick := time.NewTicker(hist.Store.BaseStep())
+	defer tick.Stop()
+	for {
+		select {
+		case <-done:
+			return
+		case now := <-tick.C:
+			hist.Sample(now)
+		}
 	}
 }

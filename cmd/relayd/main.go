@@ -38,38 +38,33 @@ var (
 	fronts      = flag.Int("fronts", 1, "number of UDP sockets, one reader goroutine each; readers run the shards they feed, so this sets the packet path's parallelism")
 	lobbyAddr   = flag.String("lobby", ":7200", "UDP address for the embedded admission lobby")
 	shards      = flag.Int("shards", 8, "shared-nothing event loops")
-	maxSessions = flag.Int("max-sessions", 4096, "session budget per shard")
-	ttl         = flag.Duration("ttl", 2*time.Minute, "idle session expiry (relay side)")
-	lobbyTTL    = flag.Duration("lobby-ttl", 10*time.Minute, "idle session expiry (lobby side)")
 	advertise   = flag.String("advertise", "", "front address to hand to clients (default: the bound address)")
 	obsAddr     = flag.String("obs", "", "serve metrics/healthz/sessions/pprof on this HTTP address (e.g. :6060)")
 	capturePath = flag.String("capture", "", "write an RKCP capture of relayed traffic to this file on shutdown (bounded in-memory tap)")
 	topK        = flag.Int("topk", 16, "worst-sessions rows kept on the /sessions ops surface")
 	gradeEvery  = flag.Duration("grade-window", time.Second, "per-session QoE grading window")
-	gradeTarget = flag.Duration("grade-target", defaultGradeTarget, "nominal per-site inter-datagram gap the grader treats as healthy")
 	autoCapture = flag.String("autocapture", "", "directory for anomaly .rkcp bundles snapshotted when a session degrades (empty: grade without capturing)")
 )
 
-// defaultGradeTarget is two 60 FPS frame intervals: clients coalesce
-// unchanged inputs, so a healthy session's per-site relay cadence averages
-// under one datagram per frame — grading against the raw 16.67 ms frame
-// target flags clean sessions as degraded.
-const defaultGradeTarget = 2 * 16670 * time.Microsecond
+// gradeTarget is the per-site inter-datagram gap the fleet grader treats as
+// healthy: two 60 FPS frame intervals. Clients coalesce unchanged inputs,
+// so a healthy session's per-site relay cadence averages under one datagram
+// per frame — grading against the raw 16.67 ms frame target flags clean
+// sessions as degraded. Every relay, lobby and fleet setting without a flag
+// is its package's default.
+const gradeTarget = 2 * 16670 * time.Microsecond
 
-// fleetParams returns the -topk / -grade-window / -grade-target settings,
-// clamping nonsense values back to the documented defaults.
-func fleetParams() (k int, window, target time.Duration) {
-	k, window, target = *topK, *gradeEvery, *gradeTarget
+// fleetParams returns the -topk and -grade-window settings, clamping
+// nonsense values back to the documented defaults.
+func fleetParams() (k int, window time.Duration) {
+	k, window = *topK, *gradeEvery
 	if k <= 0 {
 		k = 16
 	}
 	if window <= 0 {
 		window = time.Second
 	}
-	if target <= 0 {
-		target = defaultGradeTarget
-	}
-	return k, window, target
+	return k, window
 }
 
 // newFlusher wraps the shutdown evidence flush so it runs exactly once no
@@ -148,11 +143,9 @@ func start() (*relayd, error) {
 		return nil, err
 	}
 	cfg := relay.Config{
-		Shards:      *shards,
-		MaxSessions: *maxSessions,
-		SessionTTL:  *ttl,
-		Tap:         tap,
-		Stats:       true, // fleet grading is always on; it costs no allocations
+		Shards: *shards,
+		Tap:    tap,
+		Stats:  true, // fleet grading is always on; it costs no allocations
 	}
 	if *autoCapture != "" {
 		if err := os.MkdirAll(*autoCapture, 0o755); err != nil {
@@ -176,11 +169,11 @@ func start() (*relayd, error) {
 	}
 	r := &relayd{d: d, done: make(chan struct{})}
 
-	k, window, target := fleetParams()
+	k, window := fleetParams()
 	fcfg := relay.FleetConfig{
 		TopK:   k,
 		Window: window,
-		Health: obs.HealthConfig{FrameTarget: target},
+		Health: obs.HealthConfig{FrameTarget: gradeTarget},
 	}
 	// Bound when -obs is on (below); OnCapture closes over it so every bundle
 	// written to disk is also filed against the open incident's timeline.
@@ -209,13 +202,12 @@ func start() (*relayd, error) {
 	log.Printf("fleet grading every %v (top-%d ops surface)", window, k)
 
 	r.srv, err = lobby.ListenConfig(*lobbyAddr, lobby.Config{
-		TTL:    *lobbyTTL,
 		Placer: relay.LobbyPlacer{D: d, Advertise: *advertise},
 	})
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("admission lobby on %s (%d shards x %d sessions)", r.srv.Addr(), *shards, *maxSessions)
+	log.Printf("admission lobby on %s (%d shards)", r.srv.Addr(), *shards)
 
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()

@@ -18,41 +18,37 @@ import (
 	"retrolock/internal/relay"
 )
 
-// TestRelaydFleetParams pins the -topk/-grade-window/-grade-target
-// plumbing: documented defaults, flag overrides, and the clamp that sends
-// nonsense values back to the defaults (mirrors cmd/experiment's relayload
-// params test).
+// TestRelaydFleetParams pins the -topk/-grade-window plumbing: documented
+// defaults, flag overrides, and the clamp that sends nonsense values back to
+// the defaults.
 func TestRelaydFleetParams(t *testing.T) {
-	setFlags := func(topk, window, target string) {
+	setFlags := func(topk, window string) {
 		t.Helper()
-		for flagName, v := range map[string]string{
-			"topk": topk, "grade-window": window, "grade-target": target,
-		} {
+		for flagName, v := range map[string]string{"topk": topk, "grade-window": window} {
 			if err := flag.Set(flagName, v); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	defer setFlags("16", "1s", defaultGradeTarget.String())
+	defer setFlags("16", "1s")
 
 	cases := []struct {
-		name                 string
-		topk, window, target string
-		wantK                int
-		wantWindow, wantTgt  time.Duration
+		name         string
+		topk, window string
+		wantK        int
+		wantWindow   time.Duration
 	}{
-		{"defaults", "16", "1s", "33.34ms", 16, time.Second, defaultGradeTarget},
-		{"override", "32", "250ms", "50ms", 32, 250 * time.Millisecond, 50 * time.Millisecond},
-		{"zero clamps", "0", "0s", "0s", 16, time.Second, defaultGradeTarget},
-		{"negative clamps", "-4", "-2s", "-1ms", 16, time.Second, defaultGradeTarget},
+		{"defaults", "16", "1s", 16, time.Second},
+		{"override", "32", "250ms", 32, 250 * time.Millisecond},
+		{"zero clamps", "0", "0s", 16, time.Second},
+		{"negative clamps", "-4", "-2s", 16, time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			setFlags(tc.topk, tc.window, tc.target)
-			k, window, target := fleetParams()
-			if k != tc.wantK || window != tc.wantWindow || target != tc.wantTgt {
-				t.Errorf("fleetParams() = (%d, %v, %v), want (%d, %v, %v)",
-					k, window, target, tc.wantK, tc.wantWindow, tc.wantTgt)
+			setFlags(tc.topk, tc.window)
+			k, window := fleetParams()
+			if k != tc.wantK || window != tc.wantWindow {
+				t.Errorf("fleetParams() = (%d, %v), want (%d, %v)", k, window, tc.wantK, tc.wantWindow)
 			}
 		})
 	}

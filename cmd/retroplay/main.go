@@ -43,6 +43,10 @@ import (
 	"retrolock/internal/vclock"
 )
 
+// stallThreshold is the wait for the peer after which the flight recorder
+// declares a liveness-stall incident.
+const stallThreshold = 5 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("retroplay: ")
@@ -58,15 +62,11 @@ func main() {
 		frames   = flag.Int("frames", 3600, "frames to play (0 = until killed)")
 		input    = flag.String("input", "bot", "synthetic player: bot, random, idle")
 		render   = flag.Int("render", 0, "print the screen every N frames (0 = off)")
-		lag      = flag.Int("lag", core.DefaultBufFrame, "local lag in frames")
 		record   = flag.String("record", "", "write a replay log to this file")
-		useTCP   = flag.Bool("tcp", false, "use the TCP baseline transport instead of UDP")
 		spectate = flag.String("spectate", "", "join a running game as a spectator: address of the master site")
-		accept   = flag.Bool("accept-spectators", true, "master only: serve savestates to spectators that connect")
 		obsAddr  = flag.String("obs", "", "serve live metrics/expvar/pprof on this HTTP address (e.g. :6060)")
 		traceOut = flag.String("trace", "", "write a Chrome trace (chrome://tracing) of frame events to this file")
 		flightTo = flag.String("flight-dir", ".", "directory for black-box incident bundles (\"\": $RETROLOCK_FLIGHT_DIR; both empty disable auto-write)")
-		stallDur = flag.Duration("stall-threshold", 5*time.Second, "declare a liveness-stall incident after waiting this long for the peer (0 = off)")
 	)
 	flag.Parse()
 
@@ -131,9 +131,7 @@ func main() {
 		if err == nil {
 			conn = relay.NewClientConn(conn, relayToken, *site)
 		}
-	case *useTCP:
-		conn, err = dialTCP(*site, listenAddr, peerAddr)
-	case *site == 0 && *accept:
+	case *site == 0:
 		// The master serves spectators from the same socket, so it
 		// listens unconnected and demuxes by source.
 		lst, err = transport.ListenUDPAddr(listenAddr)
@@ -167,12 +165,12 @@ func main() {
 		Clock:          vclock.System,
 		Game:           image.Title,
 		ROM:            image,
-		Config:         core.Config{SiteNo: *site, BufFrame: *lag, WaitTimeout: 30 * time.Second},
+		Config:         core.Config{SiteNo: *site, WaitTimeout: 30 * time.Second},
 		Peers:          []core.Peer{{Site: 1 - *site, Conn: conn}},
 		Registry:       reg,
 		TraceEvents:    traceCap,
 		FlightDir:      *flightTo,
-		StallThreshold: *stallDur,
+		StallThreshold: stallThreshold,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -309,14 +307,6 @@ func loadROM(game, romPath string) (*rom.ROM, error) {
 		return rom.Decode(data)
 	}
 	return games.Load(game)
-}
-
-// dialTCP wires the TCP baseline: the master listens, the slave dials.
-func dialTCP(site int, listenAddr, peerAddr string) (transport.Conn, error) {
-	if site == 0 {
-		return transport.ListenTCP(listenAddr)
-	}
-	return transport.DialTCP(peerAddr)
 }
 
 // acceptSpectators watches the master's socket for unknown senders; a valid

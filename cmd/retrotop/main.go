@@ -7,9 +7,8 @@
 //
 //	retrotop http://siteA:9090 http://siteB:9091
 //
-// Flags:
+// It polls once a second; quantiles are windowed per poll. Flags:
 //
-//	-interval   poll period (default 1s); quantiles are windowed per poll
 //	-once       print a single snapshot and exit; the exit status reports the
 //	            worst health verdict seen (0 all healthy, 1 otherwise)
 //	-format     -once output shape: table (default) or json
@@ -41,8 +40,10 @@ import (
 	"retrolock/internal/relay"
 )
 
+// interval is the poll period.
+const interval = time.Second
+
 var (
-	interval  = flag.Duration("interval", time.Second, "poll period")
 	once      = flag.Bool("once", false, "print one snapshot and exit (status reflects worst health)")
 	format    = flag.String("format", "table", "-once output: table or json")
 	fleet     = flag.Bool("fleet", false, "poll a relayd fleet ops surface (/sessions)")
@@ -156,7 +157,7 @@ func main() {
 		if !*once {
 			out.WriteString("\033[H\033[2J") // clear terminal
 		}
-		fmt.Fprintf(&out, "retrotop  %s  every %v\n", time.Now().Format("15:04:05"), *interval)
+		fmt.Fprintf(&out, "retrotop  %s  every %v\n", time.Now().Format("15:04:05"), interval)
 		for _, s := range sites {
 			switch {
 			case *incidents:
@@ -175,7 +176,7 @@ func main() {
 			}
 			os.Exit(exitCode(states))
 		}
-		time.Sleep(*interval)
+		time.Sleep(interval)
 	}
 }
 

@@ -68,7 +68,7 @@ func usage() {
   romtool run <rom.rk32|game> [-frames N] [-input idle|random] [-render]
   romtool trace <rom.rk32|game> [-frames N] [-max M]
   romtool verify <match.replay> <rom.rk32|game>
-  romtool screenshot <rom.rk32|game> <out.png> [-frames N] [-input random] [-scale S]
+  romtool screenshot <rom.rk32|game> <out.png> [-frames N] [-input random]
   romtool list`)
 	os.Exit(2)
 }
@@ -77,7 +77,6 @@ func screenshot(args []string) {
 	fs := flag.NewFlagSet("screenshot", flag.ExitOnError)
 	frames := fs.Int("frames", 600, "frames to run before capturing")
 	input := fs.String("input", "random", "input mode: idle or random")
-	scale := fs.Int("scale", 4, "integer upscaling factor")
 	if len(args) < 2 {
 		usage()
 	}
@@ -96,10 +95,7 @@ func screenshot(args []string) {
 		}
 		console.StepFrame(in)
 	}
-	img := console.Image()
-	if *scale > 1 {
-		img = upscale(img, *scale)
-	}
+	img := upscale(console.Image(), screenshotScale)
 	f, err := os.Create(args[1])
 	if err != nil {
 		log.Fatal(err)
@@ -111,6 +107,9 @@ func screenshot(args []string) {
 	log.Printf("wrote %s (%dx%d after frame %d of %q)",
 		args[1], img.Bounds().Dx(), img.Bounds().Dy(), console.FrameCount(), image.Title)
 }
+
+// screenshotScale is the integer factor a screenshot is upscaled by.
+const screenshotScale = 4
 
 // upscale nearest-neighbour scales img by factor s.
 func upscale(img *image.RGBA, s int) *image.RGBA {

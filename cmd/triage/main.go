@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	triage [-json] [-q] site0.rkfb [site1.rkfb]
+//	triage [-json] site0.rkfb [site1.rkfb]
 package main
 
 import (
@@ -27,9 +27,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("triage", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
-	quiet := fs.Bool("q", false, "omit the merged timeline from text output")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: triage [-json] [-q] bundle.rkfb [bundle2.rkfb]\n")
+		fmt.Fprintf(stderr, "usage: triage [-json] bundle.rkfb [bundle2.rkfb]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -80,6 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	fmt.Fprintln(stdout)
-	report.Format(stdout, !*quiet)
+	report.Format(stdout)
 	return 0
 }

@@ -125,7 +125,7 @@ func stripSymbol(s string) string {
 // no exemptions by type; testdata/writeonly.txt names, with a reason, a
 // field that is kept anyway ("pkg.Type.field", pkg relative to the module).
 func TestNoFieldIsWriteOnly(t *testing.T) {
-	fset, pkgs := loadModule(t)
+	fset, pkgs := loadModule(t, ".")
 	fields := map[*types.Var]string{} // unexported fields declared in the module, by key
 	written := map[*types.Var]token.Pos{}
 	read := map[*types.Var]bool{}

@@ -414,7 +414,7 @@ func TestTriageSpanLatencyRows(t *testing.T) {
 		t.Errorf("cross latency at divergence = %d, want %d", atPoke.CrossNs, wantLag)
 	}
 	var out bytes.Buffer
-	rep.Format(&out, true)
+	rep.Format(&out)
 	if !strings.Contains(out.String(), "input latency") {
 		t.Fatalf("verbose report lacks the input-latency table:\n%s", out.String())
 	}

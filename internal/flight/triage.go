@@ -420,9 +420,8 @@ func mergeTimelines(bundles []*Bundle, around int64) []TimelineEvent {
 	return out
 }
 
-// Format renders the report for a terminal. verbose includes the merged
-// timeline.
-func (r *Report) Format(w io.Writer, verbose bool) {
+// Format renders the report for a terminal, merged timeline included.
+func (r *Report) Format(w io.Writer) {
 	if r.FirstDivergentFrame >= 0 {
 		fmt.Fprintf(w, "first divergent frame: %d (%s)\n", r.FirstDivergentFrame, r.Method)
 	} else {
@@ -457,13 +456,13 @@ func (r *Report) Format(w io.Writer, verbose bool) {
 			}
 		}
 	}
-	if verbose && len(r.Timeline) > 0 {
+	if len(r.Timeline) > 0 {
 		fmt.Fprintf(w, "\nmerged timeline (±%d frames around the divergence):\n", timelineWindow)
 		for _, e := range r.Timeline {
 			fmt.Fprintf(w, "  frame %6d  site %d  %-12s arg=%-8d at=%dns\n", e.Frame, e.Site, e.Kind, e.Arg, e.AtNs)
 		}
 	}
-	if verbose && len(r.InputLatency) > 0 {
+	if len(r.InputLatency) > 0 {
 		fmt.Fprintf(w, "\ninput latency (±%d frames around the divergence; ms, 0 = leg never closed):\n", timelineWindow)
 		fmt.Fprintf(w, "  %6s  %4s  %8s  %8s  %8s  %8s  %7s\n", "frame", "site", "cross", "local", "net", "skew", "retrans")
 		ms := func(ns int64) float64 { return float64(ns) / 1e6 }

@@ -18,13 +18,13 @@ func TestGoldenCaptureDeterministic(t *testing.T) {
 	run := func() (enc []byte, hashes [2]uint64) {
 		rec := capture.NewRecorder(1<<16, 1<<22)
 		cfg := Config{
-			RTT:     40 * time.Millisecond,
-			Jitter:  3 * time.Millisecond,
-			Loss:    0.02,
-			Frames:  240,
-			ARQ:     true,
-			Seed:    5,
-			Capture: rec,
+			RTT:    40 * time.Millisecond,
+			Jitter: 3 * time.Millisecond,
+			Loss:   0.02,
+			Frames: 240,
+			ARQ:    true,
+			Seed:   5,
+			tap:    rec,
 		}
 		res, err := Run(cfg)
 		if err != nil {

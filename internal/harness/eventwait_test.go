@@ -43,7 +43,7 @@ func TestEventWaitMatchesPolling(t *testing.T) {
 		{"lossy", lossy},
 		{"observers", Config{RTT: 50 * time.Millisecond, Loss: 0.02, Observers: 2}},
 		{"rtt-swing", Config{RTT: 60 * time.Millisecond, Jitter: 5 * time.Millisecond,
-			RTTSwing: 120 * time.Millisecond, SwingEvery: time.Second}},
+			RTTSwing: 120 * time.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -62,9 +62,9 @@ func TestEventWaitMatchesPolling(t *testing.T) {
 // produced as lines.
 func runPrint(t *testing.T, cfg Config) []string {
 	t.Helper()
-	cfg.Capture = capture.NewRecorder(1<<16, 1<<22)
+	cfg.tap = capture.NewRecorder(1<<16, 1<<22)
 	res := run(t, cfg)
-	if d := cfg.Capture.Snapshot(capture.Meta{}).Meta.Dropped; d != 0 {
+	if d := cfg.tap.Snapshot(capture.Meta{}).Meta.Dropped; d != 0 {
 		t.Fatalf("capture dropped %d records", d)
 	}
 	var out []string
@@ -82,7 +82,7 @@ func runPrint(t *testing.T, cfg Config) []string {
 	}
 	sort.Strings(series)
 	h := fnv.New64a()
-	h.Write(cfg.Capture.Snapshot(capture.Meta{Game: cfg.Game}).Encode())
+	h.Write(cfg.tap.Snapshot(capture.Meta{Game: cfg.Game}).Encode())
 	out = append(out, fmt.Sprintf("capture %#x", h.Sum64()))
 	return append(out, series...)
 }

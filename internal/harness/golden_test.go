@@ -50,7 +50,7 @@ func TestGoldenFinalHashes(t *testing.T) {
 func TestGoldenCaptureDigest(t *testing.T) {
 	rec := capture.NewRecorder(1<<16, 1<<22)
 	cfg := Config{RTT: 40 * time.Millisecond, Jitter: 3 * time.Millisecond, Loss: 0.02,
-		Frames: 240, ARQ: true, Seed: 5, Capture: rec}
+		Frames: 240, ARQ: true, Seed: 5, tap: rec}
 	run(t, cfg)
 	h := fnv.New64a()
 	h.Write(rec.Snapshot(capture.Meta{Game: cfg.Game, Notes: "golden capture determinism"}).Encode())

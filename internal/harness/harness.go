@@ -59,9 +59,8 @@ type Config struct {
 	// Seed drives the netem PRNGs and the synthetic player inputs.
 	Seed int64
 
-	// BufFrame and SendInterval override the sync module's defaults (zero
-	// keeps each default).
-	BufFrame     int
+	// SendInterval overrides the sync module's send pacing (zero keeps the
+	// default).
 	SendInterval time.Duration
 
 	// StartOffset delays site 1's start (startup-skew experiments).
@@ -78,10 +77,9 @@ type Config struct {
 	AdaptiveLag bool
 
 	// RTTSwing, when positive, alternates the link between RTT and
-	// RTT+RTTSwing every SwingEvery (default 5 s) — the fluctuating
-	// network §4.2's adaptive-lag discussion worries about.
-	RTTSwing   time.Duration
-	SwingEvery time.Duration
+	// RTT+RTTSwing every swingEvery — the fluctuating network §4.2's
+	// adaptive-lag discussion worries about.
+	RTTSwing time.Duration
 
 	// Observers adds that many spectator sites (journal extension),
 	// connected to both players.
@@ -99,13 +97,17 @@ type Config struct {
 	// ARQRto is the baseline's retransmission timeout (default 200 ms).
 	ARQRto time.Duration
 
-	// Capture, when set, records every datagram both sites put on (or take
+	// bufFrame overrides the sync module's local lag (zero keeps
+	// core.DefaultBufFrame); tests sweep it.
+	bufFrame int
+
+	// tap, when set, records every datagram both sites put on (or take
 	// off) the emulated WAN into this RKCP recorder — below the ARQ layer,
 	// so the capture shows retransmissions and duplicates as they crossed
 	// the wire. Both sites' taps share the recorder, so records land in the
 	// order the virtual clock ran the sites: bit-identical captures for
 	// identical configs, on any host.
-	Capture *capture.Recorder
+	tap *capture.Recorder
 
 	// peerConn, when set, wraps every conn a site is given for a peer, on
 	// top of the whole stack (tests use it to hide optional interfaces).
@@ -124,6 +126,9 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// swingEvery is the period of an RTTSwing link's alternation.
+const swingEvery = 5 * time.Second
 
 // healthEvery is how often, in frames, site 0's health SLO engine closes and
 // grades a window: once per second of frames.
@@ -298,10 +303,6 @@ func Run(cfg Config) (*Result, error) {
 	skewHist := reg.NewHistogram(core.MetricSkewNs, nil, "per-frame cross-site begin-time skew")
 
 	if cfg.RTTSwing > 0 {
-		every := cfg.SwingEvery
-		if every <= 0 {
-			every = 5 * time.Second
-		}
 		// Each swing reshapes the installed emulators in place, so the
 		// dir=fwd|rev series keep counting for the whole run.
 		var schedule func(at time.Duration, high bool)
@@ -315,10 +316,10 @@ func Run(cfg Config) (*Result, error) {
 				rev.Seed++
 				fwdEm.Reshape(fwd)
 				revEm.Reshape(rev)
-				schedule(every, !high)
+				schedule(swingEvery, !high)
 			})
 		}
-		schedule(every, true)
+		schedule(swingEvery, true)
 	}
 
 	conn0, conn1, err := transport.SimPair(net, "site0", "site1")
@@ -328,9 +329,9 @@ func Run(cfg Config) (*Result, error) {
 	conns := []transport.Conn{conn0, conn1}
 	var arqs [2]*transport.ARQConn
 	for i := range conns {
-		if cfg.Capture != nil {
+		if cfg.tap != nil {
 			// Tap below ARQ: the capture is the wire's view, not the session's.
-			conns[i] = transport.NewTap(conns[i], v, i, cfg.Capture)
+			conns[i] = transport.NewTap(conns[i], v, i, cfg.tap)
 		}
 		if cfg.ARQ {
 			arqs[i] = transport.NewARQ(conns[i], v, cfg.ARQRto)
@@ -377,7 +378,7 @@ func Run(cfg Config) (*Result, error) {
 			Config: core.Config{
 				SiteNo:       site,
 				NumPlayers:   2,
-				BufFrame:     cfg.BufFrame,
+				BufFrame:     cfg.bufFrame,
 				SendInterval: cfg.SendInterval,
 				WaitTimeout:  DefaultTimeout,
 			},

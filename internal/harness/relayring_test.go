@@ -28,7 +28,7 @@ func relayedSync(tb testing.TB, frames int) [][]byte {
 		MeanBurst: fwd.MeanBurst,
 		Frames:    frames,
 		Seed:      1,
-		Capture:   rec,
+		tap:       rec,
 	}
 	if _, err := Run(cfg); err != nil {
 		tb.Fatal(err)

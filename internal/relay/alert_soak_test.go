@@ -72,7 +72,7 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 		},
 		CaptureLimit:       1,
 		CaptureEvery:       time.Hour,
-		DisableFlipCapture: true,
+		disableFlipCapture: true,
 		OnCapture:          func(ac AnomalyCapture) { captured.Store(ac.Token) },
 	})
 	if err != nil {

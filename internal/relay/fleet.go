@@ -55,12 +55,12 @@ type FleetConfig struct {
 	// goroutine (relayd writes the .rkcp file here). Nil disables
 	// snapshotting but still counts flips.
 	OnCapture func(AnomalyCapture)
-	// DisableFlipCapture stops per-session verdict flips from triggering
+	// disableFlipCapture stops per-session verdict flips from triggering
 	// captures; CaptureBurning (driven by a burn-rate alert firing) becomes
-	// the only capture trigger. Flips are still counted. Use when an alert
-	// engine owns the capture decision, so a fleet-wide incident yields one
-	// representative bundle instead of a bundle per flipped session.
-	DisableFlipCapture bool
+	// the only capture trigger. Flips are still counted. The soaks set it,
+	// so a fleet-wide incident yields one representative bundle instead of
+	// a bundle per flipped session.
+	disableFlipCapture bool
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -254,7 +254,7 @@ func (f *Fleet) Tick(now time.Time) FleetSummary {
 			case v > prev && v >= obs.Degraded:
 				fs.flips++
 				f.flips++
-				if !f.cfg.DisableFlipCapture {
+				if !f.cfg.disableFlipCapture {
 					f.maybeCapture(fs, ref, now, v)
 				}
 			case fs.wantCapture && v >= obs.Degraded:

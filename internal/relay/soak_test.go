@@ -108,7 +108,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		},
 		CaptureLimit:       1,
 		CaptureEvery:       time.Hour,
-		DisableFlipCapture: true,
+		disableFlipCapture: true,
 		OnCapture: func(ac AnomalyCapture) {
 			capMu.Lock()
 			bundles = append(bundles, ac)

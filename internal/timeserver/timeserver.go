@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -36,12 +37,18 @@ func EncodeReport(site, frame int) []byte {
 	return buf
 }
 
-// DecodeReport parses a report datagram.
+// DecodeReport parses a report datagram. A frame number of 2^31 or more is
+// malformed: it would turn negative in a 32-bit int, so the answer would
+// depend on the architecture.
 func DecodeReport(p []byte) (site, frame int, err error) {
 	if len(p) != reportLen || p[0] != msgReport {
 		return 0, 0, fmt.Errorf("timeserver: malformed report (%d bytes)", len(p))
 	}
-	return int(p[1]), int(binary.LittleEndian.Uint32(p[2:])), nil
+	f := binary.LittleEndian.Uint32(p[2:])
+	if f > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("timeserver: malformed report (frame %d past 2^31-1)", f)
+	}
+	return int(p[1]), int(f), nil
 }
 
 // Sample is one timestamped frame-begin report.

@@ -26,6 +26,24 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeReportFrameBound: frame 2^31-1 decodes, frame 2^31 is
+// malformed. Before the bound, 2^31 decoded to 2^31 on 64-bit hosts and to
+// -2^31 on 32-bit ones, where it sorted before every other frame.
+func TestDecodeReportFrameBound(t *testing.T) {
+	top := []byte{msgReport, 1, 0xFF, 0xFF, 0xFF, 0x7F}
+	if site, frame, err := DecodeReport(top); err != nil || site != 1 || frame != 1<<31-1 {
+		t.Errorf("frame 2^31-1: got %d/%d/%v, want 1/%d/nil", site, frame, err, 1<<31-1)
+	}
+	for _, raw := range [][]byte{
+		{msgReport, 1, 0x00, 0x00, 0x00, 0x80}, // 2^31
+		{msgReport, 1, 0xFF, 0xFF, 0xFF, 0xFF}, // 2^32-1
+	} {
+		if _, frame, err := DecodeReport(raw); err == nil {
+			t.Errorf("report %x accepted as frame %d, want malformed", raw, frame)
+		}
+	}
+}
+
 func TestDuplicateReportsKeepFirst(t *testing.T) {
 	r := newRecorder()
 	t0 := epoch

@@ -57,7 +57,7 @@ func TestRunScheduleDigest(t *testing.T) {
 				Measure:  500 * time.Millisecond,
 				Drain:    100 * time.Millisecond,
 				Capture:  client,
-				RelayTap: relayTap,
+				relayTap: relayTap,
 			})
 			if err != nil {
 				t.Fatal(err)

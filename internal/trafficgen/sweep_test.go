@@ -2,50 +2,36 @@ package trafficgen
 
 import (
 	"fmt"
-	"time"
 
 	"retrolock/internal/netem"
 	"retrolock/internal/obs"
 )
 
-// SweepConfig runs the same session model against a list of link profiles.
-type SweepConfig struct {
-	Model                  Model
-	Profiles               []string // default: every named profile, in sorted order
-	Shards                 int
-	Warmup, Measure, Drain time.Duration
-}
-
-// Sweep executes one virtual-time run per profile (a fresh emulated world
-// each time, so profiles cannot bleed into each other) and renders the
-// per-profile QoE verdict table. Deterministic: same config, same bytes.
-func Sweep(cfg SweepConfig) ([]*Result, *obs.Table, error) {
-	profiles := cfg.Profiles
+// sweep executes base once per profile (every named profile when none is
+// given, in sorted order), a fresh emulated world each time so profiles
+// cannot bleed into each other, and renders the per-profile QoE verdict
+// table `make qoe` compares. Deterministic: same config, same bytes.
+func sweep(base RunConfig, profiles ...string) ([]*Result, *obs.Table, error) {
 	if len(profiles) == 0 {
 		profiles = netem.Profiles()
 	}
 	results := make([]*Result, 0, len(profiles))
 	for _, p := range profiles {
-		r, err := Run(RunConfig{
-			Model:   cfg.Model,
-			Profile: p,
-			Shards:  cfg.Shards,
-			Warmup:  cfg.Warmup,
-			Measure: cfg.Measure,
-			Drain:   cfg.Drain,
-		})
+		cfg := base
+		cfg.Profile = p
+		r, err := Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("trafficgen: profile %q: %w", p, err)
 		}
 		results = append(results, r)
 	}
-	return results, VerdictTable(results), nil
+	return results, verdictTable(results), nil
 }
 
-// VerdictTable renders per-profile QoE verdicts. Every figure is derived
+// verdictTable renders per-profile QoE verdicts. Every figure is derived
 // with integer arithmetic from histogram bucket bounds and counters, so the
 // rendered bytes are reproducible and safe to check in as a CI baseline.
-func VerdictTable(rs []*Result) *obs.Table {
+func verdictTable(rs []*Result) *obs.Table {
 	t := &obs.Table{Header: []string{
 		"profile", "sessions", "healthy", "degraded", "infeasible",
 		"delivery", "lat-p50", "lat-p95", "lat-p99",
@@ -57,13 +43,21 @@ func VerdictTable(rs []*Result) *obs.Table {
 			permille(r.Healthy, r.Sessions),
 			permille(r.Degraded, r.Sessions),
 			permille(r.Infeasible, r.Sessions),
-			basisPoints(r.DeliveryBp()),
+			basisPoints(deliveryBp(r)),
 			latencyMs(r.Latency, 0.50),
 			latencyMs(r.Latency, 0.95),
 			latencyMs(r.Latency, 0.99),
 		)
 	}
 	return t
+}
+
+// deliveryBp is r's delivery rate in basis points (9997 = 99.97%).
+func deliveryBp(r *Result) int64 {
+	if r.Sent == 0 {
+		return 10000
+	}
+	return r.Recv * 10000 / r.Sent
 }
 
 // permille renders n/total as a percentage with one decimal ("98.4%").

@@ -5,10 +5,10 @@
 //
 // The paper's evaluation (§4) measures a handful of sessions on a physical
 // testbed; this package is the scaled-up, repeatable version of that
-// experiment. Every run (Run, Sweep) executes in virtual time and
-// deterministically: the same model and seed produce bit-identical verdict
-// tables, which is what lets CI diff a QoE sweep against a checked-in
-// baseline. Load over real sockets and the wall clock is the benchmark's
+// experiment. Every Run executes in virtual time and deterministically:
+// the same model and seed produce bit-identical results, which is what lets
+// `make qoe` diff a sweep of runs over every link profile against a
+// checked-in verdict table. Load over real sockets and the wall clock is the benchmark's
 // relay_udp_* workloads' job (bench/), not this package's.
 //
 // Sessions speak the relay's native datagram format (token prefix + site
@@ -145,9 +145,9 @@ type RunConfig struct {
 	// Capture, when set, records the client-side view of the run: every
 	// generator send and delivery, relay prefix included.
 	Capture *capture.Recorder
-	// RelayTap, when set, is installed as the daemon's capture tap
+	// relayTap, when set, is installed as the daemon's capture tap
 	// (relay.Config.Tap) — the relay-side view of the same traffic.
-	RelayTap *capture.Recorder
+	relayTap *capture.Recorder
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -191,14 +191,6 @@ type Result struct {
 	Registry *obs.Registry
 	// Elapsed is the run duration on the run's own clock.
 	Elapsed time.Duration
-}
-
-// DeliveryBp is the delivery rate in basis points (9997 = 99.97%).
-func (r *Result) DeliveryBp() int64 {
-	if r.Sent == 0 {
-		return 10000
-	}
-	return r.Recv * 10000 / r.Sent
 }
 
 // driverTick is the generator actors' wake cadence. Sessions' modeled send
@@ -344,7 +336,7 @@ func newEngine(cfg RunConfig) (*engine, error) {
 		SessionTTL:  time.Hour,
 		Clock:       v,
 		Seed:        cfg.Model.Seed,
-		Tap:         cfg.RelayTap,
+		Tap:         cfg.relayTap,
 	}, fronts)
 	if err != nil {
 		return nil, err

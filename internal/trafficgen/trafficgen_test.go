@@ -24,8 +24,8 @@ var (
 // and the `make qoe` CI gate: ≥1k modeled sessions swept over every named
 // profile, with think-time and churn active. Change it only together with
 // the baseline file.
-func baselineSweep() SweepConfig {
-	return SweepConfig{
+func baselineSweep() RunConfig {
+	return RunConfig{
 		Model: Model{
 			Sessions:      1024,
 			Drivers:       16,
@@ -50,7 +50,7 @@ func baselineSweep() SweepConfig {
 // like any golden change. On failure the table (and, when RETROLOCK_QOE_DIR
 // is set, capture artifacts) is written out for CI upload.
 func TestQoESweepMatchesBaseline(t *testing.T) {
-	results, table, err := Sweep(baselineSweep())
+	results, table, err := sweep(baselineSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func writeFailureArtifacts(t *testing.T, got, want string) {
 		Profile:  "wifi",
 		Measure:  500 * time.Millisecond,
 		Capture:  client,
-		RelayTap: relayTap,
+		relayTap: relayTap,
 	})
 	if err != nil {
 		t.Logf("qoe artifacts: capture run: %v", err)
@@ -127,7 +127,7 @@ func writeFailureArtifacts(t *testing.T, got, want string) {
 // process and requires bit-identical verdict tables, aggregate histograms
 // and counters — the property that makes the golden baseline meaningful.
 func TestQoESweepDeterministicRerun(t *testing.T) {
-	cfg := SweepConfig{
+	cfg := RunConfig{
 		Model: Model{
 			Sessions: *qoeSessions,
 			Drivers:  8,
@@ -135,17 +135,17 @@ func TestQoESweepDeterministicRerun(t *testing.T) {
 			Churn:    ChurnModel{LeaveEvery: 2 * time.Second, DownFor: 300 * time.Millisecond},
 			Seed:     11,
 		},
-		Profiles: []string{"wifi", "transcontinental"},
-		Shards:   8,
-		Warmup:   400 * time.Millisecond,
-		Measure:  800 * time.Millisecond,
-		Drain:    300 * time.Millisecond,
+		Shards:  8,
+		Warmup:  400 * time.Millisecond,
+		Measure: 800 * time.Millisecond,
+		Drain:   300 * time.Millisecond,
 	}
-	r1, t1, err := Sweep(cfg)
+	profiles := []string{"wifi", "transcontinental"}
+	r1, t1, err := sweep(cfg, profiles...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, t2, err := Sweep(cfg)
+	r2, t2, err := sweep(cfg, profiles...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +176,12 @@ func summary(r *Result) map[string]int64 {
 // wifi through lte to transcontinental, with wifi mostly healthy and
 // transcontinental mostly infeasible through a relay.
 func TestQoEVerdictsOrderByProfile(t *testing.T) {
-	results, _, err := Sweep(SweepConfig{
-		Model:    Model{Sessions: 96, Drivers: 8, Seed: 3},
-		Profiles: []string{"wifi", "lte", "transcontinental"},
-		Shards:   8,
-		Warmup:   400 * time.Millisecond,
-		Measure:  800 * time.Millisecond,
-	})
+	results, _, err := sweep(RunConfig{
+		Model:   Model{Sessions: 96, Drivers: 8, Seed: 3},
+		Shards:  8,
+		Warmup:  400 * time.Millisecond,
+		Measure: 800 * time.Millisecond,
+	}, "wifi", "lte", "transcontinental")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestRelayViewRepeats(t *testing.T) {
 			Warmup:   100 * time.Millisecond,
 			Measure:  300 * time.Millisecond,
 			Drain:    100 * time.Millisecond,
-			RelayTap: rec,
+			relayTap: rec,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,8 +10,6 @@
 //     baseline the paper argues against in §3.1 ("As a reliable transport,
 //     TCP solves those problems. However, it is problematic in satisfying
 //     the real time constraint").
-//   - TCP: a real TCP stream carrying length-prefixed datagrams, the live
-//     counterpart of ARQ.
 //
 // All connections are message-oriented and connected to a single peer.
 // Receiving never blocks: a blocked SyncInput polls TryRecv, mirroring the

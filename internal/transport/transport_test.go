@@ -362,63 +362,6 @@ func TestWrappersReportAndCloseTheirInnerConn(t *testing.T) {
 	}
 }
 
-func TestTCPConnLoopback(t *testing.T) {
-	type result struct {
-		conn *TCPConn
-		err  error
-	}
-	ln := make(chan result, 1)
-	// Grab a free port first.
-	probe, err := DialUDP("127.0.0.1:0", "127.0.0.1:1")
-	if err != nil {
-		t.Skipf("loopback unavailable: %v", err)
-	}
-	addr := probe.LocalAddr()
-	probe.Close()
-
-	go func() {
-		c, err := ListenTCP(addr)
-		ln <- result{c, err}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	client, err := DialTCP(addr)
-	if err != nil {
-		t.Fatalf("DialTCP: %v", err)
-	}
-	defer client.Close()
-	res := <-ln
-	if res.err != nil {
-		t.Fatalf("ListenTCP: %v", res.err)
-	}
-	server := res.conn
-	defer server.Close()
-	if client.LocalAddr() != server.RemoteAddr() || client.RemoteAddr() != server.LocalAddr() {
-		t.Errorf("ends disagree: client %s -> %s, server %s -> %s",
-			client.LocalAddr(), client.RemoteAddr(), server.LocalAddr(), server.RemoteAddr())
-	}
-
-	msgs := [][]byte{[]byte("a"), []byte("bb"), bytes.Repeat([]byte{0xEE}, 1500)}
-	for _, m := range msgs {
-		if err := client.Send(m); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for i := 0; i < len(msgs); {
-		if p, ok := server.TryRecv(); ok {
-			if !bytes.Equal(p, msgs[i]) {
-				t.Fatalf("message %d mismatch (%d bytes vs %d)", i, len(p), len(msgs[i]))
-			}
-			i++
-			continue
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for message %d", i)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // A Notifier stack rings on every datagram its bottom conn queues, inside
 // the delivery event, and reports the earliest ARQ retransmission as its
 // timer. Any layer that cannot answer — a conn that is not a Notifier, a
