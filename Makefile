@@ -165,11 +165,13 @@ bench-smoke:
 # And the knob census (TestEveryKnobIsTurned): with bench/ loaded as a
 # second module, it fails on an exported field of an internal/ *Config,
 # *Options, *Spec, *Params or *Model struct that no non-test code of the
-# main module assigns, and on a cmd/ flag that no command line in README.md,
-# EXPERIMENTS.md, docs/, this Makefile, CI or the command's own tests
-# passes, unless testdata/knobs.txt names it with a reason.
+# main module assigns outside the field's own package's withDefaults (a
+# default nothing overrides is a constant; TestKnobCensusRule checks the
+# rule on a synthetic module), and on a cmd/ flag that no command line in
+# README.md, EXPERIMENTS.md, docs/, this Makefile, CI or the command's own
+# tests passes, unless testdata/knobs.txt names it with a reason.
 deadcode:
-	$(GO) test -tags deadcode -run 'TestEveryInternalFuncIsLinked|TestNoFieldIsWriteOnly|TestEveryKnobIsTurned' -count 1 -v .
+	$(GO) test -tags deadcode -run 'TestEveryInternalFuncIsLinked|TestNoFieldIsWriteOnly|TestEveryKnobIsTurned|TestKnobCensusRule' -count 1 -v .
 
 # The run census: what the gates run. TestEveryInternalFuncRuns (repo root,
 # build tag runcensus) collects coverage of internal/ from tier-1 (built
@@ -234,9 +236,13 @@ paper-update:
 	done
 
 # Static analysis beyond go vet, after a formatting gate: any source file
-# gofmt would rewrite fails it. Staticcheck is fetched on demand — CI runs
-# this; locally it needs network the first time.
+# gofmt would rewrite fails it. The census tests build only under their
+# tags, so go vet ./... never compiles them; the two tagged vets do.
+# Staticcheck is fetched on demand — CI runs this; locally it needs network
+# the first time.
 lint:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	$(GO) vet -tags deadcode .
+	$(GO) vet -tags runcensus .
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@2024.1.1 ./...

@@ -308,9 +308,7 @@ func BenchmarkSyncHotPathFlight(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Hash exchange off: the digest broadcast legitimately allocates its
-		// message; RecordFrame still sees every frame's hash.
-		s, err := core.NewSession(core.Config{SiteNo: site, HashInterval: -1}, clk, clk.Now(),
+		s, err := core.NewSession(core.Config{SiteNo: site}, clk, clk.Now(),
 			console, []core.Peer{{Site: 1 - site, Conn: conns[site]}})
 		if err != nil {
 			b.Fatal(err)
@@ -318,7 +316,7 @@ func BenchmarkSyncHotPathFlight(b *testing.B) {
 		s.SetObs(core.NewSessionObs(reg, site, 1<<14, clk.Now()))
 		rec := flight.NewRecorder(console, flight.Options{
 			Site: site, Game: "pong", ROM: image, Config: s.Sync().Config(),
-			SnapEvery: 1, Snapshots: 4, Registry: reg,
+			SnapEvery: 1, Registry: reg,
 		})
 		s.SetFlightRecorder(rec)
 		sessions[site] = s

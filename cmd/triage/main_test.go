@@ -26,7 +26,7 @@ func writeBundle(t *testing.T, dir string, site, last, pokeFrame int, addr uint1
 	}
 	rec := flight.NewRecorder(console, flight.Options{
 		Site: site, Game: "pong", ROM: game.Encode(),
-		Config: core.Config{NumPlayers: 2, BufFrame: 6, CFPS: 60, HashInterval: 60},
+		Config: core.Config{NumPlayers: 2, BufFrame: 6},
 		Dir:    dir,
 	})
 	for f := 0; f <= last; f++ {

@@ -98,14 +98,13 @@ type Scenario struct {
 	// mode). The freshest events survive in Report.Traces; zero disables
 	// tracing entirely.
 	TraceEvents int
-	// HealthEvery, when positive, runs the health SLO engine on site 0,
-	// evaluating one window every HealthEvery frames. Transitions land in
-	// Report.Health with the frame they were detected at — deterministic
-	// under virtual time, so a scenario asserts exact flip frames.
+	// HealthEvery, when positive, runs the health SLO engine over site 0's
+	// RTT histogram, evaluating one window every HealthEvery frames. The
+	// engine's other signals have no source and abstain, so the verdict
+	// follows the link RTT alone. Transitions land in Report.Health with
+	// the frame they were detected at — deterministic under virtual time,
+	// so a scenario asserts exact flip frames.
 	HealthEvery int
-	// Health overrides the engine's thresholds (nil = obs defaults). Only
-	// read when HealthEvery > 0.
-	Health *obs.HealthConfig
 	// Corrupt injects a single-byte state corruption into one site's
 	// machine mid-session — a synthetic determinism bug that exercises the
 	// hash-exchange divergence detector and the flight-recorder triage
@@ -458,11 +457,7 @@ func Run(sc Scenario) (*Report, error) {
 	var healthTrans []HealthTransition
 	healthFrame := 0
 	if sc.HealthEvery > 0 {
-		hcfg := obs.HealthConfig{}
-		if sc.Health != nil {
-			hcfg = *sc.Health
-		}
-		health = sites[0].NewHealth(hcfg)
+		health = obs.NewHealth(obs.HealthConfig{}, obs.HealthSources{RTT: sites[0].Obs.RTT})
 		health.OnTransition = func(from, to obs.HealthState) {
 			healthTrans = append(healthTrans, HealthTransition{Frame: healthFrame, From: from, To: to})
 		}

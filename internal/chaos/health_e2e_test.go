@@ -13,25 +13,15 @@ import (
 // rttRamp is the ISSUE's acceptance scenario: a clean warm-up, then the link
 // RTT ramps to ~100 ms (inside the paper's warning band), then past the
 // ~140 ms feasibility cliff to ~200 ms, then heals. The health engine runs
-// on site 0 every 2 s of frames. The non-RTT thresholds are pushed out of
-// reach so the test isolates the RTT signal: under a 200 ms RTT the skew and
-// frame-time signals would also (correctly) trip, but then the flip frames
-// would depend on which signal crosses first.
+// on site 0 every 2 s of frames and grades the RTT signal alone: under a
+// 200 ms RTT the skew and frame-time signals would also (correctly) trip,
+// but then the flip frames would depend on which signal crosses first.
 func rttRamp(seed int64, frames int) chaos.Scenario {
-	far := 24 * time.Hour
 	return chaos.Scenario{
 		Name:        "rtt-ramp",
 		Seed:        seed,
 		Frames:      frames,
 		HealthEvery: 120, // one window per 2 s of frames
-		Health: &obs.HealthConfig{
-			SkewDegraded:          far,
-			SkewInfeasible:        2 * far,
-			FrameDegradedMargin:   far,
-			FrameInfeasibleMargin: 2 * far,
-			RetransDegraded:       1e9,
-			RetransInfeasible:     2e9,
-		},
 		Phases: []chaos.Phase{
 			// ~20 ms RTT: median bucket bound 33.5 ms, well under the
 			// 112 ms warning band -> healthy.
@@ -52,7 +42,7 @@ func rttRamp(seed int64, frames int) chaos.Scenario {
 				AB:           &netem.Config{Delay: 100 * time.Millisecond},
 				BA:           &netem.Config{Delay: 100 * time.Millisecond},
 				WantProgress: true},
-			// Healed tail: RecoverAfter (3) consecutive healthy windows
+			// Healed tail: three (recoverAfter) consecutive healthy windows
 			// must walk the verdict back to healthy.
 			{Name: "heal",
 				AB:           &netem.Config{Delay: 10 * time.Millisecond},
@@ -96,7 +86,7 @@ func TestHealthRTTRampE2E(t *testing.T) {
 
 	// The flips must land on evaluation frames inside the right phases.
 	// Phases start at frames ~600 / ~1200 / ~1800; each flip needs one
-	// full bad window after the boundary, and recovery needs RecoverAfter
+	// full bad window after the boundary, and recovery needs three
 	// healthy windows after the heal.
 	checkFrame := func(i int, lo, hi int) {
 		f := r.Health[i].Frame

@@ -18,10 +18,11 @@
 //     it, so a startup offset is smoothed out instead of penalizing the
 //     earlier site forever.
 //
-// Beyond the paper's two-site algorithm, the package implements the journal
-// version's extensions (§6): N players with disjoint input masks, observer
-// (spectator) sites that receive all inputs but contribute none, and late
-// joiners bootstrapped from a chunked savestate transfer.
+// Beyond the paper's two-site algorithm, the package implements two of the
+// journal version's extensions (§6): observer (spectator) sites that
+// receive all inputs but contribute none, and late joiners bootstrapped
+// from a chunked savestate transfer. A session has exactly two players, the
+// paper's system.
 package core
 
 import (
@@ -58,6 +59,14 @@ const (
 	DefaultSendInterval = 20 * time.Millisecond
 )
 
+// timePerFrame is 1/DefaultCFPS: every site runs the paper's constant 60
+// FPS.
+const timePerFrame = time.Second / DefaultCFPS
+
+// playerMasks[k] is SET[k], the input bits player k controls: the two-pad
+// split of the 16-bit input word.
+var playerMasks = [2]uint16{0x00FF, 0xFF00}
+
 // pollInterval is how often a blocked wait re-checks for arrivals, modelling
 // the consumer thread's scheduling quantum. On a vclock.Virtual whose every
 // peer conn stack is a transport.Notifier, SyncInput keeps this grid but
@@ -74,17 +83,13 @@ var ErrWaitTimeout = errors.New("core: timed out waiting for remote inputs")
 
 // Config describes one site of a session.
 type Config struct {
-	// SiteNo identifies this site. Sites 0..NumPlayers-1 are players;
-	// higher numbers are observers. Site 0 is the timing master.
+	// SiteNo identifies this site. Sites 0 and 1 are players; higher
+	// numbers are observers. Site 0 is the timing master.
 	SiteNo int
 
-	// NumPlayers is the number of input-contributing sites. The paper's
-	// system is NumPlayers = 2.
+	// NumPlayers is the number of input-contributing sites. Zero selects
+	// the paper's 2, the only value accepted.
 	NumPlayers int
-
-	// Masks[k] is SET[k]: the input bits player k controls. Masks must be
-	// disjoint. Nil defaults to the two-pad split {0x00FF, 0xFF00}.
-	Masks []uint16
 
 	// BufFrame is the local lag in frames (paper: 6 ≈ 100 ms at 60 FPS).
 	// Zero selects the default; a negative value means an explicit zero
@@ -92,19 +97,11 @@ type Config struct {
 	// prediction instead of delay).
 	BufFrame int
 
-	// CFPS is the constant target frame rate (paper: 60).
-	CFPS int
-
 	// SendInterval is the outbound message pacing (paper §4.2: 20 ms).
 	SendInterval time.Duration
 
 	// WaitTimeout bounds a single SyncInput wait. Zero waits forever.
 	WaitTimeout time.Duration
-
-	// HashInterval is how often (in frames) sites exchange machine-state
-	// digests to detect replica divergence. Zero uses
-	// DefaultHashInterval; negative disables the exchange.
-	HashInterval int
 
 	// StartFrame is the first frame this site executes (0 for sites
 	// present from the beginning; the snapshot frame for late joiners).
@@ -116,52 +113,27 @@ func (c Config) withDefaults() Config {
 	if c.NumPlayers == 0 {
 		c.NumPlayers = 2
 	}
-	if c.Masks == nil {
-		c.Masks = []uint16{0x00FF, 0xFF00}
-	}
 	if c.BufFrame == 0 {
 		c.BufFrame = DefaultBufFrame
 	} else if c.BufFrame < 0 {
 		c.BufFrame = 0 // explicit zero lag
 	}
-	if c.CFPS == 0 {
-		c.CFPS = DefaultCFPS
-	}
 	if c.SendInterval == 0 {
 		c.SendInterval = DefaultSendInterval
-	}
-	if c.HashInterval == 0 {
-		c.HashInterval = DefaultHashInterval
 	}
 	return c
 }
 
 // validate reports configuration errors.
 func (c Config) validate() error {
-	if c.NumPlayers < 1 {
-		return fmt.Errorf("core: NumPlayers %d < 1", c.NumPlayers)
-	}
-	if len(c.Masks) != c.NumPlayers {
-		return fmt.Errorf("core: %d masks for %d players", len(c.Masks), c.NumPlayers)
-	}
-	var union uint16
-	for k, m := range c.Masks {
-		if m == 0 {
-			return fmt.Errorf("core: player %d has an empty input mask", k)
-		}
-		if union&m != 0 {
-			return fmt.Errorf("core: input masks overlap at player %d (SET[j] ∩ SET[k] must be empty)", k)
-		}
-		union |= m
+	if c.NumPlayers != len(playerMasks) {
+		return fmt.Errorf("core: NumPlayers %d, want %d", c.NumPlayers, len(playerMasks))
 	}
 	if c.SiteNo < 0 {
 		return fmt.Errorf("core: negative SiteNo %d", c.SiteNo)
 	}
 	if c.BufFrame < 0 {
 		return fmt.Errorf("core: negative BufFrame %d", c.BufFrame)
-	}
-	if c.CFPS <= 0 {
-		return fmt.Errorf("core: CFPS %d <= 0", c.CFPS)
 	}
 	if c.StartFrame < 0 {
 		return fmt.Errorf("core: negative StartFrame %d", c.StartFrame)
@@ -171,11 +143,6 @@ func (c Config) validate() error {
 
 // IsObserver reports whether this site only watches (contributes no input).
 func (c Config) IsObserver() bool { return c.SiteNo >= c.NumPlayers }
-
-// TimePerFrame is 1/CFPS.
-func (c Config) TimePerFrame() time.Duration {
-	return time.Second / time.Duration(c.CFPS)
-}
 
 // Peer is a remote site: its id and the connection to it.
 type Peer struct {

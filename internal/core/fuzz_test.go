@@ -103,9 +103,9 @@ func FuzzDecodeSnapChunk(f *testing.F) {
 // re-encodes to the raw datagram, so a desync report names the sender,
 // frame and hash that were sent.
 func FuzzDecodeHash(f *testing.F) {
-	f.Add(encodeHash(1, 600, 0xdeadbeefcafef00d))
-	f.Add(encodeHash(0, -1, 0))
-	f.Add(encodeHash(255, math.MaxInt32, math.MaxUint64))
+	f.Add(appendHash(nil, 1, 600, 0xdeadbeefcafef00d))
+	f.Add(appendHash(nil, 0, -1, 0))
+	f.Add(appendHash(nil, 255, math.MaxInt32, math.MaxUint64))
 	f.Add([]byte{msgHash})
 	f.Add([]byte{})
 
@@ -114,7 +114,7 @@ func FuzzDecodeHash(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if re := encodeHash(sender, frame, hash); !bytes.Equal(re, raw) {
+		if re := appendHash(nil, sender, frame, hash); !bytes.Equal(re, raw) {
 			t.Fatalf("re-encode differs from raw:\n  raw %x\n  re  %x", raw, re)
 		}
 	})

@@ -37,8 +37,9 @@ func (e *DivergenceError) Error() string {
 // hashLog tracks own digests and pending remote digests.
 type hashLog struct {
 	interval int
-	own      map[int]uint64 // frame -> our digest (bounded ring)
-	ownOrder []int
+	own      map[int]uint64   // frame -> our digest, the last hashHistory
+	ownOrder [hashHistory]int // own's frames, oldest at ownNext once full
+	ownNext  int
 	pending  map[int][2]uint64 // frame -> {site, digest} awaiting our hash
 	failure  *DivergenceError
 }
@@ -56,12 +57,12 @@ func (l *hashLog) record(frame int, hash uint64) {
 	if frame%l.interval != 0 {
 		return
 	}
-	l.own[frame] = hash
-	l.ownOrder = append(l.ownOrder, frame)
-	if len(l.ownOrder) > hashHistory {
-		delete(l.own, l.ownOrder[0])
-		l.ownOrder = l.ownOrder[1:]
+	if len(l.own) == hashHistory {
+		delete(l.own, l.ownOrder[l.ownNext])
 	}
+	l.own[frame] = hash
+	l.ownOrder[l.ownNext] = frame
+	l.ownNext = (l.ownNext + 1) % hashHistory
 	if p, ok := l.pending[frame]; ok {
 		delete(l.pending, frame)
 		l.compare(frame, int(p[0]), p[1], hash)
@@ -109,13 +110,11 @@ const (
 	hashMsgLen = 14
 )
 
-func encodeHash(sender, frame int, hash uint64) []byte {
-	buf := make([]byte, hashMsgLen)
-	buf[0] = msgHash
-	buf[1] = byte(sender)
-	binary.LittleEndian.PutUint32(buf[2:], uint32(int32(frame)))
-	binary.LittleEndian.PutUint64(buf[6:], hash)
-	return buf
+// appendHash appends the digest message to buf.
+func appendHash(buf []byte, sender, frame int, hash uint64) []byte {
+	buf = append(buf, msgHash, byte(sender))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(frame)))
+	return binary.LittleEndian.AppendUint64(buf, hash)
 }
 
 func decodeHash(p []byte) (sender, frame int, hash uint64, err error) {

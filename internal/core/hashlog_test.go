@@ -9,7 +9,7 @@ import (
 )
 
 func TestHashMsgRoundTrip(t *testing.T) {
-	sender, frame, hash, err := decodeHash(encodeHash(1, 1234, 0xDEADBEEFCAFEBABE))
+	sender, frame, hash, err := decodeHash(appendHash(nil, 1, 1234, 0xDEADBEEFCAFEBABE))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestHashMsgRoundTrip(t *testing.T) {
 	if _, _, _, err := decodeHash([]byte{msgHash, 1}); err == nil {
 		t.Error("short hash message accepted")
 	}
-	bad := encodeHash(0, 0, 0)
+	bad := appendHash(nil, 0, 0, 0)
 	bad[0] = 0xAA
 	if _, _, _, err := decodeHash(bad); err == nil {
 		t.Error("wrong type accepted")
@@ -103,7 +103,7 @@ func TestSessionDetectsDivergence(t *testing.T) {
 	for site := 0; site < 2; site++ {
 		site := site
 		m := &nonDeterministicMachine{site: site}
-		s, err := NewSession(Config{SiteNo: site, WaitTimeout: 10 * time.Second, HashInterval: 20},
+		s, err := NewSession(Config{SiteNo: site, WaitTimeout: 10 * time.Second},
 			env.v, epoch, m, []Peer{{Site: 1 - site, Conn: env.conns[site]}})
 		if err != nil {
 			t.Fatal(err)
@@ -134,42 +134,12 @@ func TestSessionDetectsDivergence(t *testing.T) {
 
 func TestSessionNoFalseDivergence(t *testing.T) {
 	env := newTwoSiteEnv(t, 50*time.Millisecond, 0.05)
-	ses, _ := runPair(t, env, 300, Config{SiteNo: 0, WaitTimeout: 10 * time.Second, HashInterval: 15},
-		Config{SiteNo: 1, WaitTimeout: 10 * time.Second, HashInterval: 15},
+	ses, _ := runPair(t, env, 300, Config{SiteNo: 0, WaitTimeout: 10 * time.Second},
+		Config{SiteNo: 1, WaitTimeout: 10 * time.Second},
 		func(site, frame int) uint16 { return uint16(frame) & 0xFF << (8 * site) })
 	for site, s := range ses {
 		if err := s.Diverged(); err != nil {
 			t.Errorf("site %d false divergence: %v", site, err)
-		}
-	}
-}
-
-func TestHashCheckDisabled(t *testing.T) {
-	env := newTwoSiteEnv(t, 30*time.Millisecond, 0)
-	// HashInterval -1 disables the exchange; even diverging machines run
-	// to completion (convergence can still be checked externally).
-	errs := [2]error{}
-	var actors [2]func()
-	for site := 0; site < 2; site++ {
-		site := site
-		m := &nonDeterministicMachine{site: site}
-		s, err := NewSession(Config{SiteNo: site, WaitTimeout: 10 * time.Second, HashInterval: -1},
-			env.v, epoch, m, []Peer{{Site: 1 - site, Conn: env.conns[site]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Diverged() != nil {
-			t.Fatal("Diverged() non-nil with detection disabled")
-		}
-		actors[site] = func() {
-			errs[site] = s.RunFrames(200, func(int) uint16 { return 0 }, nil)
-			s.Drain(time.Second)
-		}
-	}
-	goAll(env.v, actors[:]...)
-	for site, err := range errs {
-		if err != nil {
-			t.Fatalf("site %d: %v (hash check should be off)", site, err)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"retrolock/internal/vclock"
 )
 
-// InputSync implements Algorithm 2 (SyncInput) generalized from two sites to
-// N players plus observers. For the paper's two-site configuration the code
-// paths reduce exactly to the published pseudocode:
+// InputSync implements Algorithm 2 (SyncInput) for the paper's two players,
+// extended with observers. Between the two players the code paths reduce
+// exactly to the published pseudocode:
 //
 //   - IBuf            -> ibuf (a bounded ring window instead of the paper's
 //     "unlimited array"; see inputRing)
@@ -295,7 +295,7 @@ func (s *InputSync) LastRcv(site int) int {
 // (paper: IBuf[f](SET[k]) = I(SET[k])). Writes below the ring's retired
 // edge are stale retransmissions and are dropped.
 func (s *InputSync) put(f, player int, input uint16) {
-	if s.ibuf.merge(f, s.cfg.Masks[player], input) {
+	if s.ibuf.merge(f, playerMasks[player], input) {
 		if w := int64(s.ibuf.window()); w > s.stats.bufPeak.Load() {
 			s.stats.bufPeak.Store(w)
 		}
@@ -578,7 +578,7 @@ func (s *InputSync) sendTo(p *peerState, now time.Time) {
 		for f := from; f <= to; f++ {
 			word, _ := s.get(f) // unwritten early frames read as 0
 			if !forwarding {
-				word &= s.cfg.Masks[s.cfg.SiteNo]
+				word &= playerMasks[s.cfg.SiteNo]
 			}
 			m.Inputs = append(m.Inputs, word)
 		}
@@ -812,7 +812,7 @@ func (s *InputSync) RemoteFrameEstimate(k int) (frame float64, ok bool) {
 	if p, direct := s.peers[k]; direct && p.rtt.Valid() {
 		elapsed += p.rtt.Estimate() / 2
 	}
-	return float64(s.lastRcv[k]) + float64(elapsed)/float64(s.cfg.TimePerFrame()), true
+	return float64(s.lastRcv[k]) + float64(elapsed)/float64(timePerFrame), true
 }
 
 // AllAcked reports whether every peer has acknowledged this site's inputs

@@ -116,7 +116,7 @@ func NewRollbackSession(cfg Config, clock vclock.Clock, epoch time.Time, machine
 		// master/slave steering (a slave locking onto a stalled master
 		// deadlocks the prediction window); phase balance comes from
 		// timesync below instead.
-		pacer:  NewNaiveTimer(sync.Config(), clock),
+		pacer:  NewNaiveTimer(clock),
 		states: make(map[int][]byte),
 		used:   make(map[int]uint16),
 
@@ -129,7 +129,7 @@ func NewRollbackSession(cfg Config, clock vclock.Clock, epoch time.Time, machine
 // the advantage each frame, so both sites converge on the same phase
 // regardless of who started first (GGPO-style frame-advantage sync).
 func (s *RollbackSession) timesync() {
-	tpf := s.cfg.TimePerFrame()
+	tpf := timePerFrame
 	worst := 0.0
 	for k := 0; k < s.cfg.NumPlayers; k++ {
 		if k == s.cfg.SiteNo {
@@ -169,7 +169,7 @@ func (s *RollbackSession) SetObs(o *obs.SessionObs) {
 // would mean the prediction basis was lost and degrades to predicting idle.
 func (s *RollbackSession) bestInput(f int) (input uint16, predicted bool) {
 	for k := 0; k < s.cfg.NumPlayers; k++ {
-		mask := s.cfg.Masks[k]
+		mask := playerMasks[k]
 		known := s.sync.LastRcv(k)
 		switch {
 		case known >= f:

@@ -44,7 +44,8 @@ type Session struct {
 	lagSum     atomic.Int64
 
 	// Divergence detection (nil when disabled).
-	hashes *hashLog
+	hashes  *hashLog
+	hashMsg []byte // broadcastHash's reused message buffer
 
 	// Black-box flight recorder (nil when none is attached; see
 	// SetFlightRecorder). stallThreshold caches the recorder's stall
@@ -133,10 +134,8 @@ func NewSession(cfg Config, clock vclock.Clock, epoch time.Time, machine Machine
 		joiners: make(map[int]*joinTransfer),
 	}
 	s.frame.Store(int64(sync.Config().StartFrame))
-	if interval := s.cfg.HashInterval; interval > 0 {
-		s.hashes = newHashLog(interval)
-		sync.OnHash = s.hashes.remote
-	}
+	s.hashes = newHashLog(DefaultHashInterval)
+	sync.OnHash = s.hashes.remote
 	for _, o := range opts {
 		o(s)
 	}
@@ -291,15 +290,13 @@ func (s *Session) RunFrames(n int, localInput func(frame int) uint16, onFrame fu
 		if s.flight != nil {
 			s.flight.RecordFrame(frame, merged, hash, s.sync.LastWait())
 		}
-		if s.hashes != nil {
-			s.hashes.record(frame, hash)
-			if frame%s.cfg.HashInterval == 0 {
-				s.broadcastHash(frame, hash)
-			}
-			if err := s.hashes.err(); err != nil {
-				s.reportFailure(err)
-				return err
-			}
+		s.hashes.record(frame, hash)
+		if frame%DefaultHashInterval == 0 {
+			s.broadcastHash(frame, hash)
+		}
+		if err := s.hashes.err(); err != nil {
+			s.reportFailure(err)
+			return err
 		}
 		s.serveJoiners()
 		if onFrame != nil {
@@ -339,7 +336,7 @@ func (s *Session) adaptLag(frame int) {
 	if rtt == 0 {
 		return // no estimate yet
 	}
-	tpf := s.cfg.TimePerFrame()
+	tpf := timePerFrame
 	target := int((rtt/2 + a.Margin + tpf - 1) / tpf)
 	if target < a.Min {
 		target = a.Min
@@ -368,17 +365,14 @@ func (s *Session) LagStats() (changes int, avg float64) {
 }
 
 func (s *Session) broadcastHash(frame int, hash uint64) {
-	msg := encodeHash(s.cfg.SiteNo, frame, hash)
+	s.hashMsg = appendHash(s.hashMsg[:0], s.cfg.SiteNo, frame, hash)
 	for _, p := range s.sync.peerList {
-		_ = p.Conn.Send(msg)
+		_ = p.Conn.Send(s.hashMsg)
 	}
 }
 
 // Diverged returns the first detected replica divergence, if any.
 func (s *Session) Diverged() error {
-	if s.hashes == nil {
-		return nil
-	}
 	return s.hashes.err()
 }
 

@@ -24,10 +24,9 @@ type Pacer interface {
 // the master's estimated current frame, so a startup offset or transient
 // stall is smoothed out by the slave instead of oscillating forever (§3.2).
 type FrameTimer struct {
-	clock        vclock.Clock
-	timePerFrame time.Duration
-	bufFrame     int
-	master       bool
+	clock    vclock.Clock
+	bufFrame int
+	master   bool
 
 	adjust     time.Duration // AdjustTimeDelta
 	frameStart time.Time     // CurrFrameStart
@@ -37,10 +36,9 @@ type FrameTimer struct {
 func NewFrameTimer(cfg Config, clock vclock.Clock) *FrameTimer {
 	cfg = cfg.withDefaults()
 	return &FrameTimer{
-		clock:        clock,
-		timePerFrame: cfg.TimePerFrame(),
-		bufFrame:     cfg.BufFrame,
-		master:       cfg.SiteNo == 0,
+		clock:    clock,
+		bufFrame: cfg.BufFrame,
+		master:   cfg.SiteNo == 0,
 	}
 }
 
@@ -64,12 +62,12 @@ func (t *FrameTimer) BeginFrame(frame int, mv MasterView) {
 	// elapsed time since then tells how far the master has advanced.
 	sent := mv.RcvTime.Add(-mv.RTT / 2)
 	elapsed := now.Sub(sent)
-	t.adjust += time.Duration(frame-masterFrame)*t.timePerFrame - elapsed
+	t.adjust += time.Duration(frame-masterFrame)*timePerFrame - elapsed
 }
 
 // EndFrame is Algorithm 3 (EndFrameTiming).
 func (t *FrameTimer) EndFrame() {
-	end := t.frameStart.Add(t.timePerFrame + t.adjust)
+	end := t.frameStart.Add(timePerFrame + t.adjust)
 	now := t.clock.Now()
 	if end.Before(now) {
 		// The frame overran; compensate in the following frames.
@@ -88,16 +86,14 @@ func (t *FrameTimer) FrameStart() time.Time { return t.frameStart }
 // penalized: its SyncInput waits slow it down, EndFrame speeds it back up,
 // and the oscillation never settles (§3.2).
 type NaiveTimer struct {
-	clock        vclock.Clock
-	timePerFrame time.Duration
-	adjust       time.Duration
-	frameStart   time.Time
+	clock      vclock.Clock
+	adjust     time.Duration
+	frameStart time.Time
 }
 
 // NewNaiveTimer builds the baseline pacer.
-func NewNaiveTimer(cfg Config, clock vclock.Clock) *NaiveTimer {
-	cfg = cfg.withDefaults()
-	return &NaiveTimer{clock: clock, timePerFrame: cfg.TimePerFrame()}
+func NewNaiveTimer(clock vclock.Clock) *NaiveTimer {
+	return &NaiveTimer{clock: clock}
 }
 
 // BeginFrame records the start time only.
@@ -105,7 +101,7 @@ func (t *NaiveTimer) BeginFrame(int, MasterView) { t.frameStart = t.clock.Now() 
 
 // EndFrame is Algorithm 3, identical to FrameTimer.EndFrame.
 func (t *NaiveTimer) EndFrame() {
-	end := t.frameStart.Add(t.timePerFrame + t.adjust)
+	end := t.frameStart.Add(timePerFrame + t.adjust)
 	now := t.clock.Now()
 	if end.Before(now) {
 		t.adjust = end.Sub(now)

@@ -86,7 +86,7 @@ func TestFrameTimerSlaveAppliesCorrection(t *testing.T) {
 		// masterFrame = 130-6 = 124; sent at now-10ms-20ms = 30ms ago.
 		// sync = (130-124)*16.67ms - 30ms = 100ms - 30ms = +70ms.
 		got := timer.adjust
-		want := 6*cfg.TimePerFrame() - 30*time.Millisecond
+		want := 6*timePerFrame - 30*time.Millisecond
 		if got < want-time.Millisecond || got > want+time.Millisecond {
 			t.Fatalf("SyncAdjustTimeDelta = %v, want ~%v", got, want)
 		}
@@ -96,7 +96,7 @@ func TestFrameTimerSlaveAppliesCorrection(t *testing.T) {
 
 func TestNaiveTimerPacesWithoutCorrection(t *testing.T) {
 	v := vclock.NewVirtual(epoch)
-	timer := NewNaiveTimer(Config{SiteNo: 1}.withDefaults(), v)
+	timer := NewNaiveTimer(v)
 	done := v.Go(func() {
 		for f := 0; f < 30; f++ {
 			timer.BeginFrame(f, MasterView{LastRcvFrame: 999, RcvTime: v.Now(), RTT: time.Second, OK: true})
@@ -126,7 +126,7 @@ func TestNaivePenalizesEarlierSite(t *testing.T) {
 			cfg := Config{SiteNo: site, WaitTimeout: 10 * time.Second}
 			var opts []SessionOption
 			if naive {
-				opts = append(opts, WithPacer(NewNaiveTimer(cfg.withDefaults(), env.v)))
+				opts = append(opts, WithPacer(NewNaiveTimer(env.v)))
 			}
 			s, err := NewSession(cfg, env.v, epoch, &fakeMachine{}, []Peer{{Site: 1 - site, Conn: env.conns[site]}}, opts...)
 			if err != nil {

@@ -16,44 +16,44 @@ import (
 	"retrolock/internal/vm"
 )
 
-// Defaults for Options zero values.
+// The ring sizes.
 const (
-	// DefaultInputWindow is how many recent frames (input + hash) the ring
-	// retains: ~17 s at 60 FPS, comfortably spanning a DefaultHashInterval
-	// detection delay plus several snapshot periods.
-	DefaultInputWindow = 1024
+	// inputWindow is how many recent frames (input + hash) the ring
+	// retains: ~17 s at 60 FPS, comfortably spanning a
+	// core.DefaultHashInterval detection delay plus several snapshot
+	// periods.
+	inputWindow = 1024
 	// DefaultSnapEvery is the frame interval between periodic savestates
-	// (5 s at 60 FPS).
+	// (5 s at 60 FPS) when Options.SnapEvery is zero.
 	DefaultSnapEvery = 300
-	// DefaultSnapshots is how many periodic savestates are retained.
-	DefaultSnapshots = 4
-	// DefaultRemoteWindow is how many peer digests are retained.
-	DefaultRemoteWindow = 64
-	// DefaultSnapBaseEvery is the capture interval between full base images
-	// in the delta snapshot ring: one full image, then SnapBaseEvery-1
-	// dirty-page deltas, then the next full image.
-	DefaultSnapBaseEvery = 8
+	// snapshots is how many periodic savestates a bundle carries.
+	snapshots = 4
+	// remoteWindow is how many peer digests are retained.
+	remoteWindow = 64
+	// snapBaseEvery is the capture interval between full base images in
+	// the snapshot ring: one full image, then snapBaseEvery-1 dirty-page
+	// deltas, then the next full image. The ring holds snapshots +
+	// snapBaseEvery slots, so the newest snapshots captures always have
+	// their base in the ring.
+	snapBaseEvery = 8
 )
 
-// appendSaver is the allocation-free savestate surface (vm.Console provides
-// it); machines lacking it fall back to Snapshotter.Save, which allocates —
-// acceptable for test fakes, not for the production console.
-type appendSaver interface {
-	AppendSave([]byte) []byte
+// Saver is the savestate surface the recorder captures (vm.Console
+// provides it). AppendSave is a full image that leaves the delta chain
+// alone; AppendSaveBase starts the chain with a full image, and
+// AppendSaveDelta carries only the pages mutated since the previous capture
+// in the chain, in the vm's RKSD format (materialized back into full images
+// via vm.ApplyDeltaToImage). Each appends to buf, so a reused buffer makes
+// a capture allocation-free.
+type Saver interface {
+	AppendSave(buf []byte) []byte
+	AppendSaveBase(buf []byte) []byte
+	AppendSaveDelta(buf []byte) []byte
 }
 
-// deltaSaver is the dirty-page incremental savestate surface (vm.Console
-// provides it). A base capture is a full image; a delta capture carries only
-// the pages mutated since the previous capture in the chain, in the vm's
-// RKSD format (materialized back into full images via vm.ApplyDeltaToImage).
-// Machines lacking it fall back to a full savestate per slot.
-type deltaSaver interface {
-	AppendSaveBase([]byte) []byte
-	AppendSaveDelta([]byte) []byte
-}
-
-// Options configures a Recorder. The zero value is usable: bounded rings at
-// the defaults above, no auto-write directory, no stall trigger.
+// Options configures a Recorder. The zero value is usable: the rings above,
+// a savestate every DefaultSnapEvery frames, no auto-write directory, no
+// stall trigger.
 type Options struct {
 	// Site is this site's number (manifest + dump naming).
 	Site int
@@ -64,20 +64,9 @@ type Options struct {
 	// Config is the session configuration, recorded in the manifest.
 	Config core.Config
 
-	// InputWindow, SnapEvery, Snapshots, RemoteWindow bound the rings
-	// (zero: the defaults above). SnapEvery < 0 disables periodic
-	// savestates.
-	InputWindow  int
-	SnapEvery    int
-	Snapshots    int
-	RemoteWindow int
-
-	// SnapBaseEvery is the capture interval between full base images when
-	// the machine supports dirty-page delta savestates (zero: the default
-	// above; negative: disable deltas, store a full image per slot). The
-	// ring is over-provisioned by SnapBaseEvery slots so the newest
-	// Snapshots captures always have their base in the ring.
-	SnapBaseEvery int
+	// SnapEvery is the frame interval between periodic savestates (zero:
+	// DefaultSnapEvery).
+	SnapEvery int
 
 	// StallThreshold is the SyncInput wait past which the session declares
 	// a liveness-stall incident (0 disables the trigger).
@@ -97,28 +86,16 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.InputWindow <= 0 {
-		o.InputWindow = DefaultInputWindow
-	}
-	if o.SnapEvery == 0 {
+	if o.SnapEvery <= 0 {
 		o.SnapEvery = DefaultSnapEvery
-	}
-	if o.Snapshots <= 0 {
-		o.Snapshots = DefaultSnapshots
-	}
-	if o.RemoteWindow <= 0 {
-		o.RemoteWindow = DefaultRemoteWindow
-	}
-	if o.SnapBaseEvery == 0 {
-		o.SnapBaseEvery = DefaultSnapBaseEvery
 	}
 	return o
 }
 
 // snapSlot is one reusable savestate buffer. Slots are pre-sized so that
 // after warm-up the buffer never grows again and steady-state snapshotting
-// does not allocate. In the delta ring a slot holds either a full base image
-// or a dirty-page delta, depending on where its capture fell in the chain.
+// does not allocate. A slot holds either a full base image or a dirty-page
+// delta, depending on where its capture fell in the chain.
 type snapSlot struct {
 	frame   int64
 	isDelta bool
@@ -132,10 +109,8 @@ type snapSlot struct {
 // or a SIGQUIT handler may read concurrently. The steady-state paths
 // (RecordFrame, RecordRemoteHash) never allocate.
 type Recorder struct {
-	opts     Options
-	saver    core.Snapshotter // nil when the machine has no savestates
-	appender appendSaver      // nil when Save must be used instead
-	deltas   deltaSaver       // nil when every slot stores a full image
+	opts  Options
+	saver Saver
 
 	mu      sync.Mutex
 	frames  []FrameRecord
@@ -153,51 +128,26 @@ type Recorder struct {
 
 // NewRecorder attaches a black box to machine. Hand the result to
 // (*core.Session).SetFlightRecorder. machine should be (or wrap) the same
-// instance the session steps; it is only touched at incident time and during
+// console the session steps; it is only touched at incident time and during
 // periodic snapshot capture.
-func NewRecorder(machine core.Machine, opts Options) *Recorder {
-	opts = opts.withDefaults()
+func NewRecorder(machine Saver, opts Options) *Recorder {
 	r := &Recorder{
-		opts:   opts,
-		frames: make([]FrameRecord, opts.InputWindow),
-		remote: make([]RemoteHash, opts.RemoteWindow),
+		opts:   opts.withDefaults(),
+		saver:  machine,
+		frames: make([]FrameRecord, inputWindow),
+		remote: make([]RemoteHash, remoteWindow),
+		snaps:  make([]snapSlot, snapshots+snapBaseEvery),
 	}
-	if s, ok := machine.(core.Snapshotter); ok {
-		r.saver = s
-	}
-	if a, ok := machine.(appendSaver); ok {
-		r.appender = a
-	}
-	if d, ok := machine.(deltaSaver); ok && opts.SnapBaseEvery > 0 {
-		r.deltas = d
-	}
-	if r.saver != nil && opts.SnapEvery > 0 {
-		// Pre-size every slot from a probe savestate so steady-state
-		// captures reuse full-capacity buffers and never allocate. A delta
-		// can exceed a full image by its per-page framing (a worst-case
-		// every-page delta carries a page index per page), so give delta
-		// ring slots headroom beyond the full-image size.
-		capHint := len(r.save(nil))
-		n := opts.Snapshots
-		if r.deltas != nil {
-			n += opts.SnapBaseEvery
-			capHint += 1024
-		}
-		r.snaps = make([]snapSlot, n)
-		for i := range r.snaps {
-			r.snaps[i] = snapSlot{frame: -1, buf: make([]byte, 0, capHint)}
-		}
+	// Pre-size every slot from a probe savestate so steady-state captures
+	// reuse full-capacity buffers and never allocate. A delta can exceed a
+	// full image by its per-page framing (a worst-case every-page delta
+	// carries a page index per page), so give the slots headroom beyond
+	// the full-image size.
+	capHint := len(machine.AppendSave(nil)) + 1024
+	for i := range r.snaps {
+		r.snaps[i] = snapSlot{frame: -1, buf: make([]byte, 0, capHint)}
 	}
 	return r
-}
-
-// save serializes the machine state into buf (allocation-free when the
-// machine supports AppendSave and buf has capacity).
-func (r *Recorder) save(buf []byte) []byte {
-	if r.appender != nil {
-		return r.appender.AppendSave(buf)
-	}
-	return append(buf, r.saver.Save()...)
 }
 
 // StallThreshold implements core.FlightRecorder.
@@ -214,19 +164,14 @@ func (r *Recorder) RecordFrame(frame int, input uint16, hash uint64, syncWait ti
 		Hash:  hash,
 	}
 	r.nFrames++
-	if r.snaps != nil && frame%r.opts.SnapEvery == 0 {
+	if frame%r.opts.SnapEvery == 0 {
 		slot := &r.snaps[r.nSnaps%uint64(len(r.snaps))]
 		slot.frame = int64(frame)
-		switch {
-		case r.deltas == nil:
-			slot.isDelta = false
-			slot.buf = r.save(slot.buf[:0])
-		case r.nSnaps%uint64(r.opts.SnapBaseEvery) == 0:
-			slot.isDelta = false
-			slot.buf = r.deltas.AppendSaveBase(slot.buf[:0])
-		default:
-			slot.isDelta = true
-			slot.buf = r.deltas.AppendSaveDelta(slot.buf[:0])
+		slot.isDelta = r.nSnaps%snapBaseEvery != 0
+		if slot.isDelta {
+			slot.buf = r.saver.AppendSaveDelta(slot.buf[:0])
+		} else {
+			slot.buf = r.saver.AppendSaveBase(slot.buf[:0])
 		}
 		r.nSnaps++
 	}
@@ -284,8 +229,8 @@ func (r *Recorder) buildLocked(kind core.IncidentKind, cause error) *Bundle {
 			ROMHash:      ROMHash(r.opts.ROM),
 			NumPlayers:   r.opts.Config.NumPlayers,
 			BufFrame:     r.opts.Config.BufFrame,
-			CFPS:         r.opts.Config.CFPS,
-			HashInterval: r.opts.Config.HashInterval,
+			CFPS:         core.DefaultCFPS,
+			HashInterval: core.DefaultHashInterval,
 			StartFrame:   r.opts.Config.StartFrame,
 		},
 		ROM: append([]byte(nil), r.opts.ROM...),
@@ -309,53 +254,45 @@ func (r *Recorder) buildLocked(kind core.IncidentKind, cause error) *Bundle {
 		b.Manifest.Frame = int64(r.opts.Config.StartFrame)
 	}
 
-	if r.snaps != nil {
-		ns := r.nSnaps
-		if c := uint64(len(r.snaps)); ns > c {
-			ns = c
-		}
-		// Emit the newest Snapshots captures as full images. In the delta
-		// ring, replay the retained chain oldest-first: a base replaces the
-		// working image, a delta patches it in place. The ring is
-		// over-provisioned by SnapBaseEvery slots, so the base governing the
-		// oldest emitted capture is always still retained. Bundles therefore
-		// always hold full savestates — the RKFB format and its triage
-		// consumers are unaffected by how the ring stores them.
-		emit := ns
-		if r.deltas != nil && emit > uint64(r.opts.Snapshots) {
-			emit = uint64(r.opts.Snapshots)
-		}
-		var image []byte
-		haveBase := false
-		for i := r.nSnaps - ns; i < r.nSnaps; i++ {
-			s := r.snaps[i%uint64(len(r.snaps))]
-			if s.isDelta {
-				if !haveBase {
-					continue // chain head rotated out from under a partial window
-				}
-				if err := vm.ApplyDeltaToImage(image, s.buf); err != nil {
-					haveBase = false
-					continue
-				}
-			} else {
-				image = append(image[:0], s.buf...)
-				haveBase = true
+	// Emit the newest snapshots captures as full images: replay the
+	// retained chain oldest-first, a base replacing the working image and a
+	// delta patching it in place. The ring holds snapBaseEvery slots more
+	// than it emits, so the base governing the oldest emitted capture is
+	// always still retained. Bundles therefore always hold full savestates
+	// — the RKFB format and its triage consumers are unaffected by how the
+	// ring stores them.
+	ns := min(r.nSnaps, uint64(len(r.snaps)))
+	emit := min(ns, snapshots)
+	var image []byte
+	haveBase := false
+	for i := r.nSnaps - ns; i < r.nSnaps; i++ {
+		s := r.snaps[i%uint64(len(r.snaps))]
+		if s.isDelta {
+			if !haveBase {
+				continue // chain head rotated out from under a partial window
 			}
-			if i >= r.nSnaps-emit {
-				b.Snapshots = append(b.Snapshots, StateSnapshot{
-					Frame: s.frame,
-					State: append([]byte(nil), image...),
-				})
+			if err := vm.ApplyDeltaToImage(image, s.buf); err != nil {
+				haveBase = false
+				continue
 			}
+		} else {
+			image = append(image[:0], s.buf...)
+			haveBase = true
+		}
+		if i >= r.nSnaps-emit {
+			b.Snapshots = append(b.Snapshots, StateSnapshot{
+				Frame: s.frame,
+				State: append([]byte(nil), image...),
+			})
 		}
 	}
-	if r.saver != nil && len(b.Frames) > 0 {
+	if len(b.Frames) > 0 {
 		// The incident-time state: what the machine actually held after its
 		// last executed frame. Triage diffs this against a clean replay to
 		// localize the corruption (e.g. the poked RAM byte).
 		b.Final = &StateSnapshot{
 			Frame: b.Frames[len(b.Frames)-1].Frame,
-			State: r.save(nil),
+			State: r.saver.AppendSave(nil),
 		}
 	}
 

@@ -19,7 +19,7 @@ import (
 
 // testConfig is the session configuration the unit tests stamp into bundles.
 func testConfig() core.Config {
-	return core.Config{NumPlayers: 2, BufFrame: 6, CFPS: 60, HashInterval: 60}
+	return core.Config{NumPlayers: 2, BufFrame: 6}
 }
 
 // testInput derives a deterministic per-frame input word.
@@ -114,10 +114,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 
 func TestRecorderWindowsAndIncident(t *testing.T) {
 	dir := t.TempDir()
-	rec, _ := recordRun(t, flight.Options{
-		Site: 1, InputWindow: 8, SnapEvery: 4, Snapshots: 2, RemoteWindow: 4, Dir: dir,
-	}, 20, 0, 0, 0)
-	for f := 0; f < 10; f++ {
+	rec, _ := recordRun(t, flight.Options{Site: 1, SnapEvery: 4, Dir: dir}, 1030, 0, 0, 0)
+	for f := 0; f < 70; f++ {
 		rec.RecordRemoteHash(0, f, uint64(f)*3)
 	}
 	if rec.Bundle() != nil {
@@ -135,7 +133,7 @@ func TestRecorderWindowsAndIncident(t *testing.T) {
 	if b.Manifest.Kind != "desync" || b.Manifest.KindCode != int(core.IncidentDesync) {
 		t.Errorf("manifest kind = %q/%d, want desync", b.Manifest.Kind, b.Manifest.KindCode)
 	}
-	if b.Manifest.Site != 1 || b.Manifest.Game != "pong" || b.Manifest.Frame != 21 {
+	if b.Manifest.Site != 1 || b.Manifest.Game != "pong" || b.Manifest.Frame != 1031 {
 		t.Errorf("manifest = %+v", b.Manifest)
 	}
 	if b.Manifest.Cause != "synthetic divergence" {
@@ -144,8 +142,8 @@ func TestRecorderWindowsAndIncident(t *testing.T) {
 	if b.Manifest.ROMHash != flight.ROMHash(b.ROM) || len(b.ROM) == 0 {
 		t.Error("embedded ROM does not match its manifest hash")
 	}
-	// The input ring keeps the freshest 8 frames, oldest first.
-	if len(b.Frames) != 8 || b.Frames[0].Frame != 13 || b.Frames[7].Frame != 20 {
+	// The input ring keeps the freshest 1024 frames, oldest first.
+	if len(b.Frames) != 1024 || b.Frames[0].Frame != 7 || b.Frames[1023].Frame != 1030 {
 		t.Fatalf("frame window = %+v", b.Frames)
 	}
 	for _, f := range b.Frames {
@@ -153,20 +151,21 @@ func TestRecorderWindowsAndIncident(t *testing.T) {
 			t.Errorf("frame %d recorded input %#x, want %#x", f.Frame, f.Input, testInput(int(f.Frame)))
 		}
 	}
-	// Savestates every 4 frames, last 2 retained: frames 16 and 20.
-	if len(b.Snapshots) != 2 || b.Snapshots[0].Frame != 16 || b.Snapshots[1].Frame != 20 {
+	// Savestates every 4 frames, the last 4 in the bundle.
+	if len(b.Snapshots) != 4 || b.Snapshots[0].Frame != 1016 || b.Snapshots[3].Frame != 1028 {
 		t.Fatalf("snapshots = %d and frames %v", len(b.Snapshots), b.Snapshots)
 	}
-	if b.Final == nil || b.Final.Frame != 20 || len(b.Final.State) == 0 {
+	if b.Final == nil || b.Final.Frame != 1030 || len(b.Final.State) == 0 {
 		t.Fatalf("final snapshot = %+v", b.Final)
 	}
-	if len(b.RemoteHashes) != 4 || b.RemoteHashes[0].Frame != 6 || b.RemoteHashes[3].Frame != 9 {
+	// The remote ring keeps the freshest 64 digests.
+	if len(b.RemoteHashes) != 64 || b.RemoteHashes[0].Frame != 6 || b.RemoteHashes[63].Frame != 69 {
 		t.Fatalf("remote window = %+v", b.RemoteHashes)
 	}
 
 	// Auto-write happened, and the bundle on disk is the bundle in memory.
 	path := rec.BundlePath()
-	want := filepath.Join(dir, "flight-site1-desync-f21.rkfb")
+	want := filepath.Join(dir, "flight-site1-desync-f1031.rkfb")
 	if path != want {
 		t.Fatalf("bundle path = %q, want %q", path, want)
 	}
@@ -190,7 +189,7 @@ func TestRecorderWindowsAndIncident(t *testing.T) {
 }
 
 func TestDumpIsNonConsuming(t *testing.T) {
-	rec, _ := recordRun(t, flight.Options{Site: 0, SnapEvery: -1}, 30, 0, 0, 0)
+	rec, _ := recordRun(t, flight.Options{Site: 0}, 30, 0, 0, 0)
 	var buf bytes.Buffer
 	if err := rec.Dump(&buf); err != nil {
 		t.Fatal(err)
@@ -219,7 +218,7 @@ func TestDumpIsNonConsuming(t *testing.T) {
 
 func TestWriteManual(t *testing.T) {
 	dir := t.TempDir()
-	rec, _ := recordRun(t, flight.Options{Site: 0, Dir: dir, SnapEvery: -1}, 10, 0, 0, 0)
+	rec, _ := recordRun(t, flight.Options{Site: 0, Dir: dir}, 10, 0, 0, 0)
 	path, err := rec.WriteManual()
 	if err != nil {
 		t.Fatal(err)
@@ -245,13 +244,11 @@ func TestWriteManual(t *testing.T) {
 // from its own record, and the state diff names the poked RAM byte.
 func TestTriagePokeFromSnapshot(t *testing.T) {
 	const (
-		pokeFrame = 200
+		pokeFrame = 1200
 		pokeAddr  = 0x7ABC
 		pokeXOR   = 0x5A
 	)
-	rec, _ := recordRun(t, flight.Options{
-		Site: 1, InputWindow: 128, SnapEvery: 50, Snapshots: 4,
-	}, 260, pokeFrame, pokeAddr, pokeXOR)
+	rec, _ := recordRun(t, flight.Options{Site: 1, SnapEvery: 50}, 1260, pokeFrame, pokeAddr, pokeXOR)
 	rec.Incident(core.IncidentDesync, fmt.Errorf("synthetic"))
 	b, err := flight.Decode(rec.Bundle())
 	if err != nil {
@@ -271,7 +268,7 @@ func TestTriagePokeFromSnapshot(t *testing.T) {
 	if sa.ReplayErr != "" {
 		t.Fatalf("replay failed: %s", sa.ReplayErr)
 	}
-	// Boot (frame -1) is out of the 128-frame window; the replay must have
+	// Boot (frame -1) is out of the 1024-frame window; the replay must have
 	// started from a retained savestate before the poke.
 	if sa.ReplayedFrom < 0 || sa.ReplayedFrom >= pokeFrame {
 		t.Fatalf("replayed from %d, want a checkpoint in [0, %d)", sa.ReplayedFrom, pokeFrame)
@@ -375,9 +372,7 @@ func TestTriageSpanLatencyRows(t *testing.T) {
 		sb.Executed(f, at(f, 0))
 	}
 	sb.Flush()
-	rec, _ := recordRun(t, flight.Options{
-		Site: 1, InputWindow: 128, SnapEvery: 50, Snapshots: 4, Journal: j,
-	}, 260, pokeFrame, pokeAddr, pokeXOR)
+	rec, _ := recordRun(t, flight.Options{Site: 1, SnapEvery: 50, Journal: j}, 260, pokeFrame, pokeAddr, pokeXOR)
 	rec.Incident(core.IncidentDesync, fmt.Errorf("synthetic"))
 	b, err := flight.Decode(rec.Bundle())
 	if err != nil {
@@ -432,7 +427,7 @@ func TestDeltaRingMaterializesFullImages(t *testing.T) {
 	}
 	rec := flight.NewRecorder(console, flight.Options{
 		Game: "pong", ROM: game.Encode(), Config: testConfig(),
-		SnapEvery: 3, Snapshots: 4, SnapBaseEvery: 5,
+		SnapEvery: 3,
 	})
 	want := map[int64][]byte{}
 	for f := 0; f <= 200; f++ {
@@ -457,37 +452,6 @@ func TestDeltaRingMaterializesFullImages(t *testing.T) {
 		}
 		if !bytes.Equal(s.State, full) {
 			t.Errorf("frame %d: materialized snapshot differs from the full savestate", s.Frame)
-		}
-	}
-}
-
-// saveOnlyMachine supports savestates but not dirty-page deltas: the
-// recorder must fall back to one full image per slot.
-type saveOnlyMachine struct{ state byte }
-
-func (m *saveOnlyMachine) StepFrame(input uint16) { m.state += byte(input) + 1 }
-func (m *saveOnlyMachine) StateHash() uint64      { return uint64(m.state) }
-func (m *saveOnlyMachine) Save() []byte           { return []byte{m.state} }
-func (m *saveOnlyMachine) Restore(d []byte) error { m.state = d[0]; return nil }
-
-func TestSnapshotFallbackWithoutDeltaSupport(t *testing.T) {
-	m := &saveOnlyMachine{}
-	rec := flight.NewRecorder(m, flight.Options{Config: testConfig(), SnapEvery: 1, Snapshots: 3})
-	for f := 0; f < 10; f++ {
-		m.StepFrame(0)
-		rec.RecordFrame(f, 0, m.StateHash(), 0)
-	}
-	rec.Incident(core.IncidentManual, nil)
-	b, err := flight.Decode(rec.Bundle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Snapshots) != 3 {
-		t.Fatalf("bundle has %d snapshots, want 3", len(b.Snapshots))
-	}
-	for i, s := range b.Snapshots {
-		if wantState := byte(s.Frame) + 1; len(s.State) != 1 || s.State[0] != wantState {
-			t.Errorf("snapshot %d: state %v, want [%d]", i, s.State, wantState)
 		}
 	}
 }

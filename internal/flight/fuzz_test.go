@@ -19,7 +19,7 @@ import (
 func FuzzDecodeBundle(f *testing.F) {
 	// Seed with a real recorder-produced bundle so the fuzzer starts from
 	// the genuine wire shape, not just random noise.
-	rec, _ := recordRun(f, flight.Options{Site: 1, InputWindow: 16, SnapEvery: 4, Snapshots: 2}, 20, 0, 0, 0)
+	rec, _ := recordRun(f, flight.Options{Site: 1, SnapEvery: 4}, 20, 0, 0, 0)
 	rec.RecordRemoteHash(0, 18, 7)
 	rec.Incident(core.IncidentDesync, fmt.Errorf("seed incident"))
 	real := rec.Bundle()

@@ -391,7 +391,7 @@ func Run(cfg Config) (*Result, error) {
 			sp.ARQ = arqs[site]
 		}
 		if cfg.NaivePacer {
-			sp.Options = append(sp.Options, core.WithPacer(core.NewNaiveTimer(sp.Config, v)))
+			sp.Options = append(sp.Options, core.WithPacer(core.NewNaiveTimer(v)))
 		}
 		if cfg.AdaptiveLag {
 			sp.Options = append(sp.Options, core.WithAdaptiveLag(core.AdaptiveLag{

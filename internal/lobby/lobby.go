@@ -30,7 +30,7 @@
 //     re-learns addresses on its own.
 //   - Expiry is clock-driven, not traffic-driven. A background sweep runs on
 //     a ticker on the host clock, so abandoned sessions age out even when
-//     the socket goes quiet, and the sessions map is capped at MaxSessions.
+//     the socket goes quiet, and the sessions map is capped at sessionCap.
 package lobby
 
 import (
@@ -62,32 +62,41 @@ type Placer interface {
 	Release(token string) error
 }
 
-// Config tunes a Server. The zero value means direct rendezvous with
-// production defaults.
+// The session table's bounds.
+const (
+	// sessionTTL is how long an idle session entry survives.
+	sessionTTL = 10 * time.Minute
+	// sweepPeriod is the background expiry cadence.
+	sweepPeriod = 30 * time.Second
+	// sessionCap bounds the sessions map; JOINs that would create an entry
+	// beyond the cap are counted and dropped (the client retries and gets
+	// in once a sweep frees space).
+	sessionCap = 65536
+)
+
+// Config tunes a Server. The zero value means direct rendezvous.
 type Config struct {
-	// TTL is how long an idle session entry survives. Default 10m.
-	TTL time.Duration
-	// SweepEvery is the background expiry cadence. Default 30s.
-	SweepEvery time.Duration
-	// MaxSessions bounds the sessions map; JOINs that would create an entry
-	// beyond the cap are counted and dropped (the client retries and gets in
-	// once a sweep frees space). Default 65536.
-	MaxSessions int
 	// Placer, when non-nil, turns the lobby into an admission control plane:
 	// paired sessions are placed on the backend and answered with RELAY
 	// instead of PEER.
 	Placer Placer
+
+	// ttl, sweepEvery and maxSessions replace sessionTTL, sweepPeriod and
+	// sessionCap when positive; only tests set them.
+	ttl         time.Duration
+	sweepEvery  time.Duration
+	maxSessions int
 }
 
 func (c Config) withDefaults() Config {
-	if c.TTL <= 0 {
-		c.TTL = 10 * time.Minute
+	if c.ttl <= 0 {
+		c.ttl = sessionTTL
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = 30 * time.Second
+	if c.sweepEvery <= 0 {
+		c.sweepEvery = sweepPeriod
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 65536
+	if c.maxSessions <= 0 {
+		c.maxSessions = sessionCap
 	}
 	return c
 }
@@ -125,7 +134,7 @@ type Stats struct {
 	Rejected       int // datagrams that failed to parse as JOIN
 	SessionsActive int // session codes currently pending or hosted
 	SessionsAged   int // sessions expired by the TTL sweep
-	SessionsCapped int // JOINs dropped at the MaxSessions cap
+	SessionsCapped int // JOINs dropped at the sessionCap cap
 }
 
 // Stats returns the server's counters; safe to call while Serve runs.
@@ -232,11 +241,11 @@ func (s *Server) handle(msg string, from net.Addr) {
 	now := time.Now()
 	sess, exists := s.sessions[code]
 	if !exists {
-		if len(s.sessions) >= s.cfg.MaxSessions {
+		if len(s.sessions) >= s.cfg.maxSessions {
 			// Try to make room before refusing admission.
 			s.sweepLocked(now)
 		}
-		if len(s.sessions) >= s.cfg.MaxSessions {
+		if len(s.sessions) >= s.cfg.maxSessions {
 			s.capped++
 			s.mu.Unlock()
 			return
@@ -350,7 +359,7 @@ func (s *Server) replyPlacedLocked(code string, sess *session, site int, from ne
 // existed, expiry ran only inside the datagram handler — a quiet socket let
 // abandoned sessions (and their relay reservations) live forever.
 func (s *Server) sweepLoop() {
-	tick := time.NewTicker(s.cfg.SweepEvery)
+	tick := time.NewTicker(s.cfg.sweepEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -376,7 +385,7 @@ func (s *Server) sweepLoop() {
 // lock. Callers hold s.mu.
 func (s *Server) sweepLocked(now time.Time) (released []string) {
 	for c, old := range s.sessions {
-		if now.Sub(old.lastSeen) > s.cfg.TTL {
+		if now.Sub(old.lastSeen) > s.cfg.ttl {
 			if old.placed != nil {
 				released = append(released, old.placed.Token)
 			}

@@ -158,7 +158,7 @@ func TestThreeSiteSession(t *testing.T) {
 // lobby whose socket went quiet kept abandoned sessions forever. The ticker
 // sweep must collect them with no further traffic at all.
 func TestIdleSessionsExpireWithoutTraffic(t *testing.T) {
-	srv := startServerConfig(t, Config{TTL: 50 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	srv := startServerConfig(t, Config{ttl: 50 * time.Millisecond, sweepEvery: 10 * time.Millisecond})
 
 	conn, err := net.Dial("udp", srv.Addr())
 	if err != nil {
@@ -186,7 +186,7 @@ func sweepers() int {
 // TestCloseStopsSweeper: Close ends the sweeper goroutine at once, not
 // after its next sweep period (an hour here), and Serve returns.
 func TestCloseStopsSweeper(t *testing.T) {
-	srv, err := ListenConfig("127.0.0.1:0", Config{SweepEvery: time.Hour})
+	srv, err := ListenConfig("127.0.0.1:0", Config{sweepEvery: time.Hour})
 	if err != nil {
 		t.Skipf("udp unavailable: %v", err)
 	}
@@ -203,10 +203,10 @@ func TestCloseStopsSweeper(t *testing.T) {
 	_ = srv.Close() // a second Close is harmless
 }
 
-// TestSessionsCapBoundsMap: JOINs that would grow the map past MaxSessions
+// TestSessionsCapBoundsMap: JOINs that would grow the map past maxSessions
 // are counted and dropped, and space frees up once old entries expire.
 func TestSessionsCapBoundsMap(t *testing.T) {
-	srv := startServerConfig(t, Config{TTL: time.Hour, SweepEvery: time.Hour, MaxSessions: 3})
+	srv := startServerConfig(t, Config{ttl: time.Hour, sweepEvery: time.Hour, maxSessions: 3})
 
 	conn, err := net.Dial("udp", srv.Addr())
 	if err != nil {
@@ -385,7 +385,7 @@ func TestPlacedRebindRenotifiesBothSites(t *testing.T) {
 // the relay reservation is released.
 func TestPlacedSessionReleaseOnExpiry(t *testing.T) {
 	placer := &fakePlacer{}
-	srv := startServerConfig(t, Config{TTL: 50 * time.Millisecond, SweepEvery: 10 * time.Millisecond, Placer: placer})
+	srv := startServerConfig(t, Config{ttl: 50 * time.Millisecond, sweepEvery: 10 * time.Millisecond, Placer: placer})
 
 	results := make([]Placement, 2)
 	var wg sync.WaitGroup
@@ -416,9 +416,9 @@ func TestPlacedSessionReleaseOnExpiry(t *testing.T) {
 func TestConcurrentJoinExpireStats(t *testing.T) {
 	placer := &fakePlacer{}
 	srv := startServerConfig(t, Config{
-		TTL:         2 * time.Millisecond,
-		SweepEvery:  time.Millisecond,
-		MaxSessions: 64,
+		ttl:         2 * time.Millisecond,
+		sweepEvery:  time.Millisecond,
+		maxSessions: 64,
 		Placer:      placer,
 	})
 

@@ -22,5 +22,5 @@ func RegisterMetrics(r *obs.Registry, s *Server) {
 	r.CounterFunc(MetricPlaced, nil, "RELAY replies sent", func() float64 { return float64(s.Stats().PlacedNotified) })
 	r.GaugeFunc(MetricSessionsActive, nil, "session codes currently pending", func() float64 { return float64(s.Stats().SessionsActive) })
 	r.CounterFunc(MetricSessionsAged, nil, "sessions expired by the TTL sweep", func() float64 { return float64(s.Stats().SessionsAged) })
-	r.CounterFunc(MetricSessionsCapped, nil, "JOINs dropped at the MaxSessions cap", func() float64 { return float64(s.Stats().SessionsCapped) })
+	r.CounterFunc(MetricSessionsCapped, nil, "JOINs dropped at the session cap", func() float64 { return float64(s.Stats().SessionsCapped) })
 }

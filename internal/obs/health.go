@@ -16,7 +16,7 @@ import (
 // ARQ retransmit rate) and takes the worst grade as the window's verdict.
 // Degradation is immediate — the engine exists to catch the cliff before
 // players feel it — while recovery is hysteretic: the verdict must hold
-// strictly better than the current state for RecoverAfter consecutive
+// strictly better than the current state for recoverAfter consecutive
 // windows before the state steps down, so a session bouncing around the
 // threshold does not flap.
 
@@ -74,15 +74,6 @@ type HealthConfig struct {
 	RTTInfeasible time.Duration
 	RTTDegraded   time.Duration
 
-	// SkewInfeasible grades the windowed skewQuantile of the skew
-	// histogram (default 35 ms — just above the 33.6 ms bucket bound, so
-	// a quantile in the (16.8, 33.6] bucket reads as a warning, not a
-	// verdict; infeasible starts at the 67.1 ms bucket). SkewDegraded is
-	// the warning band (default 10 ms — the paper's playability bound;
-	// with bucket quantization, healthy requires p-quantile <= 8.4 ms).
-	SkewInfeasible time.Duration
-	SkewDegraded   time.Duration
-
 	// FrameTarget is the nominal frame duration (default 16.67 ms);
 	// the windowed mean frame time grades degraded/infeasible at
 	// FrameTarget+FrameDegradedMargin / +FrameInfeasibleMargin (defaults
@@ -90,20 +81,26 @@ type HealthConfig struct {
 	FrameTarget           time.Duration
 	FrameDegradedMargin   time.Duration
 	FrameInfeasibleMargin time.Duration
-
-	// RetransDegraded / RetransInfeasible grade the windowed ARQ
-	// retransmissions-per-frame rate (defaults 0.2 / 1.0).
-	RetransDegraded   float64
-	RetransInfeasible float64
-
-	// RecoverAfter is how many consecutive windows must grade strictly
-	// better than the current state before it improves (default 3).
-	RecoverAfter int
 }
 
 const (
 	// skewQuantile is which quantile of the skew histogram is graded.
 	skewQuantile = 0.9
+	// skewInfeasible grades the windowed skewQuantile of the skew
+	// histogram: 35 ms, just above the 33.6 ms bucket bound, so a quantile
+	// in the (16.8, 33.6] bucket reads as a warning, not a verdict;
+	// infeasible starts at the 67.1 ms bucket. skewDegraded is the warning
+	// band: 10 ms, the paper's playability bound; with bucket
+	// quantization, healthy requires p-quantile <= 8.4 ms.
+	skewInfeasible = 35 * time.Millisecond
+	skewDegraded   = 10 * time.Millisecond
+	// retransDegraded and retransInfeasible grade the windowed ARQ
+	// retransmissions-per-frame rate.
+	retransDegraded   = 0.2
+	retransInfeasible = 1.0
+	// recoverAfter is how many consecutive windows must grade strictly
+	// better than the current state before it improves.
+	recoverAfter = 3
 	// minSamples is the least observations a histogram window needs before
 	// its signal is graded; smaller windows abstain.
 	minSamples = 8
@@ -116,12 +113,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	if c.RTTDegraded <= 0 {
 		c.RTTDegraded = c.RTTInfeasible * 8 / 10
 	}
-	if c.SkewInfeasible <= 0 {
-		c.SkewInfeasible = 35 * time.Millisecond
-	}
-	if c.SkewDegraded <= 0 {
-		c.SkewDegraded = 10 * time.Millisecond
-	}
 	if c.FrameTarget <= 0 {
 		c.FrameTarget = 16670 * time.Microsecond
 	}
@@ -130,15 +121,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	}
 	if c.FrameInfeasibleMargin <= 0 {
 		c.FrameInfeasibleMargin = 11 * time.Millisecond
-	}
-	if c.RetransDegraded <= 0 {
-		c.RetransDegraded = 0.2
-	}
-	if c.RetransInfeasible <= 0 {
-		c.RetransInfeasible = 1.0
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 3
 	}
 	return c
 }
@@ -296,7 +278,7 @@ func (h *Health) Evaluate(at time.Time) HealthState {
 	}
 	if skewC >= minSamples {
 		sig.SkewQ = int64(QuantileOfBuckets(skewB, skewC, skewQuantile))
-		verdict = grade(verdict, sig.SkewQ, int64(h.cfg.SkewDegraded), int64(h.cfg.SkewInfeasible))
+		verdict = grade(verdict, sig.SkewQ, int64(skewDegraded), int64(skewInfeasible))
 	}
 	if frameC >= minSamples {
 		sig.FrameMean = frameS / frameC
@@ -311,15 +293,15 @@ func (h *Health) Evaluate(at time.Time) HealthState {
 		if dFrames > 0 {
 			sig.RetransPerFrame = float64(dRet) / float64(dFrames)
 			switch {
-			case sig.RetransPerFrame >= h.cfg.RetransInfeasible:
+			case sig.RetransPerFrame >= retransInfeasible:
 				verdict = maxState(verdict, Infeasible)
-			case sig.RetransPerFrame >= h.cfg.RetransDegraded:
+			case sig.RetransPerFrame >= retransDegraded:
 				verdict = maxState(verdict, Degraded)
 			}
 		}
 	}
 
-	// Hysteresis: degrade immediately, recover only after RecoverAfter
+	// Hysteresis: degrade immediately, recover only after recoverAfter
 	// consecutive strictly-better windows.
 	cur := HealthState(h.state.Load())
 	next := cur
@@ -329,7 +311,7 @@ func (h *Health) Evaluate(at time.Time) HealthState {
 		h.goodStreak = 0
 	case verdict < cur:
 		h.goodStreak++
-		if h.goodStreak >= h.cfg.RecoverAfter {
+		if h.goodStreak >= recoverAfter {
 			next = verdict
 			h.goodStreak = 0
 		}

@@ -16,7 +16,7 @@ func fillWindow(h *Histogram, n int, v int64) {
 
 func testHealth() (*Health, *Histogram, *Histogram, *Histogram) {
 	ft, skew, rtt := &Histogram{}, &Histogram{}, &Histogram{}
-	h := NewHealth(HealthConfig{RecoverAfter: 2}, HealthSources{
+	h := NewHealth(HealthConfig{}, HealthSources{
 		FrameTime: ft, Skew: skew, RTT: rtt,
 	})
 	return h, ft, skew, rtt
@@ -46,15 +46,18 @@ func TestHealthRTTRampDegradesThenRecovers(t *testing.T) {
 		t.Fatalf("state after 200ms RTT window = %v, want infeasible", got)
 	}
 
-	// Healing: one good window must NOT recover (hysteresis)...
-	fillWindow(rtt, 20, int64(40*time.Millisecond))
-	if got := h.Evaluate(now); got != Infeasible {
-		t.Fatalf("state after 1 good window = %v, want still infeasible", got)
+	// Healing: fewer than recoverAfter good windows must NOT recover
+	// (hysteresis)...
+	for i := 1; i < recoverAfter; i++ {
+		fillWindow(rtt, 20, int64(40*time.Millisecond))
+		if got := h.Evaluate(now); got != Infeasible {
+			t.Fatalf("state after %d good windows = %v, want still infeasible", i, got)
+		}
 	}
-	// ...the second consecutive good window does (RecoverAfter: 2).
+	// ...the recoverAfter-th consecutive good window does.
 	fillWindow(rtt, 20, int64(40*time.Millisecond))
 	if got := h.Evaluate(now); got != Healthy {
-		t.Fatalf("state after 2 good windows = %v, want healthy", got)
+		t.Fatalf("state after %d good windows = %v, want healthy", recoverAfter, got)
 	}
 	if tr := h.Transitions(); tr != 3 {
 		t.Fatalf("transitions = %d, want 3 (healthy->degraded->infeasible->healthy)", tr)
@@ -66,8 +69,11 @@ func TestHealthRecoveryStreakResetsOnBadWindow(t *testing.T) {
 	now := time.Unix(0, 0)
 	fillWindow(rtt, 20, int64(200*time.Millisecond))
 	h.Evaluate(now) // infeasible
-	fillWindow(rtt, 20, int64(40*time.Millisecond))
-	h.Evaluate(now) // good window 1 of 2
+	// All but the last good window of a recovery.
+	for i := 1; i < recoverAfter; i++ {
+		fillWindow(rtt, 20, int64(40*time.Millisecond))
+		h.Evaluate(now)
+	}
 	fillWindow(rtt, 20, int64(200*time.Millisecond))
 	if got := h.Evaluate(now); got != Infeasible {
 		t.Fatalf("state = %v, want infeasible", got)

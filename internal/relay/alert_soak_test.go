@@ -70,8 +70,8 @@ func alertScenarioDigest(t *testing.T, seed int64) string {
 			FrameDegradedMargin:   tick / 5,
 			FrameInfeasibleMargin: 4 * tick,
 		},
-		CaptureLimit:       1,
-		CaptureEvery:       time.Hour,
+		captureLimit:       1,
+		captureEvery:       time.Hour,
 		disableFlipCapture: true,
 		OnCapture:          func(ac AnomalyCapture) { captured.Store(ac.Token) },
 	})

@@ -31,8 +31,6 @@ type Config struct {
 	// SessionTTL expires sessions with no traffic (default 2 m), swept
 	// every sweepEvery. Zero TTL disables expiry.
 	SessionTTL time.Duration
-	// TickEvery paces the real-mode ticker that runs every shard (default 50 ms).
-	TickEvery time.Duration
 	// Clock defaults to vclock.System; virtual-time runs inject their
 	// vclock.Virtual (and start the daemon with StartVirtual).
 	Clock vclock.Clock
@@ -62,7 +60,13 @@ type Config struct {
 	// records / 8 KiB); both zero disables them. Requires Stats.
 	AutoCaptureRecords int
 	AutoCaptureBytes   int
+
+	// tickEvery replaces tickPeriod when positive; only tests set it.
+	tickEvery time.Duration
 }
+
+// tickPeriod paces the real-mode ticker that runs every shard.
+const tickPeriod = 50 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -83,8 +87,8 @@ func (c Config) withDefaults() Config {
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 2 * time.Minute
 	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = 50 * time.Millisecond
+	if c.tickEvery <= 0 {
+		c.tickEvery = tickPeriod
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.System
@@ -296,10 +300,10 @@ func (d *Daemon) readReal(f Front) {
 	}
 }
 
-// tick drives every shard each TickEvery until Close.
+// tick drives every shard each tickEvery until Close.
 func (d *Daemon) tick() {
 	defer d.wg.Done()
-	t := time.NewTicker(d.cfg.TickEvery)
+	t := time.NewTicker(d.cfg.tickEvery)
 	defer t.Stop()
 	for {
 		select {

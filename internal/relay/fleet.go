@@ -29,7 +29,10 @@ import (
 // FleetConfig sizes the aggregator. The zero value selects defaults.
 type FleetConfig struct {
 	// Window is the grading cadence (default 1 s). Each tick closes one
-	// obs.Health window per session that saw traffic.
+	// obs.Health window per session that saw traffic. A session that has
+	// accepted no datagram for two windows is stalled and grades
+	// infeasible: a silent session produces no samples, every signal
+	// abstains, and hysteresis would recover a dead session to healthy.
 	Window time.Duration
 	// TopK bounds the worst-sessions view (default 16).
 	TopK int
@@ -39,22 +42,18 @@ type FleetConfig struct {
 	// relay residence, retransmits-per-frame grades pending-ring drops
 	// per ingested datagram.
 	Health obs.HealthConfig
-	// StallAfter marks a session infeasible when no datagram has been
-	// accepted for this long (default 2×Window). Without it a silent
-	// session produces no samples, every signal abstains, and hysteresis
-	// would recover a dead session to healthy.
-	StallAfter time.Duration
-	// CaptureLimit caps anomaly bundles over the fleet's lifetime
-	// (default 16); CaptureEvery is the minimum spacing between bundles
-	// (default 10 s). A flip that loses the rate race sets a pending
-	// mark and retries next tick (FlushPending drains the marks at
-	// shutdown). Each session is captured at most once.
-	CaptureLimit int
-	CaptureEvery time.Duration
 	// OnCapture receives each anomaly bundle, called from the tick
 	// goroutine (relayd writes the .rkcp file here). Nil disables
-	// snapshotting but still counts flips.
+	// snapshotting but still counts flips. Bundles are rate-limited: at
+	// most captureCap over the fleet's lifetime, captureSpacing apart. A
+	// flip that loses the rate race sets a pending mark and retries next
+	// tick (FlushPending drains the marks at shutdown). Each session is
+	// captured at most once.
 	OnCapture func(AnomalyCapture)
+	// captureLimit and captureEvery replace captureCap and captureSpacing
+	// when positive; only tests set them.
+	captureLimit int
+	captureEvery time.Duration
 	// disableFlipCapture stops per-session verdict flips from triggering
 	// captures; CaptureBurning (driven by a burn-rate alert firing) becomes
 	// the only capture trigger. Flips are still counted. The soaks set it,
@@ -70,17 +69,22 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.TopK <= 0 {
 		c.TopK = 16
 	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = 2 * c.Window
+	if c.captureLimit <= 0 {
+		c.captureLimit = captureCap
 	}
-	if c.CaptureLimit <= 0 {
-		c.CaptureLimit = 16
-	}
-	if c.CaptureEvery <= 0 {
-		c.CaptureEvery = 10 * time.Second
+	if c.captureEvery <= 0 {
+		c.captureEvery = captureSpacing
 	}
 	return c
 }
+
+// The anomaly-capture rate limit.
+const (
+	// captureCap caps anomaly bundles over the fleet's lifetime.
+	captureCap = 16
+	// captureSpacing is the minimum spacing between bundles.
+	captureSpacing = 10 * time.Second
+)
 
 // AnomalyCapture is one degraded/infeasible session's repro bundle.
 type AnomalyCapture struct {
@@ -244,7 +248,7 @@ func (f *Fleet) Tick(now time.Time) FleetSummary {
 			}
 			v := fs.health.State()
 			lastSeen := ref.stats.lastSeenNs.Load()
-			fs.stalled = lastSeen > 0 && nowNs-lastSeen > int64(f.cfg.StallAfter)
+			fs.stalled = lastSeen > 0 && nowNs-lastSeen > 2*int64(f.cfg.Window)
 			if fs.stalled {
 				v = obs.Infeasible
 			}
@@ -334,14 +338,14 @@ func (f *Fleet) maybeCapture(fs *fleetSession, ref statRef, now time.Time, v obs
 	if fs.captured || ref.stats.ring == nil || f.cfg.OnCapture == nil {
 		return
 	}
-	if f.captures >= int64(f.cfg.CaptureLimit) {
+	if f.captures >= int64(f.cfg.captureLimit) {
 		if !fs.wantCapture {
 			f.suppressed++
 		}
 		fs.wantCapture = false // the limit never lifts; stop retrying
 		return
 	}
-	if f.lastCaptureNs != 0 && now.UnixNano()-f.lastCaptureNs < int64(f.cfg.CaptureEvery) {
+	if f.lastCaptureNs != 0 && now.UnixNano()-f.lastCaptureNs < int64(f.cfg.captureEvery) {
 		if !fs.wantCapture {
 			f.suppressed++
 			fs.wantCapture = true
@@ -375,7 +379,7 @@ func (f *Fleet) FlushPending(now time.Time) int {
 		if !fs.wantCapture || fs.captured {
 			continue
 		}
-		if f.captures >= int64(f.cfg.CaptureLimit) {
+		if f.captures >= int64(f.cfg.captureLimit) {
 			break
 		}
 		ref := statRef{token: fs.token, stats: fs.stats, gen: fs.gen}
@@ -421,11 +425,11 @@ func (f *Fleet) CaptureBurning(now time.Time) (tok Token, ok bool) {
 	if !ref.valid() {
 		return 0, false
 	}
-	if f.captures >= int64(f.cfg.CaptureLimit) {
+	if f.captures >= int64(f.cfg.captureLimit) {
 		f.suppressed++
 		return 0, false
 	}
-	if f.lastCaptureNs != 0 && now.UnixNano()-f.lastCaptureNs < int64(f.cfg.CaptureEvery) {
+	if f.lastCaptureNs != 0 && now.UnixNano()-f.lastCaptureNs < int64(f.cfg.captureEvery) {
 		f.suppressed++
 		return 0, false
 	}

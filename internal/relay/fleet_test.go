@@ -195,13 +195,12 @@ func TestFleetGradesDegradedSession(t *testing.T) {
 	}
 }
 
-// TestFleetStallAndRecovery: silence past StallAfter grades infeasible even
+// TestFleetStallAndRecovery: silence past two grading windows grades infeasible even
 // though every histogram signal abstains; resumed clean traffic recovers
 // through hysteresis.
 func TestFleetStallAndRecovery(t *testing.T) {
 	h := newFleetHarness(t, Config{}, FleetConfig{
-		Window:     250 * time.Millisecond,
-		StallAfter: 500 * time.Millisecond,
+		Window: 250 * time.Millisecond,
 	})
 	tok := h.place()
 	h.drive(time.Second, 16*time.Millisecond, tok)
@@ -224,7 +223,7 @@ func TestFleetStallAndRecovery(t *testing.T) {
 	}
 
 	// Recovery: clean cadence again. The first window's gap histogram
-	// contains the giant stall gap, so recovery takes RecoverAfter clean
+	// contains the giant stall gap, so recovery takes three clean
 	// windows after that.
 	for w := 0; w < 6; w++ {
 		h.drive(250*time.Millisecond, 16*time.Millisecond, tok)
@@ -297,14 +296,14 @@ func TestFleetChurn(t *testing.T) {
 	}
 }
 
-// TestFleetCaptureRateLimit: a second flip inside CaptureEvery defers its
+// TestFleetCaptureRateLimit: a second flip inside captureEvery defers its
 // bundle (counted suppressed) and FlushPending emits it at shutdown.
 func TestFleetCaptureRateLimit(t *testing.T) {
 	var caps []AnomalyCapture
 	h := newFleetHarness(t, Config{}, FleetConfig{
 		Window:       250 * time.Millisecond,
-		CaptureEvery: time.Hour,
-		CaptureLimit: 8,
+		captureEvery: time.Hour,
+		captureLimit: 8,
 		OnCapture:    func(ac AnomalyCapture) { caps = append(caps, ac) },
 	})
 	a, b := h.place(), h.place()

@@ -23,9 +23,7 @@ func FuzzRelayHeader(f *testing.F) {
 	if _, err := trafficgen.Run(trafficgen.RunConfig{
 		Model:   trafficgen.Model{Sessions: 2, Drivers: 1, Seed: 3},
 		Shards:  1,
-		Warmup:  50 * time.Millisecond,
 		Measure: 50 * time.Millisecond,
-		Drain:   50 * time.Millisecond,
 		Capture: rec,
 	}); err != nil {
 		f.Fatal(err)

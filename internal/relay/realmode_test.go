@@ -347,7 +347,7 @@ func (p *sessionPair) expect(site int, payload string, within time.Duration) err
 // goroutine runs the shard must still leave within the second.
 func TestRealModeNoLostWakeup(t *testing.T) {
 	fronts, addrs := listenUDPFronts(t, 2)
-	d, err := NewDaemon(Config{Shards: 2, TickEvery: time.Hour}, fronts)
+	d, err := NewDaemon(Config{Shards: 2, tickEvery: time.Hour}, fronts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,7 +367,7 @@ func TestRelayEndToEndUDP(t *testing.T) {
 	if err != nil {
 		t.Skipf("udp unavailable: %v", err)
 	}
-	d, err := NewDaemon(Config{Shards: 2, TickEvery: 5 * time.Millisecond}, []Front{front})
+	d, err := NewDaemon(Config{Shards: 2, tickEvery: 5 * time.Millisecond}, []Front{front})
 	if err != nil {
 		t.Fatal(err)
 	}

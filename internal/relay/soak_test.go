@@ -84,7 +84,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 
 	// Fleet aggregator: grades every session's inter-arrival cadence against
 	// the drivers' send tick. Flip-driven capture is off — the burn-rate
-	// alert below owns the capture decision — and CaptureLimit 1 makes the
+	// alert below owns the capture decision — and captureLimit 1 makes the
 	// capture guards themselves an assertion target: the chaos phase burns
 	// hundreds of sessions at once, and exactly one .rkcp bundle may come out.
 	gradeWindow := 10 * *soakTick
@@ -106,8 +106,8 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 			FrameDegradedMargin:   *soakTick / 5,
 			FrameInfeasibleMargin: 4 * *soakTick,
 		},
-		CaptureLimit:       1,
-		CaptureEvery:       time.Hour,
+		captureLimit:       1,
+		captureEvery:       time.Hour,
 		disableFlipCapture: true,
 		OnCapture: func(ac AnomalyCapture) {
 			capMu.Lock()
@@ -335,7 +335,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 	)
 	// The heal phase is 10 grading windows long: the first window after the
 	// partition grades degraded (its mean gap includes one partition-length
-	// hole per site), recovery needs RecoverAfter=3 strictly-better windows
+	// hole per site), recovery needs three strictly-better windows
 	// after that, and then the alert's slow window (4 grading windows) must
 	// drain below the clearing bound for ClearAfter consecutive evaluations
 	// before the burn-rate alert resolves — plus phase-alignment slack.
@@ -534,7 +534,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 			fleetSnap.Summary.Flips, chaosSessions*9/10)
 	}
 
-	// 6. Anomaly capture: with CaptureLimit 1, the chaos storm produces
+	// 6. Anomaly capture: with captureLimit 1, the chaos storm produces
 	// exactly one bundle; every other flip is a counted suppression, and the
 	// shutdown flush has nothing left to emit. The bundle must survive an
 	// encode/decode round trip and every record must demux back to the
@@ -546,7 +546,7 @@ func TestRelaySoak10kSessionsUnderChaos(t *testing.T) {
 		t.Errorf("FlushPending emitted %d bundles past the capture limit", flushed)
 	}
 	if len(gotBundles) != 1 {
-		t.Fatalf("chaos soak emitted %d anomaly bundles, want exactly 1 (CaptureLimit)", len(gotBundles))
+		t.Fatalf("chaos soak emitted %d anomaly bundles, want exactly 1 (captureLimit)", len(gotBundles))
 	}
 	if fleetSnap.Summary.Captures != 1 || fleetSnap.Summary.Suppressed < 1 {
 		t.Errorf("fleet counters: captures=%d suppressed=%d, want 1 and >= 1",

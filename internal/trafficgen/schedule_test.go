@@ -46,16 +46,16 @@ func TestRunScheduleDigest(t *testing.T) {
 				Model: Model{
 					Sessions:   24,
 					Drivers:    3,
-					JoinSpread: 120 * time.Millisecond,
+					joinSpread: 120 * time.Millisecond,
 					Think:      ThinkModel{Every: 150 * time.Millisecond, For: 40 * time.Millisecond},
 					Churn:      tc.churn,
 					Seed:       21,
 				},
 				Profile:  "wifi",
 				Shards:   2,
-				Warmup:   100 * time.Millisecond,
+				warmup:   100 * time.Millisecond,
 				Measure:  500 * time.Millisecond,
-				Drain:    100 * time.Millisecond,
+				drain:    100 * time.Millisecond,
 				Capture:  client,
 				relayTap: relayTap,
 			})

@@ -89,20 +89,28 @@ type Model struct {
 	// 16, clamped to Sessions). Each driver owns a disjoint slice of
 	// sessions and a pair of emulated endpoints, one per site.
 	Drivers int
-	// InputHz is the nominal per-site input cadence (default 60).
-	InputHz int
-	// CadenceJitter widens each inter-input gap uniformly by ± this fraction
-	// of the period (default 0.2) — human button timing is not a metronome.
-	CadenceJitter float64
-	// JoinSpread staggers session starts uniformly across this window from
-	// the run start (default 250 ms), modeling a lobby filling up.
-	JoinSpread time.Duration
 	// Think and Churn shape each session's activity; zero values disable.
 	Think ThinkModel
 	Churn ChurnModel
 	// Seed drives every per-session RNG (default 1).
 	Seed int64
+
+	// cadenceJitter widens each inter-input gap uniformly by ± this
+	// fraction of the period (zero: a metronome). make qoe's sweep sets 0.2
+	// — human button timing is not a metronome.
+	cadenceJitter float64
+	// joinSpread staggers session starts uniformly across this window from
+	// the run start (zero: joinWindow), modeling a lobby filling up.
+	joinSpread time.Duration
 }
+
+// The session population's shape.
+const (
+	// inputHz is the nominal per-site input cadence.
+	inputHz = 60
+	// joinWindow is the default joinSpread.
+	joinWindow = 250 * time.Millisecond
+)
 
 func (m Model) withDefaults() Model {
 	if m.Sessions <= 0 {
@@ -114,14 +122,8 @@ func (m Model) withDefaults() Model {
 	if m.Drivers > m.Sessions {
 		m.Drivers = m.Sessions
 	}
-	if m.InputHz <= 0 {
-		m.InputHz = 60
-	}
-	if m.CadenceJitter < 0 {
-		m.CadenceJitter = 0
-	}
-	if m.JoinSpread <= 0 {
-		m.JoinSpread = 250 * time.Millisecond
+	if m.joinSpread <= 0 {
+		m.joinSpread = joinWindow
 	}
 	if m.Seed == 0 {
 		m.Seed = 1
@@ -137,18 +139,27 @@ type RunConfig struct {
 	// front per shard (shard i writes through front i), which pins the
 	// reader→shard fan-in and keeps virtual-time runs deterministic.
 	Shards int
-	// Warmup precedes the measured window (default 600 ms — longer than the
-	// default JoinSpread, so grading only sees steady state). Measure is the
-	// graded window (default 2 s). Drain lets in-flight measured datagrams
-	// land before the run stops (default 400 ms).
-	Warmup, Measure, Drain time.Duration
+	// Measure is the graded window (default 2 s).
+	Measure time.Duration
 	// Capture, when set, records the client-side view of the run: every
 	// generator send and delivery, relay prefix included.
 	Capture *capture.Recorder
 	// relayTap, when set, is installed as the daemon's capture tap
 	// (relay.Config.Tap) — the relay-side view of the same traffic.
 	relayTap *capture.Recorder
+	// warmup precedes the measured window (zero: warmupWindow). drain lets
+	// in-flight measured datagrams land before the run stops (zero:
+	// drainWindow).
+	warmup, drain time.Duration
 }
+
+const (
+	// warmupWindow is the default warmup: longer than joinWindow, so
+	// grading only sees steady state.
+	warmupWindow = 600 * time.Millisecond
+	// drainWindow is the default drain.
+	drainWindow = 400 * time.Millisecond
+)
 
 func (c RunConfig) withDefaults() RunConfig {
 	c.Model = c.Model.withDefaults()
@@ -158,14 +169,14 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Shards <= 0 {
 		c.Shards = 8
 	}
-	if c.Warmup <= 0 {
-		c.Warmup = 600 * time.Millisecond
+	if c.warmup <= 0 {
+		c.warmup = warmupWindow
 	}
 	if c.Measure <= 0 {
 		c.Measure = 2 * time.Second
 	}
-	if c.Drain <= 0 {
-		c.Drain = 400 * time.Millisecond
+	if c.drain <= 0 {
+		c.drain = drainWindow
 	}
 	return c
 }
@@ -271,7 +282,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	v, d := e.clock, e.daemon
 
 	// Admission: place every session up front; session i joins at a
-	// deterministic offset inside the JoinSpread window.
+	// deterministic offset inside the joinSpread window.
 	sessions := make([]*session, m.Sessions)
 	for i := range sessions {
 		p, err := d.Place()
@@ -283,7 +294,7 @@ func Run(cfg RunConfig) (*Result, error) {
 			token:   p.Token,
 			front:   p.Addr,
 			rng:     newRng(m.Seed + int64(i)*7919),
-			startAt: e.epoch.Add(time.Duration(i+1) * m.JoinSpread / time.Duration(m.Sessions+1)),
+			startAt: e.epoch.Add(time.Duration(i+1) * m.joinSpread / time.Duration(m.Sessions+1)),
 			lat:     &obs.Histogram{},
 		}
 		sessions[i] = s
@@ -292,7 +303,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		dr.byToken[s.token] = s
 	}
 
-	total := cfg.Warmup + cfg.Measure + cfg.Drain
+	total := cfg.warmup + cfg.Measure + cfg.drain
 	var dones []<-chan struct{}
 	// The wiring runs as one root actor, so no controller, relay loop or
 	// driver runs (and the clock stands still) until all are registered.
@@ -317,7 +328,7 @@ func newEngine(cfg RunConfig) (*engine, error) {
 	v := vclock.NewVirtual(Epoch)
 	e := &engine{cfg: cfg, clock: v, net: simnet.New(v), agg: &obs.Histogram{}}
 	e.epoch = v.Now()
-	e.mStart = e.epoch.Add(cfg.Warmup)
+	e.mStart = e.epoch.Add(cfg.warmup)
 	e.mEnd = e.mStart.Add(cfg.Measure)
 
 	fronts := make([]relay.Front, cfg.Shards)
@@ -470,11 +481,11 @@ func (e *engine) stepSession(dr *driver, s *session, now time.Time) {
 		}
 		return
 	}
-	period := time.Second / time.Duration(m.InputHz)
+	period := time.Second / inputHz
 	for site := 0; site < 2; site++ {
 		for !s.next[site].After(now) {
 			e.sendPayload(dr, s, site, now)
-			s.next[site] = s.next[site].Add(s.rng.spread(period, m.CadenceJitter))
+			s.next[site] = s.next[site].Add(s.rng.spread(period, m.cadenceJitter))
 		}
 	}
 }

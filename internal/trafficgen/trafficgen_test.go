@@ -29,17 +29,16 @@ func baselineSweep() RunConfig {
 		Model: Model{
 			Sessions:      1024,
 			Drivers:       16,
-			InputHz:       60,
-			CadenceJitter: 0.2,
-			JoinSpread:    250 * time.Millisecond,
+			cadenceJitter: 0.2,
+			joinSpread:    250 * time.Millisecond,
 			Think:         ThinkModel{Every: 2 * time.Second, For: 300 * time.Millisecond},
 			Churn:         ChurnModel{LeaveEvery: 5 * time.Second, DownFor: 500 * time.Millisecond},
 			Seed:          7,
 		},
 		Shards:  16,
-		Warmup:  600 * time.Millisecond,
+		warmup:  600 * time.Millisecond,
 		Measure: 1500 * time.Millisecond,
-		Drain:   400 * time.Millisecond,
+		drain:   400 * time.Millisecond,
 	}
 }
 
@@ -136,9 +135,9 @@ func TestQoESweepDeterministicRerun(t *testing.T) {
 			Seed:     11,
 		},
 		Shards:  8,
-		Warmup:  400 * time.Millisecond,
+		warmup:  400 * time.Millisecond,
 		Measure: 800 * time.Millisecond,
-		Drain:   300 * time.Millisecond,
+		drain:   300 * time.Millisecond,
 	}
 	profiles := []string{"wifi", "transcontinental"}
 	r1, t1, err := sweep(cfg, profiles...)
@@ -179,7 +178,7 @@ func TestQoEVerdictsOrderByProfile(t *testing.T) {
 	results, _, err := sweep(RunConfig{
 		Model:   Model{Sessions: 96, Drivers: 8, Seed: 3},
 		Shards:  8,
-		Warmup:  400 * time.Millisecond,
+		warmup:  400 * time.Millisecond,
 		Measure: 800 * time.Millisecond,
 	}, "wifi", "lte", "transcontinental")
 	if err != nil {
@@ -208,9 +207,9 @@ func TestRelayViewRepeats(t *testing.T) {
 			Model:    Model{Sessions: 32, Drivers: 4, Seed: 13},
 			Profile:  "wifi",
 			Shards:   2,
-			Warmup:   100 * time.Millisecond,
+			warmup:   100 * time.Millisecond,
 			Measure:  300 * time.Millisecond,
-			Drain:    100 * time.Millisecond,
+			drain:    100 * time.Millisecond,
 			relayTap: rec,
 		})
 		if err != nil {

@@ -3,6 +3,7 @@
 package retrolock_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/parser"
@@ -24,7 +25,9 @@ import (
 // Fields: an exported field of an internal/ struct whose name ends in
 // Config, Options, Spec, Params or Model fails unless non-test code of the
 // main module assigns it (a composite-literal key, an assignment or a store
-// through it). A field that only tests or only bench/ set fails too.
+// through it). A field that only tests or only bench/ set fails too, and so
+// does one that only its own package's withDefaults fills: a default that
+// nothing overrides is a constant (TestKnobCensusRule pins the rule).
 //
 // Flags: a flag that a cmd/ package defines fails unless a command line
 // passes it: in README.md, EXPERIMENTS.md or docs/, in the Makefile or a CI
@@ -38,34 +41,12 @@ func TestEveryKnobIsTurned(t *testing.T) {
 	known := map[string]bool{}
 	flagged := map[string]bool{}
 
-	fields := map[*types.Var]string{}
-	for _, p := range pkgs {
-		if strings.HasPrefix(p.path, "retrolock/internal/") {
-			knobFields(p, fields)
-		}
-	}
-	set, benchSet := map[*types.Var]bool{}, map[*types.Var]bool{}
-	for _, p := range pkgs {
-		into := set
-		if strings.HasPrefix(p.path, "retrolock/bench") {
-			into = benchSet
-		}
-		for id, use := range fieldUses(p.info, p.files) {
-			if v, ok := p.info.Uses[id].(*types.Var); ok && use == useWrite {
-				into[v.Origin()] = true
-			}
-		}
-	}
+	fields, unturned := knobCensus(pkgs)
 	for v, key := range fields {
 		known[key] = true
-		switch {
-		case set[v]:
-		case benchSet[v]:
+		if why, ok := unturned[v]; ok {
 			flagged[key] = true
-			t.Logf("%s: %s is set only by bench/", fset.Position(v.Pos()), key)
-		default:
-			flagged[key] = true
-			t.Logf("%s: %s is set by no non-test code", fset.Position(v.Pos()), key)
+			t.Logf("%s: %s is %s", fset.Position(v.Pos()), key, why)
 		}
 	}
 
@@ -92,6 +73,171 @@ func TestEveryKnobIsTurned(t *testing.T) {
 	settle(t, "knobs.txt", flagged, func(key string) bool { return known[key] },
 		"%s is a knob nothing turns", "it is turned now", "a config field or command flag")
 	t.Logf("%d config fields and %d flags, %d not turned", len(fields), nflags, len(flagged))
+}
+
+// TestKnobCensusRule feeds knobCensus a synthetic module: a Config field
+// that only its own package's withDefaults fills is unturned, and a write
+// anywhere else in the main module's non-test code turns it.
+func TestKnobCensusRule(t *testing.T) {
+	const knob = `package knob
+
+type Config struct{ X int }
+
+func (c Config) withDefaults() Config {
+	if c.X == 0 {
+		c.X = 3
+	}
+	return c
+}
+
+func Use(c Config) int { return c.withDefaults().X }
+`
+	for _, tc := range []struct {
+		name, path, src string
+		want            string // why X is unturned; "" when it is turned
+	}{
+		{"own defaults only", "retrolock/cmd/app", `package app
+
+import "retrolock/internal/knob"
+
+var _ = knob.Use(knob.Config{})
+`, "set by no non-test code outside its package's withDefaults"},
+		{"set by a command", "retrolock/cmd/app", `package app
+
+import "retrolock/internal/knob"
+
+var _ = knob.Use(knob.Config{X: 4})
+`, ""},
+		{"another package's defaults", "retrolock/internal/wrap", `package wrap
+
+import "retrolock/internal/knob"
+
+type Options struct{ Knob knob.Config }
+
+func (o Options) withDefaults() Options {
+	o.Knob.X = 5
+	return o
+}
+
+var _ = knob.Use(Options{}.withDefaults().Knob)
+`, ""},
+		{"set only by bench/", "retrolock/bench", `package bench
+
+import "retrolock/internal/knob"
+
+var _ = knob.Use(knob.Config{X: 4})
+`, "set only by bench/"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pkgs := checkSources(t, [][2]string{{"retrolock/internal/knob", knob}, {tc.path, tc.src}})
+			fields, unturned := knobCensus(pkgs)
+			var x *types.Var
+			for v, key := range fields {
+				if key == "knob.Config.X" {
+					x = v
+				}
+			}
+			if x == nil {
+				t.Fatalf("census fields %v lack knob.Config.X", fields)
+			}
+			if got := unturned[x]; got != tc.want {
+				t.Errorf("knob.Config.X unturned as %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// checkSources type-checks one file per package, in order, each given as
+// {import path, source}; a package may import the ones before it.
+func checkSources(t *testing.T, srcs [][2]string) []*modulePackage {
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return nil, fmt.Errorf("no package %s", path)
+	})
+	var pkgs []*modulePackage
+	for _, src := range srcs {
+		f, err := parser.ParseFile(fset, src[0]+".go", src[1], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := &modulePackage{path: src[0], files: []*ast.File{f}, info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		conf := types.Config{Importer: imp}
+		if mp.types, err = conf.Check(src[0], fset, mp.files, mp.info); err != nil {
+			t.Fatal(err)
+		}
+		checked[src[0]] = mp.types
+		pkgs = append(pkgs, mp)
+	}
+	return pkgs
+}
+
+// knobCensus returns the configuration fields of pkgs' internal/ packages,
+// keyed as in knobFields, and why each one nothing turns is unturned. A
+// write counts when it is in the main module's non-test code, outside the
+// withDefaults function or method of the field's own package: filling a
+// zero field with the package's default is the default, not a turn.
+func knobCensus(pkgs []*modulePackage) (fields, unturned map[*types.Var]string) {
+	fields = map[*types.Var]string{}
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.path, "retrolock/internal/") {
+			knobFields(p, fields)
+		}
+	}
+	set, benchSet := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, p := range pkgs {
+		into := set
+		if strings.HasPrefix(p.path, "retrolock/bench") {
+			into = benchSet
+		}
+		fills := defaultFills(p)
+		for id, use := range fieldUses(p.info, p.files) {
+			v, ok := p.info.Uses[id].(*types.Var)
+			if !ok || use != useWrite || v.Pkg() == p.types && fills(id.Pos()) {
+				continue
+			}
+			into[v.Origin()] = true
+		}
+	}
+	unturned = map[*types.Var]string{}
+	for v := range fields {
+		switch {
+		case set[v]:
+		case benchSet[v]:
+			unturned[v] = "set only by bench/"
+		default:
+			unturned[v] = "set by no non-test code outside its package's withDefaults"
+		}
+	}
+	return fields, unturned
+}
+
+// defaultFills reports whether pos is inside a function or method of p
+// named withDefaults.
+func defaultFills(p *modulePackage) func(pos token.Pos) bool {
+	var bodies []*ast.FuncDecl
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "withDefaults" {
+				bodies = append(bodies, fn)
+			}
+		}
+	}
+	return func(pos token.Pos) bool {
+		for _, fn := range bodies {
+			if fn.Pos() <= pos && pos < fn.End() {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // knobSuffixes name the structs whose exported fields are a caller's
